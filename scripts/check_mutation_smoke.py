@@ -10,10 +10,12 @@ Two subcommands around one ``repro serve --index`` session:
     graph, interleaves it with queries, and writes
 
     * ``SESSION_OUT`` — the protocol lines to pipe into ``repro serve``
-      (mutations, mid-soak queries, final query block, ``HEALTH``);
-    * ``EXPECTED_OUT`` — the final-query scores computed *offline* by
-      applying the whole schedule to a cold-opened engine
-      (:meth:`QueryEngine.with_mutations`), plus the schedule size.
+      (mutations, mid-soak queries, a final block of ``BATCH`` lines,
+      ``HEALTH``);
+    * ``EXPECTED_OUT`` — the final block's scores from an *offline cold
+      rebuild*: a fresh ``QueryEngine`` sampled on the mutated graph with
+      the artifact's own seed, walk count, length, policy, decay and
+      theta — no incremental code involved — plus the schedule size.
 
 ``verify SERVE_OUT EXPECTED_OUT``
     Parses the serve session's stdout and fails (exit 1) unless
@@ -21,8 +23,10 @@ Two subcommands around one ``repro serve --index`` session:
     * the session became ready and nothing was degraded;
     * every mutation line was acknowledged (``mutated: true``) with a
       strictly increasing epoch;
-    * the final query block is **bit-identical** to the offline cold
-      rebuild — the incremental-maintenance guarantee, end to end;
+    * the final ``BATCH`` block is **bit-identical** to the offline cold
+      rebuild — the incremental-maintenance guarantee, end to end, for
+      the walk tensor and for the step tables and ``SO`` matrix each
+      generation swap carries over;
     * the closing HEALTH snapshot reports every mutation applied.
 """
 
@@ -36,8 +40,10 @@ from pathlib import Path
 NUM_MUTATIONS = 100
 #: A query is interleaved after every Nth mutation.
 QUERY_EVERY = 5
-#: Final query block size (pairs scored after the full schedule).
+#: Final query block: sources scored after the full schedule, each as a
+#: ``BATCH`` line over ``NUM_FINAL_CANDIDATES`` candidates.
 NUM_FINAL_PAIRS = 10
+NUM_FINAL_CANDIDATES = 8
 SCHEDULE_SEED = 20260808
 
 
@@ -91,15 +97,28 @@ def _query_pairs(graph, rng, count):
     return pairs
 
 
+def _batch_candidates(graph, rng, u):
+    nodes = [node for node in sorted(graph.nodes(), key=str) if node != u]
+    picks = rng.choice(len(nodes), size=NUM_FINAL_CANDIDATES, replace=False)
+    return [nodes[int(i)] for i in picks]
+
+
 def _generate(index_path: str, session_out: str, expected_out: str) -> int:
     import numpy as np
 
     from repro.api import QueryEngine
+    from repro.core.walk_index import WalkPolicy
+    from repro.store import read_artifact
 
     engine = QueryEngine.open(index_path)
+    params = read_artifact(index_path).meta["params"]
     rng = np.random.default_rng(SCHEDULE_SEED)
-    schedule = _build_schedule(engine.graph.copy(), rng)
+    final_graph = engine.graph.copy()
+    schedule = _build_schedule(final_graph, rng)
     final_pairs = _query_pairs(engine.graph, rng, NUM_FINAL_PAIRS)
+    final_batches = [
+        (u, _batch_candidates(engine.graph, rng, u)) for u, _v in final_pairs
+    ]
 
     lines = []
     for position, mutation in enumerate(schedule):
@@ -112,23 +131,36 @@ def _generate(index_path: str, session_out: str, expected_out: str) -> int:
         if (position + 1) % QUERY_EVERY == 0:
             u, v = final_pairs[(position // QUERY_EVERY) % len(final_pairs)]
             lines.append(f"{u} {v}")
-    for u, v in final_pairs:
-        lines.append(f"{u} {v}")
+    for u, candidates in final_batches:
+        lines.append(f"BATCH {u} {' '.join(candidates)}")
     lines.append("HEALTH")
     Path(session_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    # the offline oracle: one cold-opened engine, the whole schedule at
-    # once — bit-identity makes "all at once" and "one per line" converge
-    mutated = engine.with_mutations(schedule)
+    # the offline oracle: a cold build on the final graph with the
+    # artifact's own parameters, scored on the batch path
+    cold = QueryEngine(
+        final_graph,
+        engine.measure,
+        method="mc",
+        decay=params["decay"],
+        theta=params["theta"],
+        num_walks=params["num_walks"],
+        length=params["length"],
+        policy=WalkPolicy(params["policy"]),
+        seed=params["seed"],
+    )
     expected = {
         "mutations": len(schedule),
-        "pairs": [[u, v] for u, v in final_pairs],
-        "scores": [mutated.score(u, v) for u, v in final_pairs],
+        "batches": [[u, candidates] for u, candidates in final_batches],
+        "scores": [
+            [float(x) for x in cold.score_batch(u, candidates)]
+            for u, candidates in final_batches
+        ],
     }
     Path(expected_out).write_text(json.dumps(expected), encoding="utf-8")
     print(
         f"check_mutation_smoke: wrote {len(schedule)} mutations, "
-        f"{len(lines)} protocol lines, {len(final_pairs)} oracle pairs"
+        f"{len(lines)} protocol lines, {len(final_batches)} oracle batches"
     )
     return 0
 
@@ -161,22 +193,21 @@ def _verify(serve_out: str, expected_out: str) -> int:
     if epochs != sorted(set(epochs)):
         _fail(f"mutation epochs not strictly increasing: {epochs[:10]}...")
 
-    queries = [r for r in body if "value" in r]
-    final = queries[-len(expected["pairs"]):]
-    if len(final) != len(expected["pairs"]):
+    final = [r for r in body if "values" in r]
+    if len(final) != len(expected["batches"]):
         _fail(
-            f"expected {len(expected['pairs'])} final queries, "
-            f"session produced {len(queries)}"
+            f"expected {len(expected['batches'])} final batches, "
+            f"session produced {len(final)}"
         )
-    for response, (u, v), score in zip(
-        final, expected["pairs"], expected["scores"]
+    for response, (u, candidates), scores in zip(
+        final, expected["batches"], expected["scores"]
     ):
-        if [response["u"], response["v"]] != [u, v]:
-            _fail(f"final query order drifted: {response} vs {(u, v)}")
-        if response["value"] != score:
+        if [response["u"], response["candidates"]] != [u, candidates]:
+            _fail(f"final batch order drifted: {response} vs {(u, candidates)}")
+        if response["values"] != scores:
             _fail(
-                f"score for ({u}, {v}) drifted from the cold rebuild: "
-                f"{response['value']} != {score}"
+                f"batch scores for {u} drifted from the cold rebuild: "
+                f"{response['values']} != {scores}"
             )
 
     health = responses[-1]
@@ -189,7 +220,7 @@ def _verify(serve_out: str, expected_out: str) -> int:
     print(
         "check_mutation_smoke: OK — "
         f"{expected['mutations']} live mutations, final "
-        f"{len(expected['pairs'])} scores bit-identical to a cold rebuild"
+        f"{len(expected['batches'])} batches bit-identical to a cold rebuild"
     )
     return 0
 

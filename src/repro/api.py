@@ -134,6 +134,9 @@ AUTO_MATERIALIZE_LIMIT = 4096
 
 _LOG = get_logger("api")
 
+#: Mutation kinds, each a method of both the engine and DynamicWalkIndex.
+_MUTATION_KINDS = ("add_edge", "set_weight", "remove_edge", "add_node")
+
 _QUERY_LATENCY = get_registry().histogram(
     "query_latency_seconds",
     help="End-to-end QueryEngine latency per score()/score_batch() call.",
@@ -779,35 +782,19 @@ class QueryEngine:
         attached, both endpoints must already exist (the measure cannot be
         extended to cover new nodes incrementally).
         """
-        if self.measure is not None:
-            for node in (source, target):
-                if node not in self.graph:
-                    raise ConfigurationError(
-                        f"cannot create node {node!r} through a mutation: "
-                        "the engine's semantic measure does not cover it — "
-                        "rebuild the engine with an extended measure"
-                    )
-        return self._mutate(
-            lambda d: d.add_edge(source, target, weight=weight, label=label)
-        )
+        return self._mutate([("add_edge", source, target, weight, label)])
 
     def set_weight(self, source: Node, target: Node, weight: float) -> int:
         """Re-weight the existing edge ``source -> target`` (label kept)."""
-        return self._mutate(lambda d: d.set_weight(source, target, weight))
+        return self._mutate([("set_weight", source, target, weight)])
 
     def remove_edge(self, source: Node, target: Node) -> int:
         """Delete ``source -> target`` and repair the index."""
-        return self._mutate(lambda d: d.remove_edge(source, target))
+        return self._mutate([("remove_edge", source, target)])
 
     def add_node(self, node: Node, label: str = DEFAULT_NODE_LABEL) -> int:
         """Append an isolated node with its own walk set."""
-        if self.measure is not None:
-            raise ConfigurationError(
-                f"cannot add node {node!r}: the engine's semantic measure "
-                "does not cover it — rebuild the engine with an extended "
-                "measure"
-            )
-        return self._mutate(lambda d: d.add_node(node, label=label))
+        return self._mutate([("add_node", node, label)])
 
     def apply_mutation(self, kind: str, *args) -> int:
         """Apply one mutation by kind name (the serve protocol's entry).
@@ -815,20 +802,7 @@ class QueryEngine:
         *kind* is one of ``add_edge``, ``set_weight``, ``remove_edge``,
         ``add_node``; *args* are forwarded to the matching method.
         """
-        handlers = {
-            "add_edge": self.add_edge,
-            "set_weight": self.set_weight,
-            "remove_edge": self.remove_edge,
-            "add_node": self.add_node,
-        }
-        try:
-            handler = handlers[kind]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown mutation kind {kind!r} "
-                f"(expected one of {sorted(handlers)})"
-            ) from None
-        return handler(*args)
+        return self._mutate([(kind, *args)])
 
     def with_mutations(
         self, mutations: Sequence[tuple]
@@ -839,15 +813,16 @@ class QueryEngine:
         :class:`~repro.core.dynamic.DynamicWalkIndex` around a copied walk
         tensor and graph, so queries in flight against this engine keep a
         consistent snapshot.  Each mutation is a ``(kind, *args)`` tuple as
-        accepted by :meth:`apply_mutation`.  This is the building block of
-        the serve layer's atomic generation swap.
+        accepted by :meth:`apply_mutation`.  The clone's estimator is built
+        once, after the last mutation, from this engine's estimator (see
+        :meth:`~repro.core.montecarlo.MonteCarloSemSim.carry_tables`).
+        This is the building block of the serve layer's atomic generation
+        swap.
         """
         clone = copy.copy(self)
         clone._dynamic = None
         clone._parent_fingerprint = None
-        for mutation in mutations:
-            kind, *args = mutation
-            clone.apply_mutation(kind, *args)
+        clone._mutate(mutations)
         return clone
 
     def mutation_lineage(self) -> dict | None:
@@ -891,11 +866,43 @@ class QueryEngine:
         self._cache_identity = identity
         return key
 
-    def _mutate(self, apply) -> int:
-        dynamic = self._ensure_dynamic()
-        resampled = apply(dynamic)
-        self._refresh_estimator()
+    def _mutate(self, mutations: Sequence[tuple]) -> int:
+        """Apply ``(kind, *args)`` mutations in order; return walks re-stepped.
+
+        The estimator is refreshed once, after the last mutation.
+        """
+        mutations = list(mutations)
+        resampled = 0
+        for kind, *args in mutations:
+            resampled += self._apply_one(kind, args)
+        if mutations:
+            self._refresh_estimator()
         return resampled
+
+    def _apply_one(self, kind: str, args: list) -> int:
+        """Validate one mutation and apply it to the dynamic index."""
+        if kind not in _MUTATION_KINDS:
+            raise ConfigurationError(
+                f"unknown mutation kind {kind!r} "
+                f"(expected one of {sorted(_MUTATION_KINDS)})"
+            )
+        if self.measure is not None:
+            if kind == "add_node":
+                raise ConfigurationError(
+                    f"cannot add node {args[0]!r}: the engine's semantic "
+                    "measure does not cover it — rebuild the engine with an "
+                    "extended measure"
+                )
+            if kind == "add_edge":
+                for node in args[:2]:
+                    if node not in self.graph:
+                        raise ConfigurationError(
+                            f"cannot create node {node!r} through a "
+                            "mutation: the engine's semantic measure does "
+                            "not cover it — rebuild the engine with an "
+                            "extended measure"
+                        )
+        return getattr(self._ensure_dynamic(), kind)(*args)
 
     def _ensure_dynamic(self) -> DynamicWalkIndex:
         """Lazily promote the walk index to a mutable DynamicWalkIndex."""
@@ -928,9 +935,13 @@ class QueryEngine:
 
         Estimators snapshot edge weights at construction; after a mutation
         the old one raises :class:`~repro.errors.StaleIndexError`, so the
-        engine swaps in a fresh one recording the new epoch.  ``stats``
-        restarts with it (the registry mirror keeps the running totals).
+        engine swaps in a fresh one recording the new epoch.  A SemSim
+        estimator carries its tables over from the one it replaces, and
+        the index's change record restarts, so the next refresh carries
+        from this one.  ``stats`` restarts with it (the registry mirror
+        keeps the running totals).
         """
+        predecessor = self.estimator
         if self.measure is None:
             self.estimator = MonteCarloSimRank(
                 self.walk_index, decay=self.decay, backend=self.backend
@@ -943,6 +954,9 @@ class QueryEngine:
                 theta=self.theta,
                 backend=self.backend,
             )
+            if isinstance(predecessor, MonteCarloSemSim):
+                self.estimator.carry_tables(predecessor)
+        self._dynamic.restart_changes()
         self.stats = self.estimator.stats
 
     @classmethod

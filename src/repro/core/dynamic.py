@@ -32,8 +32,12 @@ mutated node's row changed) keeps the identity exact for every policy.
 Each successful mutation increments :attr:`DynamicWalkIndex.epoch`.
 Estimators record the epoch at construction and raise
 :class:`~repro.errors.StaleIndexError` when queried across a mutation —
-they snapshot edge weights, so recreate them after updates (cheap: the
-walk storage is reused, not resampled).
+they snapshot edge weights, so they are recreated after updates.  To
+keep that cheap the index also keeps a **change record** since a given
+epoch (:meth:`DynamicWalkIndex.changes_since`): the walks whose per-step
+data may differ and the rows whose in-edges changed.  An estimator built
+on the new epoch copies its predecessor's per-step tables and ``SO``
+matrix and recomputes only what the record names.
 """
 
 from __future__ import annotations
@@ -140,6 +144,7 @@ class DynamicWalkIndex:
         self.updates_applied = 0
         self.walks_resampled = 0
         self.mutation_log: list[MutationRecord] = []
+        self.restart_changes()
 
     @classmethod
     def from_walk_index(
@@ -151,11 +156,14 @@ class DynamicWalkIndex:
 
         The walk tensor and graph are **copied**, so *walk_index* keeps
         serving unchanged — this is the copy-on-write entry point behind
-        the serve layer's generation swaps.  *seed* must be the integer
-        seed the source index was sampled with; when promoting another
-        :class:`DynamicWalkIndex` it defaults to the source's own entropy,
-        and the source's :attr:`epoch` carries over so estimator staleness
-        stays monotone across generations.
+        the serve layer's generation swaps.  The source's graph snapshot
+        and transition tables are shared, not recompiled: both are
+        read-only, and a mutation replaces rather than edits them.  *seed*
+        must be the integer seed the source index was sampled with; when
+        promoting another :class:`DynamicWalkIndex` it defaults to the
+        source's own entropy, and the source's :attr:`epoch` carries over
+        so estimator staleness stays monotone across generations.  The
+        change record starts at that epoch.
         """
         if seed is None:
             if not isinstance(walk_index, DynamicWalkIndex):
@@ -182,11 +190,14 @@ class DynamicWalkIndex:
             num_walks=source.num_walks,
             length=source.length,
             policy=source.policy,
+            tables=source.tables,
+            graph_index=source.index,
         )
         dynamic.epoch = int(getattr(walk_index, "epoch", 0))
         dynamic.updates_applied = 0
         dynamic.walks_resampled = 0
         dynamic.mutation_log = []
+        dynamic.restart_changes()
         return dynamic
 
     # ------------------------------------------------------------------
@@ -279,6 +290,7 @@ class DynamicWalkIndex:
         return self._apply(
             ("add_edge", str(source), str(target), repr(float(weight)), label),
             lambda: self.graph.add_edge(source, target, weight=weight, label=label),
+            target,
             (source, target),
         )
 
@@ -288,6 +300,7 @@ class DynamicWalkIndex:
         return self._apply(
             ("set_weight", str(source), str(target), repr(float(weight)), label),
             lambda: self.graph.add_edge(source, target, weight=weight, label=label),
+            target,
             (),
         )
 
@@ -296,6 +309,7 @@ class DynamicWalkIndex:
         return self._apply(
             ("remove_edge", str(source), str(target), "", ""),
             lambda: self.graph.remove_edge(source, target),
+            target,
             (),
         )
 
@@ -306,6 +320,7 @@ class DynamicWalkIndex:
         return self._apply(
             ("add_node", str(node), "", "", label),
             lambda: self.graph.add_node(node, label=label),
+            node,
             (node,),
         )
 
@@ -315,20 +330,51 @@ class DynamicWalkIndex:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------------
+    # Change record — what an estimator rebuilds after a generation swap
+    # ------------------------------------------------------------------
+    def changes_since(self, epoch: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """Walks and rows changed since *epoch*, or ``None`` if unrecorded.
+
+        Returns ``(walks, rows)``: an ``(n, num_walks)`` mask of every walk
+        that visited, at an offset below :attr:`length`, a row whose
+        transition data or in-edges changed — the per-step edge weight and
+        proposal odds along any other walk are as they were at *epoch* —
+        and an ``(n,)`` mask of the nodes whose in-edges or in-weights
+        changed.  The record starts at construction, at promotion and at
+        every :meth:`restart_changes`; for any other *epoch* nothing is
+        known and the answer is ``None``.  The masks are live: read them
+        before the next mutation.
+        """
+        if epoch != self._changes_epoch:
+            return None
+        return self._changed_walks, self._changed_in_rows
+
+    def restart_changes(self) -> None:
+        """Start an empty change record at the current :attr:`epoch`."""
+        n = self._inner.index.num_nodes
+        self._changes_epoch = self.epoch
+        self._changed_walks = np.zeros((n, self.num_walks), dtype=bool)
+        self._changed_in_rows = np.zeros(n, dtype=bool)
+
+    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _apply(self, record, mutate, node_candidates) -> int:
+    def _apply(self, record, mutate, target, node_candidates) -> int:
         # Compile (or reuse) the pre-mutation tables before touching the
         # graph: the bitwise row diff below needs both sides.
+        old_index = self._inner.index
         old_tables = self._inner.tables
-        old_count = self._inner.index.num_nodes
+        old_count = old_index.num_nodes
         new_nodes = [n for n in node_candidates if n not in self.graph]
         mutate()  # validation errors raise here, leaving state untouched
-        self._inner.index = self.graph.index()
-        new_tables = _TransitionTables(self._inner.index, self.policy)
+        # Only *target*'s in-edges changed (plus any appended node's).
+        index = old_index.with_rows(self.graph, (target,))
+        self._inner.index = index
+        new_tables = _TransitionTables(index, self.policy)
         self._inner._tables = new_tables
         self._grow_for(new_nodes, old_count)
-        resampled = self._repair(old_tables, new_tables)
+        rows = [index.position[target], *range(old_count, index.num_nodes)]
+        resampled = self._repair(old_tables, new_tables, rows)
         self.epoch += 1
         self.updates_applied += 1
         self.walks_resampled += resampled
@@ -358,24 +404,44 @@ class DynamicWalkIndex:
             assert position == old_count + offset
             grown[position, :, 0] = position
         self._inner.walks = grown
+        # Appended rows enter the change record through _repair.
+        added = len(new_nodes)
+        self._changed_walks = np.concatenate(
+            (self._changed_walks, np.zeros((added, self.num_walks), dtype=bool))
+        )
+        self._changed_in_rows = np.concatenate(
+            (self._changed_in_rows, np.zeros(added, dtype=bool))
+        )
 
-    def _repair(self, old_tables, new_tables) -> int:
-        """Re-step every walk whose remaining path could differ; return count."""
+    def _repair(self, old_tables, new_tables, rows) -> int:
+        """Re-step every walk whose remaining path could differ; return count.
+
+        Also extends the change record with *rows* (the positions whose
+        in-edges changed) and with every walk that visits, below offset
+        ``length``, a row whose transition data changed or one of *rows*.
+        A walk's step weights and proposal odds read only the rows it
+        stands on, so no other walk's per-step data moved.
+        """
         changed = _changed_rows(old_tables, new_tables)
-        if not changed.any():
+        self._changed_in_rows[rows] = True
+        # Bit 1: transition data changed (visitors are re-stepped); bit 2:
+        # in-edges changed.  The sentinel slot n stays 0 so dead (-1)
+        # steps never match.
+        flags = np.zeros(changed.size + 1, dtype=np.uint8)
+        flags[:-1][changed] = 1
+        flags[rows] |= 2
+        # A visit at the final offset has no outgoing step.
+        visits = flags[self._inner.walks[:, :, : self.length]]
+        touched = visits.any(axis=2)
+        self._changed_walks |= touched
+        node_ids, walk_ids = np.nonzero(touched)
+        restep = visits[node_ids, walk_ids] & 1
+        moved = restep.any(axis=1)
+        if not moved.any():
             return 0
-        walks = self._inner.walks
-        # Sentinel slot at index n stays False so dead (-1) steps never match.
-        lookup = np.zeros(self._inner.index.num_nodes + 1, dtype=bool)
-        lookup[np.flatnonzero(changed)] = True
-        # A visit at the final offset has no outgoing step to repair.
-        visited = lookup[walks[:, :, : self.length]]
-        node_ids, walk_ids = np.nonzero(visited.any(axis=2))
-        if node_ids.size == 0:
-            return 0
-        starts = visited[node_ids, walk_ids].argmax(axis=1).astype(np.int64)
-        self._restep(node_ids, walk_ids, starts)
-        return int(node_ids.size)
+        starts = restep[moved].argmax(axis=1).astype(np.int64)
+        self._restep(node_ids[moved], walk_ids[moved], starts)
+        return int(moved.sum())
 
     def _restep(
         self, node_ids: np.ndarray, walk_ids: np.ndarray, starts: np.ndarray

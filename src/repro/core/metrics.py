@@ -16,7 +16,12 @@ a trustworthy one:
     mean **met** coupled walks per scored pair of the latest batch — the
     effective sample size actually contributing to each estimate (far
     below ``n_w`` for dissimilar pairs, which is exactly the variance
-    story the paper's confidence bounds are about).
+    story the paper's confidence bounds are about);
+``estimator_tables_built_total{mode}``
+    the MC SemSim estimator's lookup tables (the per-step tables and the
+    ``SO`` matrix, one count each) built in full (``mode="full"``) or
+    carried over from the previous index generation (``"carried"``) — a
+    generation swap that falls back to a full build shows up here.
 
 Kept in one module (mirroring :mod:`repro.sched.metrics`) so the
 iterative solver, both MC estimators and the shard-worker engine share
@@ -48,4 +53,11 @@ ENGINE_EFFECTIVE_WALKS = _REGISTRY.gauge(
     help="Mean met coupled walks per scored pair of the latest batch — "
     "the effective sample size actually contributing to each estimate.",
     labelnames=("engine", "estimator"),
+)
+ESTIMATOR_TABLES_BUILT = _REGISTRY.counter(
+    "estimator_tables_built_total",
+    help="MC SemSim lookup tables (step tables, SO matrix; one count "
+    "each) built in full or carried over from the previous index "
+    "generation.",
+    labelnames=("mode",),
 )

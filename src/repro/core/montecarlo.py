@@ -54,7 +54,11 @@ from repro.backends import (
     kernel_timer,
     resolve_backend,
 )
-from repro.core.metrics import ENGINE_EFFECTIVE_WALKS, ENGINE_WALK_COUNT
+from repro.core.metrics import (
+    ENGINE_EFFECTIVE_WALKS,
+    ENGINE_WALK_COUNT,
+    ESTIMATOR_TABLES_BUILT,
+)
 from repro.core.params import validate_decay, validate_theta
 from repro.core.walk_index import WalkIndex, WalkPolicy
 from repro.errors import ConfigurationError, StaleIndexError
@@ -404,8 +408,9 @@ class MonteCarloSemSim:
         self._so_matrix: np.ndarray | None = None
         self._so_cache: dict[tuple[int, int], float] = {}
         # Per-(node, walk, step) edge weight and proposal probability along
-        # the stored walks — the walks never change, so these are gathered
-        # once and reused by every batch query.
+        # the stored walks — gathered once per epoch of the walk index and
+        # reused by every batch query (carry_tables builds them from the
+        # previous epoch's estimator instead).
         self._step_weights: np.ndarray | None = None
         self._step_q: np.ndarray | None = None
         # Everything above snapshots the graph as of now; a later index
@@ -454,6 +459,49 @@ class MonteCarloSemSim:
             self._step_weights = step_weights
         if step_q is not None:
             self._step_q = step_q
+
+    def carry_tables(self, predecessor: "MonteCarloSemSim") -> None:
+        """Build this estimator's tables from *predecessor*'s where possible.
+
+        *predecessor* is the estimator of the generation this walk index
+        was mutated from.  When the index's change record
+        (:meth:`~repro.core.dynamic.DynamicWalkIndex.changes_since`) starts
+        at the predecessor's epoch and the node count is unchanged, every
+        table the predecessor has built is copied and patched: the step
+        tables recompute only the recorded walks, ``SO`` only the rows and
+        columns of the nodes whose in-edges changed.  Each entry goes
+        through the same arithmetic as a cold build, so the tables are
+        bit-identical to one.  Otherwise nothing is carried and the tables
+        are built in full on first use, as for a fresh estimator.
+        """
+        changes_since = getattr(self.walk_index, "changes_since", None)
+        record = changes_since(predecessor._epoch) if changes_since else None
+        if record is None or len(predecessor._nodes) != len(self._nodes):
+            return
+        walks, rows = record
+        # Read _step_q first: it is set last (see _ensure_step_tables).
+        step_q = predecessor._step_q
+        if step_q is not None:
+            step_weights = np.array(predecessor._step_weights)
+            step_q = np.array(step_q)
+            node_ids, walk_ids = np.nonzero(walks)
+            step_weights[node_ids, walk_ids], step_q[node_ids, walk_ids] = (
+                self._step_entries(self.walk_index.walks[node_ids, walk_ids])
+            )
+            self._step_weights, self._step_q = step_weights, step_q
+            _count_tables_built("carried")
+        so_matrix = predecessor._so_matrix
+        if (
+            so_matrix is not None
+            and self._sem_matrix is not None
+            and predecessor._sem_matrix is self._sem_matrix
+        ):
+            so_matrix = np.array(so_matrix)
+            changed = np.flatnonzero(rows)
+            if changed.size:
+                self._patch_so(so_matrix, changed)
+            self._so_matrix = so_matrix
+            _count_tables_built("carried")
 
     def similarity(self, u: Node, v: Node) -> float:
         """Return the Algorithm-1 estimate of ``sim(u, v)``."""
@@ -654,58 +702,99 @@ class MonteCarloSemSim:
     # ------------------------------------------------------------------
     # Internals — vectorised batch path
     # ------------------------------------------------------------------
+    def _in_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every edge as ``(rows, cols, weights)``, ``cols[k] -> rows[k]``.
+
+        Row-major over the index's in-lists: the COO form of ``W``.
+        """
+        n = len(self._nodes)
+        if n == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, np.empty(0, dtype=np.float64)
+        degrees = np.fromiter(
+            (lst.size for lst in self._in_lists), dtype=np.int64, count=n
+        )
+        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        cols = np.concatenate(self._in_lists).astype(np.int64)
+        weights = np.concatenate(self._in_weights).astype(np.float64)
+        return rows, cols, weights
+
+    def _weight_matrix(self) -> sp.csr_matrix:
+        """The sparse in-weight matrix ``W`` (``W[v, a] = W(a, v)``)."""
+        n = len(self._nodes)
+        rows, cols, weights = self._in_edges()
+        return sp.csr_matrix((weights, (rows, cols)), shape=(n, n))
+
     def _ensure_so_matrix(self) -> None:
         """Materialise all SO denominators at once: ``SO = W sem Wᵀ``.
 
-        ``W`` is the sparse in-weight matrix (``W[v, a] = W(a, v)``), so the
-        build costs O(nnz · n) — negligible next to the n² semantic matrix
-        that gates this path.  One shared table keeps the scalar and batch
-        paths bit-identical.
+        ``W`` is the sparse in-weight matrix, so the build costs O(nnz · n)
+        — negligible next to the n² semantic matrix that gates this path.
+        One shared table keeps the scalar and batch paths bit-identical.
         """
         if self._so_matrix is not None or self._sem_matrix is None:
             return
-        n = len(self._nodes)
-        rows = np.concatenate(
-            [np.full(self._in_lists[v].size, v, dtype=np.int64) for v in range(n)]
-            or [np.empty(0, dtype=np.int64)]
-        )
-        cols = (
-            np.concatenate([lst for lst in self._in_lists])
-            if n
-            else np.empty(0, dtype=np.int64)
-        )
-        data = (
-            np.concatenate([w for w in self._in_weights])
-            if n
-            else np.empty(0, dtype=np.float64)
-        )
-        weight_matrix = sp.csr_matrix(
-            (data.astype(np.float64), (rows, cols.astype(np.int64))), shape=(n, n)
-        )
+        weight_matrix = self._weight_matrix()
         left = np.asarray(weight_matrix @ self._sem_matrix)          # W sem
         self._so_matrix = np.asarray(weight_matrix @ left.T).T       # W sem Wᵀ
+        _count_tables_built("full")
+
+    def _patch_so(self, so_matrix: np.ndarray, rows: np.ndarray) -> None:
+        """Recompute rows and columns *rows* of ``SO`` in place.
+
+        ``SO[u, v]`` reads only rows *u* and *v* of ``W``, so when only the
+        in-edges of *rows* changed every other entry stands.  The patch
+        runs the same CSR kernels on the same row slices as the full
+        product, so each entry sums the same terms in the same order:
+        rows *R* are ``(W (W[R] sem)ᵀ)ᵀ`` and columns *R* are
+        ``W[R]`` against the columns *C* of ``W sem`` it reads.
+        """
+        weight_matrix = self._weight_matrix()
+        sem = self._sem_matrix
+        sub = weight_matrix[rows]
+        left_rows = np.asarray(sub @ sem)                            # (W sem)[R]
+        so_matrix[rows, :] = np.asarray(weight_matrix @ left_rows.T).T
+        cols = np.unique(sub.indices)
+        left_cols = np.asarray(weight_matrix @ sem[:, cols])         # (W sem)[:, C]
+        sub_cols = sp.csr_matrix(
+            (sub.data, np.searchsorted(cols, sub.indices), sub.indptr),
+            shape=(rows.size, cols.size),
+        )
+        so_matrix[:, rows] = np.asarray(sub_cols @ left_cols.T).T
 
     def _ensure_step_tables(self) -> None:
         """Precompute ``W`` and ``Q`` for every stored walk step.
 
         ``_step_weights[v, w, s]`` is the edge weight of walk *w* of node
         *v* at step *s* (0 where the walk has ended) and ``_step_q`` the
-        matching proposal probability.  Values are produced by the exact
-        same lookups the per-query path used, so gathering from these
-        tables is bit-identical to recomputing them.
+        matching proposal probability (see :meth:`_step_entries`).
         """
-        if self._step_weights is not None:
+        # Every writer sets _step_q last, so a set _step_q means both
+        # tables are complete even while another thread is building them.
+        if self._step_q is not None:
             return
-        walks = self.walk_index.walks
-        current = walks[:, :, :-1].astype(np.int64)
-        nxt = walks[:, :, 1:].astype(np.int64)
+        self._step_weights, self._step_q = self._step_entries(
+            self.walk_index.walks
+        )
+        _count_tables_built("full")
+
+    def _step_entries(self, walks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Edge weight and proposal probability of every step of *walks*.
+
+        *walks* is any ``(..., length + 1)`` stack of stored walks; entries
+        past a walk's end are 0.  Every entry is an elementwise lookup, so
+        the step tables of a subset of walks are the same floats as those
+        rows of the full tables — and bit-identical to what the per-query
+        path computes.
+        """
+        current = walks[..., :-1].astype(np.int64)
+        nxt = walks[..., 1:].astype(np.int64)
         valid = (current >= 0) & (nxt >= 0)
         cur0 = np.where(valid, current, 0)
         nxt0 = np.where(valid, nxt, 0)
         weights = self._edge_weight_lookup(cur0, nxt0)
         q = self._q_probability_lookup(cur0, weights)
-        self._step_weights = np.where(valid, weights, 0.0)
-        self._step_q = np.where(valid, q, 0.0)
+        return np.where(valid, weights, 0.0), np.where(valid, q, 0.0)
 
     def _ensure_edge_tables(self) -> None:
         """Build the sorted ``(current, next) -> W(next, current)`` table.
@@ -716,23 +805,11 @@ class MonteCarloSemSim:
         """
         if self._edge_keys is not None:
             return
-        n = len(self._nodes)
-        keys = []
-        weights = []
-        for v in range(n):
-            neighbours = self._in_lists[v]
-            if neighbours.size:
-                keys.append(v * np.int64(n) + neighbours.astype(np.int64))
-                weights.append(self._in_weights[v].astype(np.float64))
-        if keys:
-            all_keys = np.concatenate(keys)
-            all_weights = np.concatenate(weights)
-            order = np.argsort(all_keys)
-            self._edge_keys = all_keys[order]
-            self._edge_weights = all_weights[order]
-        else:
-            self._edge_keys = np.empty(0, dtype=np.int64)
-            self._edge_weights = np.empty(0, dtype=np.float64)
+        rows, cols, weights = self._in_edges()
+        keys = rows * np.int64(len(self._nodes)) + cols
+        order = np.argsort(keys)
+        self._edge_keys = keys[order]
+        self._edge_weights = weights[order]
 
     def _edge_weight_lookup(self, current: np.ndarray, chosen: np.ndarray) -> np.ndarray:
         """Vectorised ``W(chosen, current)`` for aligned index arrays."""
@@ -820,6 +897,11 @@ class MonteCarloSemSim:
             self.walk_index.num_walks, result.walks_met, int(positions.size)
         )
         return result.totals
+
+
+def _count_tables_built(mode: str) -> None:
+    if is_enabled():
+        ESTIMATOR_TABLES_BUILT.labels(mode=mode).inc()
 
 
 class SupportsSoLookup:

@@ -203,18 +203,21 @@ class WalkIndex:
         length: int,
         policy: WalkPolicy = WalkPolicy.UNIFORM,
         tables: _TransitionTables | None = None,
+        graph_index: GraphIndex | None = None,
     ) -> "WalkIndex":
         """Build an index around a pre-sampled walk tensor (no sampling).
 
         This is the warm-start constructor behind
         :func:`load_walk_index` and the artifact store: *walks* may be a
         read-only memmap, and *tables* (when given) skips recompiling the
-        CSR proposal tables.  The tensor must match *graph* —
+        CSR proposal tables.  *graph_index* (when given) is an existing
+        :class:`GraphIndex` snapshot of *graph* to share instead of
+        re-deriving one.  The tensor must match *graph* —
         ``(num_nodes, num_walks, length + 1)`` with ``walks[v, :, 0] == v``.
         """
         index = cls.__new__(cls)
         index.graph = graph
-        index.index = graph.index()
+        index.index = graph_index if graph_index is not None else graph.index()
         index.num_walks = validate_num_walks(num_walks)
         index.length = validate_length(length)
         index.policy = policy

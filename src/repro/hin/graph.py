@@ -302,6 +302,21 @@ class HIN:
             raise NodeNotFoundError(node)
 
 
+def _in_row(
+    graph: HIN, node: Node, position: dict[Node, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """In-neighbour ids and in-edge weights of *node*, in insertion order."""
+    sources = []
+    weights = []
+    for source, weight, _ in graph.in_edges(node):
+        sources.append(position[source])
+        weights.append(weight)
+    return (
+        np.asarray(sources, dtype=np.int64),
+        np.asarray(weights, dtype=np.float64),
+    )
+
+
 @dataclass
 class GraphIndex:
     """An immutable numeric snapshot of a :class:`HIN`.
@@ -333,15 +348,40 @@ class GraphIndex:
         in_lists: list[np.ndarray] = []
         in_weights: list[np.ndarray] = []
         for node in nodes:
-            sources = []
-            weights = []
-            for source, weight, _ in graph.in_edges(node):
-                sources.append(position[source])
-                weights.append(weight)
-            in_lists.append(np.asarray(sources, dtype=np.int64))
-            in_weights.append(np.asarray(weights, dtype=np.float64))
+            sources, weights = _in_row(graph, node, position)
+            in_lists.append(sources)
+            in_weights.append(weights)
         labels = [graph.node_label(node) for node in nodes]
         return cls(nodes, position, in_lists, in_weights, labels)
+
+    def with_rows(self, graph: HIN, changed: Iterable[Node]) -> "GraphIndex":
+        """Snapshot *graph*, re-deriving only the in-rows of *changed* nodes.
+
+        Nodes *graph* gained since this snapshot are appended (their rows
+        derived too); every other row array is shared with this snapshot,
+        which is safe because snapshots are never written to.  Equals
+        ``GraphIndex.from_graph(graph)`` as long as no other node's
+        in-edges differ — the incremental path behind live mutations.
+        """
+        nodes, position, labels = self.nodes, self.position, self.labels
+        in_lists = list(self.in_lists)
+        in_weights = list(self.in_weights)
+        rows = set(changed)
+        if graph.num_nodes > len(nodes):
+            added = list(graph.nodes())[len(nodes):]
+            nodes = nodes + added
+            position = dict(position)
+            position.update(
+                (node, len(self.nodes) + i) for i, node in enumerate(added)
+            )
+            labels = labels + [graph.node_label(node) for node in added]
+            in_lists.extend([None] * len(added))
+            in_weights.extend([None] * len(added))
+            rows.update(added)
+        for node in rows:
+            row = position[node]
+            in_lists[row], in_weights[row] = _in_row(graph, node, position)
+        return GraphIndex(nodes, position, in_lists, in_weights, labels)
 
     @property
     def num_nodes(self) -> int:

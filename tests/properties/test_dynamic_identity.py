@@ -12,15 +12,21 @@ walks whose transition rows changed.
 Hypothesis drives randomized mutation schedules (edge insert, delete,
 re-weight, node add) across both walk policies; estimator-level identity
 is checked on top — an estimator over the repaired index returns the
-very same floats as one over the cold rebuild.
+very same floats as one over the cold rebuild.  A SemSim engine carries
+its step tables and ``SO`` matrix across generation swaps instead of
+rebuilding them; those carried tables, too, must equal a cold engine's
+element for element.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro.api import QueryEngine
 from repro.core import DynamicWalkIndex, MonteCarloSimRank, WalkIndex
+from repro.core.metrics import ESTIMATOR_TABLES_BUILT
 from repro.core.walk_index import WalkPolicy
 from repro.hin import HIN
+from repro.semantics.cache import MatrixMeasure
 
 COMMON = settings(
     max_examples=12, deadline=None,
@@ -114,6 +120,14 @@ def test_mutated_tensor_bit_identical_to_cold_rebuild(
     assert dynamic.walks.shape == fresh.walks.shape
     assert np.array_equal(dynamic.walks, fresh.walks), applied
     assert dynamic.epoch == len(applied)
+    # the incrementally re-derived graph snapshot equals a fresh one
+    index, cold = dynamic.index, fresh.index
+    assert (index.nodes, index.position, index.labels) == (
+        cold.nodes, cold.position, cold.labels
+    )
+    for rows, cold_rows in ((index.in_lists, cold.in_lists),
+                            (index.in_weights, cold.in_weights)):
+        assert all(map(np.array_equal, rows, cold_rows))
 
 
 @COMMON
@@ -220,3 +234,128 @@ def test_generation_chain_bit_identical(graph_seed, schedule_seed, split):
     promoted.add_edge("n0", "n1", weight=2.0)
     fresh2 = WalkIndex(promoted.graph, num_walks=15, length=5, seed=graph_seed)
     assert np.array_equal(promoted.walks, fresh2.walks)
+
+
+def dense_measure(graph: HIN, seed: int) -> MatrixMeasure:
+    """A symmetric ``sem`` with unit diagonal and distinct off-diagonal floats."""
+    nodes = list(graph.nodes())
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.uniform(0.01, 1.0, (len(nodes), len(nodes))), 1)
+    return MatrixMeasure(nodes, upper + upper.T + np.eye(len(nodes)))
+
+
+def mutation_batch(graph: HIN, rng, kinds, size: int) -> list:
+    """*size* mutations between existing nodes, applied to *graph* as drawn.
+
+    Re-weights and deletes pick a live edge; an insert may also hit an
+    existing edge, which re-weights it.
+    """
+    nodes = list(graph.nodes())
+    batch = []
+    for _ in range(size):
+        edges = list(graph.edges())
+        kind = kinds[int(rng.integers(len(kinds)))]
+        if kind == "insert" or not edges:
+            u, v = rng.choice(len(nodes), size=2, replace=False)
+            u, v = nodes[int(u)], nodes[int(v)]
+            weight = float(rng.integers(1, 5))
+            graph.add_edge(u, v, weight=weight)
+            batch.append(("add_edge", u, v, weight))
+            continue
+        u, v, weight, _label = edges[int(rng.integers(len(edges)))]
+        if kind == "delete":
+            graph.remove_edge(u, v)
+            batch.append(("remove_edge", u, v))
+        else:
+            weight += float(rng.integers(1, 4))
+            graph.add_edge(u, v, weight=weight)
+            batch.append(("set_weight", u, v, weight))
+    return batch
+
+
+@COMMON
+@given(
+    graph_seed=st.integers(0, 10_000),
+    schedule_seed=st.integers(0, 10_000),
+    policy=st.sampled_from(POLICIES),
+    kinds=st.sampled_from(
+        [("insert", "reweight", "delete"), ("reweight",), ("insert",)]
+    ),
+    generations=st.integers(1, 4),
+    in_place=st.booleans(),
+)
+@example(
+    graph_seed=7, schedule_seed=1, policy=WalkPolicy.UNIFORM,
+    kinds=("reweight",), generations=3, in_place=False,
+)
+def test_carried_estimator_tables_bit_identical_to_cold_engine(
+    graph_seed, schedule_seed, policy, kinds, generations, in_place,
+):
+    graph = base_graph(graph_seed, 10, 24)
+    measure = dense_measure(graph, graph_seed)
+    kwargs = dict(num_walks=20, length=6, policy=policy, seed=graph_seed)
+    engine = QueryEngine(graph, measure, **kwargs)
+    nodes = list(graph.nodes())
+    engine.score_batch(nodes[0], nodes)  # builds generation 0's tables
+    rng = np.random.default_rng(schedule_seed)
+    replica = graph.copy()
+    carried = ESTIMATOR_TABLES_BUILT.labels(mode="carried")
+    for _ in range(generations):
+        batch = mutation_batch(replica, rng, kinds, int(rng.integers(1, 4)))
+        before = carried.value
+        if in_place:
+            for kind, *args in batch:
+                engine.apply_mutation(kind, *args)
+        else:
+            engine = engine.with_mutations(batch)
+        # the swap carried both tables; nothing is left for a first batch
+        assert carried.value - before == (len(batch) if in_place else 1) * 2
+        assert engine.estimator._step_weights is not None
+        assert engine.estimator._so_matrix is not None
+    cold = QueryEngine(replica, measure, **kwargs)
+    cold.score_batch(nodes[0], nodes)
+    assert np.array_equal(engine.walk_index.walks, cold.walk_index.walks)
+    assert np.array_equal(
+        engine.estimator._step_weights, cold.estimator._step_weights
+    )
+    assert np.array_equal(engine.estimator._step_q, cold.estimator._step_q)
+    assert np.array_equal(
+        engine.estimator._so_matrix, cold.estimator._so_matrix
+    )
+    for u in nodes:
+        assert np.array_equal(
+            engine.score_batch(u, nodes), cold.score_batch(u, nodes)
+        )
+
+
+def test_uniform_reweight_restamps_tables_without_restepping():
+    """Re-weighting under UNIFORM moves no walk but changes W and SO."""
+    graph = base_graph(3, 10, 24)
+    measure = dense_measure(graph, 3)
+    kwargs = dict(num_walks=20, length=6, policy=WalkPolicy.UNIFORM, seed=3)
+    engine = QueryEngine(graph, measure, **kwargs)
+    nodes = list(graph.nodes())
+    engine.score_batch(nodes[0], nodes)
+    target = max(nodes, key=graph.in_degree)
+    source = graph.in_neighbors(target)[0]
+    weight = graph.edge_weight(source, target) + 5.0
+    swapped = engine.with_mutations([("set_weight", source, target, weight)])
+    assert swapped.walk_index.walks_resampled == 0
+    assert not np.array_equal(
+        swapped.estimator._step_weights, engine.estimator._step_weights
+    )
+    position = swapped.walk_index.node_position(target)
+    assert not np.array_equal(
+        swapped.estimator._so_matrix[position],
+        engine.estimator._so_matrix[position],
+    )
+    replica = graph.copy()
+    replica.add_edge(source, target, weight=weight)
+    cold = QueryEngine(replica, measure, **kwargs)
+    cold.score_batch(nodes[0], nodes)
+    assert np.array_equal(
+        swapped.estimator._step_weights, cold.estimator._step_weights
+    )
+    assert np.array_equal(
+        swapped.estimator._so_matrix, cold.estimator._so_matrix
+    )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.api import QueryEngine
@@ -60,12 +61,18 @@ class TestManagerApplyMutations:
         self, make_manager
     ):
         manager = make_manager()
+        candidates = ["e4", "e5", "e6"]
+        # build the serving generation's tables, so the swap carries them
+        manager.acquire().engine.score_batch("e0", candidates)
         manager.apply_mutations(MUTATIONS + [("remove_edge", "e0", "e1")])
         live = manager.acquire().engine
         cold = expected_engine(manager)
         for u in ("e0", "e1", "e2", "e3"):
-            for v in ("e4", "e5", "e6"):
+            for v in candidates:
                 assert live.score(u, v) == cold.score(u, v)
+            assert np.array_equal(
+                live.score_batch(u, candidates), cold.score_batch(u, candidates)
+            )
 
     def test_inflight_acquisition_keeps_its_generation(self, make_manager):
         manager = make_manager()
@@ -333,3 +340,48 @@ class TestSwapDuringInflight:
         assert len(results) == len(futures)  # exactly one answer each
         assert set(results) <= allowed
         assert manager._generation == 1 + len(schedule)
+
+    def test_swap_racing_first_batches_carries_complete_tables(self, model):
+        """Swaps read the serving estimator's tables while workers may
+        still be building them: each swap carries complete tables or none,
+        and every generation still scores like a cold rebuild."""
+        import sys
+
+        graph, measure = model
+        candidates = ["e1", "e2", "e3", "e4", "e5"]
+        errors: list[BaseException] = []
+
+        def first_batch(engine):
+            try:
+                engine.score_batch("e0", candidates)
+            except BaseException as exc:  # noqa: BLE001 — collected for the assert
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for weight in range(2, 27):
+                engine = QueryEngine(graph, measure, **ENGINE_KWARGS)
+                workers = [
+                    threading.Thread(target=first_batch, args=(engine,))
+                    for _ in range(4)
+                ]
+                for worker in workers:
+                    worker.start()
+                swapped = engine.with_mutations(
+                    [("add_edge", "e0", "e1", weight)]
+                )
+                for worker in workers:
+                    worker.join(timeout=30)
+                    assert not worker.is_alive()
+                staged = graph.copy()
+                staged.add_edge("e0", "e1", weight=weight)
+                cold = QueryEngine(staged, measure, **ENGINE_KWARGS)
+                for u in ("e0", "e1", "e2"):
+                    assert np.array_equal(
+                        swapped.score_batch(u, candidates),
+                        cold.score_batch(u, candidates),
+                    )
+        finally:
+            sys.setswitchinterval(previous)
+        assert not errors
