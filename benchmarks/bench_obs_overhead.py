@@ -121,7 +121,6 @@ def test_sharded_instrumentation_overhead_under_ceiling(
     """
     from repro.sched import ShardedRuntime, ThreadShardWorker
     from repro.serve import IndexManager, QueryService
-    from repro.store import write_shard_artifacts
 
     engine = QueryEngine(
         bundle.graph, bundle.measure, method="mc", decay=DECAY,
@@ -130,7 +129,6 @@ def test_sharded_instrumentation_overhead_under_ceiling(
     root = tmp_path_factory.mktemp("obs-sharded")
     parent = root / "parent"
     engine.save(parent)
-    paths = write_shard_artifacts(parent, root / "shards-2", 2)
     service = QueryService(IndexManager(
         bundle.graph, bundle.measure,
         engine_kwargs=dict(
@@ -143,7 +141,7 @@ def test_sharded_instrumentation_overhead_under_ceiling(
     candidates = [n for n in nodes if n != query][:NUM_CANDIDATES]
 
     runtime = ShardedRuntime(
-        service, paths,
+        service, parent, 2,
         worker_factory=ThreadShardWorker,
         stats_interval=None,  # scrape-driven pulls aren't part of the path
         max_wait_us=0.0,

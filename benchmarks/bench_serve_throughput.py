@@ -42,7 +42,6 @@ from repro.datasets import aminer_like
 from repro.sched import ServingRuntime, ShardedRuntime
 from repro.sched.metrics import QUEUE_WAIT, SHARD_REQUESTS
 from repro.serve import IndexManager, QueryService
-from repro.store import write_shard_artifacts
 
 DECAY = 0.6
 THETA = 0.05
@@ -266,11 +265,8 @@ def test_sharded_scatter_gather_throughput(
     p99_by_shards: dict[int, float] = {}
     acceptance_shards = SHARD_SWEEP[-1]
     for shards in SHARD_SWEEP:
-        paths = write_shard_artifacts(
-            parent, root / f"shards-{shards}", shards
-        )
         runtime = ShardedRuntime(
-            service, paths, parent_path=parent,
+            service, parent, shards,
             workers=shards, workers_per_shard=1,
             max_batch=256, max_wait_us=200, queue_depth=4 * WINDOW,
             clock=time.monotonic, backend=bench_backend,

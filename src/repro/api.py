@@ -291,7 +291,7 @@ class QueryEngine:
         self.cache_key: str | None = None
         self._cache_identity: dict | None = None
         self._dynamic: DynamicWalkIndex | None = None
-        self._parent_fingerprint: str | None = None
+        self._parent_graph: str | None = None
 
         self.walk_index: WalkIndex | None = None
         self._table: SemSim | SimRank | None = None
@@ -821,7 +821,7 @@ class QueryEngine:
         """
         clone = copy.copy(self)
         clone._dynamic = None
-        clone._parent_fingerprint = None
+        clone._parent_graph = None
         clone._mutate(mutations)
         return clone
 
@@ -837,7 +837,7 @@ class QueryEngine:
         if self._dynamic is None or not self._dynamic.mutation_log:
             return None
         return {
-            "parent_graph": self._parent_fingerprint,
+            "parent_graph": self._parent_graph,
             "mutation_log_sha256": self._dynamic.mutation_log_hash(),
             "mutations": len(self._dynamic.mutation_log),
             "epoch": int(self._dynamic.epoch),
@@ -922,7 +922,7 @@ class QueryEngine:
                     "graph mutations require an integer seed: incremental "
                     "maintenance re-derives the walk draw schedule from it"
                 )
-            self._parent_fingerprint = fingerprint_graph(self.graph)
+            self._parent_graph = fingerprint_graph(self.graph)
             self._dynamic = DynamicWalkIndex.from_walk_index(
                 self.walk_index, seed=self._seed_key
             )

@@ -120,15 +120,10 @@ class WalkScoreRequest:
     given, replaces the dense *so_matrix* with a per-pair callable (the
     SLING ``pair_index`` path) and owns its own evaluation counting.
 
-    *source_key*, when set, is a hashable token that uniquely identifies
-    the **contents** of ``walks[pos_u]`` for this ``walks`` object —
-    backends may use it to cache source-row derivations across calls.
-    ``None`` declares row ``pos_u`` immutable for the lifetime of the
-    ``walks`` object (true for estimator- and mmap-backed tensors), so
-    ``pos_u`` itself is a safe cache key.  Callers that rewrite a row in
-    place between calls (the sharded worker parks shipped source rows in
-    reused slot rows) MUST pass a key that changes with the contents —
-    e.g. the source's global node position.
+    Row ``walks[pos_u]`` is immutable for the lifetime of the ``walks``
+    object (estimator- and mmap-backed tensors are never rewritten in
+    place), so backends may cache source-row derivations keyed on
+    ``pos_u``.
     """
 
     walks: np.ndarray                 # (n, n_w, L + 1) node positions, -1 padded
@@ -142,7 +137,6 @@ class WalkScoreRequest:
     theta: float | None
     so_matrix: np.ndarray | None = None
     so_lookup: Callable[[int, int], float] | None = None
-    source_key: "object | None" = None  # content identity of walks[pos_u]
 
 
 @dataclass

@@ -14,11 +14,8 @@ observations about where the reference kernel actually spends its time:
   row, so for repeated same-source batches (top-k scans, coalesced serve
   traffic, sharded scatter fan-out) the int64 plane ``walks[pos_u] * n``
   is computed once per source and reused across calls from a small
-  per-thread cache; later calls pay one ``take`` + one integer add.
-  Entries are keyed by the request's ``source_key`` (the caller's
-  content identity for the row — mandatory when rows are rewritten in
-  place, as the sharded worker's slot rows are) and fall back to
-  ``pos_u`` only for rows declared immutable.  When
+  per-thread cache keyed on ``pos_u`` (walk rows are never rewritten in
+  place); later calls pay one ``take`` + one integer add.  When
   the SO denominators come from the precomputed matrix, the u-side walk
   gather is skipped entirely — the key plane is its only consumer.
 * **Preallocated scratch.**  The factor/SO/q/cumprod planes *and* the
@@ -97,35 +94,27 @@ class BlockedBackend(NumpyBackend):
         return planes
 
     def _u_key_plane(
-        self,
-        walks: np.ndarray,
-        pos_u: int,
-        num_nodes: int,
-        source_key=None,
+        self, walks: np.ndarray, pos_u: int, num_nodes: int
     ) -> np.ndarray:
         """``walks[pos_u].astype(int64) * num_nodes``, cached per source.
 
         The cache is invalidated whenever the walk tensor object changes
         (a different index generation) and is thread-local, so serving
-        workers never contend.  Entries are keyed by *source_key* when
-        the request carries one — the caller's content identity for the
-        row, required when rows are rewritten in place (the sharded
-        worker's slot rows; see :class:`~repro.backends.WalkScoreRequest`)
-        — and by ``pos_u`` otherwise, which is only sound because a
-        keyless row is declared immutable.
+        workers never contend.  Entries are keyed by ``pos_u``, which is
+        sound because walk rows are immutable (see
+        :class:`~repro.backends.WalkScoreRequest`).
         """
         cache = getattr(self._scratch, "u_keys", None)
         if cache is None or cache[0] is not walks or cache[1] != num_nodes:
             cache = (walks, num_nodes, {})
             self._scratch.u_keys = cache
         per_source = cache[2]
-        key = pos_u if source_key is None else source_key
-        plane = per_source.get(key)
+        plane = per_source.get(pos_u)
         if plane is None:
             if len(per_source) >= _U_KEY_CACHE:
                 per_source.clear()
             plane = walks[pos_u].astype(np.int64) * num_nodes
-            per_source[key] = plane
+            per_source[pos_u] = plane
         return plane
 
     def batch_walk_scores(self, request: WalkScoreRequest) -> WalkScoreResult:
@@ -164,9 +153,9 @@ class BlockedBackend(NumpyBackend):
         # keys[:, :max_k] addresses SO(cu, cv).  The u-side term
         # walk_u * n (int64: it overflows int32 past ~46k nodes) is cached
         # across calls, so a repeated source pays one take + one add.
-        keys = self._u_key_plane(
-            walks, pos_u, num_nodes, request.source_key
-        ).take(rows_walk, axis=0)[:, : max_k + 1]
+        keys = self._u_key_plane(walks, pos_u, num_nodes).take(
+            rows_walk, axis=0
+        )[:, : max_k + 1]
         keys = keys + walk_v
 
         f_s, so_s, q_s, run_s, act_s, bad_s, tmp_s = self._buffers(n_rows, max_k)

@@ -19,9 +19,6 @@ Commands
     (and optionally the portable walk-tensor ``.npz``).
 ``index info``
     Describe a saved engine artifact without loading its arrays.
-``index shard``
-    Split an mc engine artifact into node-range shard artifacts for
-    ``serve --shards`` (multi-process scatter-gather serving).
 ``backends list``
     Enumerate the registered compute backends (name, availability,
     equivalence contract, description) and mark the default.
@@ -94,13 +91,7 @@ from repro.serve import (
     RetryPolicy,
     ServeError,
 )
-from repro.store import (
-    StoreError,
-    read_artifact,
-    shard_paths_for,
-    validate_shard_set,
-    write_shard_artifacts,
-)
+from repro.store import StoreError, read_artifact
 
 GENERATORS = {
     "aminer": aminer_like,
@@ -259,15 +250,6 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     if args.walks_out is not None:
         engine.save_walks(args.walks_out)
         print(f"wrote walk tensor -> {args.walks_out}")
-    return 0
-
-
-def _cmd_index_shard(args: argparse.Namespace) -> int:
-    paths = write_shard_artifacts(args.index, args.out, args.shards)
-    print(f"wrote {len(paths)} shard artifacts -> {args.out}")
-    for path in paths:
-        shard = json.loads((path / "manifest.json").read_text())["shard"]
-        print(f"  {path.name}  nodes [{shard['lo']}, {shard['hi']})")
     return 0
 
 
@@ -460,11 +442,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     error response, never a crash.  Requests pipeline: keep writing lines
     without reading and responses stream back in order.
 
-    With ``--shards N`` (requires ``--index``) the index is split by node
-    range and served scatter-gather from N worker *processes* — scores
-    and top-k stay bit-identical to the unsharded engine, and a failing
-    shard degrades only its own key range (see docs/serving.md,
-    "Multi-process sharding").
+    With ``--shards N`` (requires ``--index``) the index's node axis is
+    cut into N ranges, each served by a worker *process* that opens the
+    same index — nothing is written beside it.  Scores and top-k stay
+    bit-identical to the unsharded engine, and a failing shard degrades
+    only its own key range (see docs/serving.md, "Multi-process
+    sharding").
 
     A blank line, EOF, Ctrl-C, or SIGTERM ends the session gracefully:
     in-flight requests finish, every pending response is printed,
@@ -479,24 +462,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = _make_service(args)
     service.manager.acquire()  # activate eagerly so startup errors surface
     if args.shards:
-        index_path = Path(args.index)
-        shard_root = index_path.parent / f"{index_path.name}.shards-{args.shards}"
-        paths = shard_paths_for(shard_root, args.shards)
-        try:
-            # Reuse only a shard set provably split from THIS build of the
-            # index — a rebuilt artifact (new walks/seed) with stale shards
-            # would serve scores that silently diverge from the parent.
-            validate_shard_set(paths, index_path)
-        except StoreError as exc:
-            if shard_root.exists():
-                print(f"rebuilding shard artifacts: {exc}", file=sys.stderr)
-            paths = write_shard_artifacts(index_path, shard_root, args.shards)
-            print(f"wrote {len(paths)} shard artifacts -> {shard_root}",
-                  file=sys.stderr)
         runtime: ServingRuntime = ShardedRuntime(
             service,
-            paths,
-            parent_path=index_path,
+            args.index,
+            args.shards,
             workers=args.workers or 1,
             workers_per_shard=args.workers_per_shard,
             max_batch=args.max_batch,
@@ -708,7 +677,7 @@ _ESTIMATOR_FAMILIES = (
         "exactness": "unbiased Monte Carlo estimate",
         "memory": "O(N * walks * length) walk tensor",
         "mutations": "yes (incremental walk maintenance)",
-        "shards": "yes (node-range shard artifacts)",
+        "shards": "yes (node-range shard workers over the one index)",
         "note": "default serving family; supports walk reuse and sharding",
     },
     {
@@ -881,18 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_obs_options(index_build)
     index_build.set_defaults(func=_cmd_index_build)
 
-    index_shard = index_commands.add_parser(
-        "shard", help="split an mc engine artifact into node-range shards"
-    )
-    index_shard.add_argument("index", help="artifact directory path")
-    index_shard.add_argument("--out", required=True,
-                             help="directory to write shard-NNNN artifacts under")
-    index_shard.add_argument(
-        "--shards", type=int, required=True, metavar="N",
-        help="number of contiguous node-range shards (even split)",
-    )
-    index_shard.set_defaults(func=_cmd_index_shard)
-
     index_info = index_commands.add_parser(
         "info", help="describe an engine artifact"
     )
@@ -929,9 +886,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shards", type=int, default=0, metavar="N",
-        help="serve from N node-range shard worker processes "
-             "(requires --index; shard artifacts are built beside the "
-             "index on first use; default: 0 = in-process serving)",
+        help="serve from N node-range shard worker processes, each "
+             "opening the --index artifact (required); default: 0 = "
+             "in-process serving",
     )
     serve.add_argument(
         "--workers-per-shard", type=int, default=1, metavar="M",

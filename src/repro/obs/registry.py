@@ -24,8 +24,8 @@ family and every child registered into it.  All mutation — counter
 increments, gauge moves, histogram observations, ``clear_values`` — and
 every read that must be internally consistent (a histogram's
 bucket/sum/count triple) serialises on that single lock, so concurrent
-walk-index shards and serving workers can record into the same families
-with no lost updates and snapshots never observe a half-applied
+walk-index build workers and serving workers can record into the same
+families with no lost updates and snapshots never observe a half-applied
 histogram observation.  The lock is reentrant, which lets higher layers
 (e.g. :class:`~repro.core.montecarlo.EstimatorStats`) mirror several
 series while holding their own guard.  One lock per registry is a

@@ -14,9 +14,10 @@ The ``repro.sched`` package turns the request/response serving stack of
   :class:`~repro.serve.QueryService`; PR 4's retries, circuit breaking
   and degraded fallback still apply to every logical request.
 * :class:`ShardedRuntime` — the multi-process layer on top: one worker
-  process per node-range shard (see :mod:`repro.store.sharding`),
-  scatter-gather routing with a bit-identical top-k merge, and per-shard
-  circuit breakers so a failing shard degrades only its key range.
+  process per node-range shard (see :mod:`repro.store.sharding`), each
+  serving its range from the one index artifact, scatter-gather routing
+  with a bit-identical top-k merge, and per-shard circuit breakers so a
+  failing shard degrades only its key range.
 
 See ``docs/serving.md`` ("Concurrency" and "Multi-process sharding") for
 the architecture diagrams and tuning guidance.
@@ -34,7 +35,7 @@ from repro.sched.request import (
     plan_groups,
 )
 from repro.sched.runtime import ServingRuntime
-from repro.sched.shard_worker import ShardEngine, SourceRowLRU, shard_worker_main
+from repro.sched.shard_worker import ShardEngine, shard_worker_main
 from repro.sched.sharded import (
     ProcessShardWorker,
     ShardClient,
@@ -58,7 +59,6 @@ __all__ = [
     "ShardEngine",
     "ShardFailure",
     "ShardedRuntime",
-    "SourceRowLRU",
     "ThreadFactory",
     "ThreadShardWorker",
     "WorkerPool",

@@ -1,49 +1,36 @@
 """One shard's half of the scatter-gather protocol.
 
-A shard worker owns the candidate-side slice of the walk index for one
-contiguous node range ``[lo, hi)`` (see :mod:`repro.store.sharding`) and
-answers four operations over a duplex pipe: ``batch`` (scores for
-candidate positions it owns), ``topk`` (its range's exact local top-k),
-``health`` and ``stats`` (a mergeable snapshot of the worker process's
-metrics registry — see :mod:`repro.obs.aggregate` — which the router
-folds under a ``shard`` label so ``/metrics`` shows the whole process
-tree).  A forked worker inherits the router's registry *values* at fork
-time, so :func:`shard_worker_main` captures a baseline snapshot first
-and ``stats`` replies carry the pruned since-startup delta: only what
-this worker actually did, never re-reports of parent samples (which
-would double-count and collide with the router's own ``shard`` labels).  :func:`shard_worker_main` is the process entry point —
-it opens the shard artifact **by path** inside the child, so nothing
-unpicklable crosses the fork/spawn boundary — and
-:func:`serve_connection` is the loop itself, also runnable on a plain
-thread, which is how the identity tests drive the very same code
-in-process and deterministically.
+A shard worker serves one contiguous node range ``[lo, hi)`` of the
+index (see :mod:`repro.store.sharding`) and answers four operations over
+a duplex pipe: ``batch`` (scores for candidate positions it owns),
+``topk`` (its range's exact local top-k), ``health`` and ``stats`` (a
+mergeable snapshot of the worker process's metrics registry — see
+:mod:`repro.obs.aggregate` — which the router folds under a ``shard``
+label so ``/metrics`` shows the whole process tree).  A forked worker
+inherits the router's registry *values* at fork time, so
+:func:`shard_worker_main` captures a baseline snapshot first and
+``stats`` replies carry the pruned since-startup delta: only what this
+worker actually did, never re-reports of parent samples (which would
+double-count and collide with the router's own ``shard`` labels).
+:func:`shard_worker_main` is the process entry point — it opens the
+index **by path** inside the child, so nothing unpicklable crosses the
+fork/spawn boundary — and :func:`serve_connection` is the loop itself,
+also runnable on a plain thread, which is how the identity tests drive
+the very same code in-process and deterministically.
 
 Bit-identity
 ------------
-:class:`ShardEngine` replays :class:`~repro.core.montecarlo`'s batch
-arithmetic *verbatim* on the shard's rows: the same identity /
-semantic-gate masks on global positions, the same stacked first-meeting
-comparison, the same :class:`~repro.backends.WalkScoreRequest` kernel
-call.  Per-candidate scores never depend on which other candidates share
-the batch (each row's factor chain and reduction read only that row), so
-scattering a batch across shards and gathering the pieces reproduces the
-unsharded floats exactly — the property suite in
-``tests/properties/test_shard_identity.py`` holds this to ``==``.
-
-Source rows
------------
-The shard stores only its own node range, but a query's *source* ``u``
-can be any node.  The walk tensor and step tables are therefore
-allocated with a few spare **slot rows** past the shard's range; the
-router ships ``(walks[u], W[u], Q[u])`` read from the parent artifact's
-mmap, the worker parks them in a slot (one per worker thread) and points
-the kernel's ``pos_u`` at it.  Because a slot row's contents change from
-request to request, the kernel request carries the source's **global**
-position as its ``source_key`` — the content identity backends key their
-source-row caches on (the blocked backend's u-side key plane would
-otherwise serve one source's plane for another).  Shipped rows are cached
-in a :class:`SourceRowLRU` that the router mirrors move-for-move, so
-repeated hot-source requests cost no pipe bytes after the first.
+Every worker scores through ``QueryEngine.open(index)`` — the engine
+the unsharded server runs — and :class:`ShardEngine` only translates
+global node positions to nodes and back.  The arrays are memory-mapped
+read-only, so the router and all workers share the index's pages, and
+every worker holds every walk row: a request carries node positions
+only, whichever shard owns the source.  Per-candidate scores never
+depend on which other candidates share the batch (each row's factor
+chain and reduction read only that row), so scattering a batch across
+shards and gathering the pieces reproduces the unsharded floats exactly
+— the property suite in ``tests/properties/test_shard_identity.py``
+holds this to ``==``.
 """
 
 from __future__ import annotations
@@ -53,20 +40,14 @@ import queue
 import signal
 import threading
 import time
-from collections import OrderedDict
 from contextlib import nullcontext
-from pathlib import Path
 
 import numpy as np
 
-from repro.backends import WalkScoreRequest, kernel_timer, resolve_backend
-from repro.core.montecarlo import AccuracyGauges, EstimatorStats
-from repro.core.topk import top_k_similar
-from repro.hin.io import hin_from_dict
+from repro.api import QueryEngine
 from repro.obs.aggregate import collect_snapshot, snapshot_diff
 from repro.obs.trace import span, trace_scope
-from repro.semantics.cache import MatrixMeasure
-from repro.store.artifacts import StoreError, read_artifact
+from repro.store.artifacts import StoreError
 
 OP_BATCH = "batch"
 OP_TOPK = "topk"
@@ -78,331 +59,67 @@ OP_SHUTDOWN = "shutdown"
 #: else is folded to ``other`` so a bad message cannot explode cardinality.
 _SPAN_OPS = frozenset({OP_BATCH, OP_TOPK, OP_HEALTH, OP_STATS})
 
-#: Source-row cache entries kept per shard connection (router mirrors this).
-DEFAULT_SOURCE_CACHE = 64
-
-
-class SourceRowLRU:
-    """Deterministic LRU mirrored on both ends of a shard connection.
-
-    The router and the worker run the *same* ``admit()`` sequence (the
-    pipe serialises requests), so "does the worker already hold the rows
-    for source ``u``?" is answerable router-side without a round trip.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = max(1, int(capacity))
-        self._entries: OrderedDict = OrderedDict()
-
-    def admit(self, key, value=None):
-        """Touch *key*; insert *value* when absent.
-
-        Returns ``(was_present, stored_value)`` — eviction of the least
-        recently used entry happens on insert, identically on both
-        mirrors.
-        """
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            return True, self._entries[key]
-        self._entries[key] = value
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        return False, value
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 class ShardEngine:
-    """Scoring over one node range of a sharded MC walk index.
+    """One node range ``[lo, hi)`` of the index, scored by its engine.
 
-    Replays the estimator's batch arithmetic on the shard's slice; every
+    *engine* is the index's own :class:`~repro.api.QueryEngine`; every
     public method takes **global** node positions and answers only for
-    candidates inside ``[lo, hi)``.
+    candidates inside the range.
     """
 
     def __init__(
-        self,
-        *,
-        shard_index: int,
-        lo: int,
-        hi: int,
-        walks: np.ndarray,
-        step_weights: np.ndarray | None,
-        step_q: np.ndarray | None,
-        sem_matrix: np.ndarray | None,
-        so_matrix: np.ndarray | None,
-        nodes: list,
-        decay: float,
-        theta: float | None,
-        num_walks: int,
-        slots: int,
-        backend=None,
-        backend_config=None,
-        source_cache: int = DEFAULT_SOURCE_CACHE,
+        self, engine: QueryEngine, *, shard_index: int, lo: int, hi: int
     ) -> None:
+        self.engine = engine
         self.shard_index = shard_index
         self.lo = lo
         self.hi = hi
-        self.count = hi - lo
-        self.slots = max(1, int(slots))
-        self.decay = decay
-        self.theta = theta
-        self.num_walks = num_walks
-        self.backend = resolve_backend(backend, backend_config)
-        self.nodes = nodes
-        self.position = {node: index for index, node in enumerate(nodes)}
-        self.source_rows = SourceRowLRU(source_cache)
-        self.semantic = sem_matrix is not None
-        self.stats = EstimatorStats(
-            method="mc",
-            estimator="semsim-shard" if self.semantic else "simrank-shard",
-        )
-        self._accuracy = AccuracyGauges(
-            "semsim-shard" if self.semantic else "simrank-shard"
-        )
+        self.nodes = list(engine.graph.nodes())
+        self.position = {node: index for index, node in enumerate(self.nodes)}
         #: Registry snapshot taken before this worker did any work of its
         #: own (set by :func:`shard_worker_main`); ``stats`` replies carry
         #: the pruned delta against it so fork-inherited samples are never
         #: re-reported.  ``None`` means "reply with the full snapshot".
         self.stats_baseline: dict | None = None
-        # The kernel wants source and candidate rows in ONE tensor: rows
-        # [0, count) are the shard's slice, rows [count, count + slots)
-        # are per-thread parking spots for shipped source rows.
-        self._walks = self._with_slots(walks)
-        self._step_weights = self._with_slots(step_weights)
-        self._step_q = self._with_slots(step_q)
-        self._sem_matrix = sem_matrix
-        self._so_matrix = so_matrix
-        self._measure = (
-            MatrixMeasure(nodes, sem_matrix) if sem_matrix is not None else None
+
+    def _first_meetings(self, pos_u: int, positions: np.ndarray) -> np.ndarray:
+        # Only the perfbench launcher (perfbench/traced_serve.py) refers to
+        # this name; nothing in the serving path calls it.
+        return self.engine.walk_index.first_meetings_batch(
+            self.nodes[pos_u], positions
         )
 
-    def _with_slots(self, source: np.ndarray | None) -> np.ndarray | None:
-        if source is None:
-            return None
-        extended = np.empty(
-            (self.count + self.slots,) + source.shape[1:], dtype=source.dtype
-        )
-        extended[: self.count] = source
-        return extended
-
-    @classmethod
-    def open(
-        cls,
-        path: "str | Path",
-        *,
-        backend=None,
-        backend_config=None,
-        slots: int = 1,
-        source_cache: int = DEFAULT_SOURCE_CACHE,
-    ) -> "ShardEngine":
-        """Open a shard artifact written by ``write_shard_artifacts``."""
-        artifact = read_artifact(Path(path))
-        shard = artifact.manifest.get("shard")
-        if not isinstance(shard, dict):
-            raise StoreError(
-                f"artifact at {path} carries no shard metadata — build one "
-                "with `repro index shard`"
-            )
-        params = artifact.meta.get("params", {})
-        graph = hin_from_dict(artifact.documents["graph"])
-        return cls(
-            shard_index=int(shard["index"]),
-            lo=int(shard["lo"]),
-            hi=int(shard["hi"]),
-            walks=artifact.arrays["walks"],
-            step_weights=artifact.arrays.get("step_weights"),
-            step_q=artifact.arrays.get("step_q"),
-            sem_matrix=artifact.arrays.get("sem_matrix"),
-            so_matrix=artifact.arrays.get("so_matrix"),
-            nodes=list(graph.nodes()),
-            decay=float(params["decay"]),
-            theta=None if params.get("theta") is None else float(params["theta"]),
-            num_walks=int(params["num_walks"]),
-            slots=slots,
-            backend=backend,
-            backend_config=backend_config,
-            source_cache=source_cache,
-        )
-
-    # ------------------------------------------------------------------
-    # Source-row handling
-    # ------------------------------------------------------------------
-    def owns(self, position: int) -> bool:
-        return self.lo <= position < self.hi
-
-    def _resolve_source(self, pos_u: int, u_rows, slot: int) -> int:
-        """Row index of the source inside the extended tensors."""
-        if self.owns(pos_u):
-            return pos_u - self.lo
-        if u_rows is None:
-            raise StoreError(
-                f"shard {self.shard_index} received source position {pos_u} "
-                "outside its range with no shipped rows and no cache entry"
-            )
-        row = self.count + slot
-        walk_row, weight_row, q_row = u_rows
-        self._walks[row] = walk_row
-        if self._step_weights is not None:
-            self._step_weights[row] = weight_row
-            self._step_q[row] = q_row
-        return row
-
-    # ------------------------------------------------------------------
-    # Scoring — the estimator's batch arithmetic, verbatim
-    # ------------------------------------------------------------------
-    def _first_meetings(
-        self, local_u: int, local_positions: np.ndarray
-    ) -> np.ndarray:
-        # WalkIndex.first_meetings_batch on the extended tensor: one
-        # stacked comparison, start offset never counts as a meeting.
-        walks_q = self._walks[local_u]
-        walks_c = self._walks[local_positions]
-        same = (walks_c == walks_q[None, :, :]) & (walks_c >= 0) & (
-            walks_q[None, :, :] >= 0
-        )
-        same[:, :, 0] = False
-        met_anywhere = same.any(axis=2)
-        first = same.argmax(axis=2)
-        return np.where(met_anywhere, first, -1).astype(np.int64)
-
-    def score_positions(
-        self,
-        pos_u: int,
-        positions: np.ndarray,
-        u_rows=None,
-        slot: int = 0,
-    ) -> np.ndarray:
+    def score_positions(self, pos_u: int, positions) -> np.ndarray:
         """Scores for global candidate *positions*, all within this range."""
-        positions = np.asarray(positions, dtype=np.int64)
-        m = positions.size
-        self.stats.add(batch_queries=1, batch_pairs=m)
-        if m == 0:
-            return np.empty(0, dtype=np.float64)
-        self.stats.add(vectorized_pairs=m, queries=m)
-        if self.semantic:
-            return self._score_semsim(pos_u, positions, u_rows, slot)
-        return self._score_simrank(pos_u, positions, u_rows, slot)
+        nodes = self.nodes
+        return self.engine.score_batch(
+            nodes[pos_u], [nodes[int(position)] for position in positions]
+        )
 
-    def _score_semsim(self, pos_u, positions, u_rows, slot) -> np.ndarray:
-        scores = np.zeros(positions.size, dtype=np.float64)
-        identity = positions == pos_u
-        scores[identity] = 1.0
-        sem_row = self._sem_matrix[pos_u, positions]
-        if self.theta is not None:
-            gated = (sem_row <= self.theta) & ~identity
-            self.stats.add(sem_gate_hits=int(gated.sum()))
-        else:
-            gated = np.zeros(positions.size, dtype=bool)
-        active = ~identity & ~gated
-        active_idx = np.flatnonzero(active)
-        if active_idx.size == 0:
-            return scores
-        self.stats.add(walks_examined=int(active_idx.size) * self.num_walks)
-        local_u = self._resolve_source(pos_u, u_rows, slot)
-        local_positions = positions[active_idx] - self.lo
-        meetings = self._first_meetings(local_u, local_positions)
-        request = WalkScoreRequest(
-            walks=self._walks,
-            pos_u=local_u,
-            positions=local_positions,
-            meetings=meetings,
-            sem_matrix=self._sem_matrix,
-            step_weights=self._step_weights,
-            step_q=self._step_q,
-            decay=self.decay,
-            theta=self.theta,
-            so_matrix=self._so_matrix,
-            so_lookup=None,
-            # Slot rows are rewritten in place per source, so local_u does
-            # NOT identify the row's contents — the global position does:
-            # backends that cache source-row derivations key on it.
-            source_key=pos_u,
-        )
-        with kernel_timer(self.backend.name, "batch_walk_scores"):
-            result = self.backend.batch_walk_scores(request)
-        self.stats.add(
-            walks_met=result.walks_met,
-            so_evaluations=result.so_evaluations,
-            walks_pruned=result.walks_pruned,
-        )
-        self._accuracy.update(
-            self.num_walks, result.walks_met, int(active_idx.size)
-        )
-        scores[active_idx] = sem_row[active_idx] * result.totals / self.num_walks
-        return scores
-
-    def _score_simrank(self, pos_u, positions, u_rows, slot) -> np.ndarray:
-        local_u = self._resolve_source(pos_u, u_rows, slot)
-        meetings = self._first_meetings(local_u, positions - self.lo)
-        identity = positions == pos_u
-        met = meetings >= 0
-        met[identity] = False
-        self.stats.add(
-            walks_examined=int((~identity).sum()) * self.num_walks,
-            walks_met=int(met.sum()),
-        )
-        self._accuracy.update(self.num_walks, int(met.sum()), int(positions.size))
-        with kernel_timer(self.backend.name, "simrank_scores"):
-            scores = self.backend.simrank_scores(
-                meetings, met, self.decay, self.num_walks
-            )
-        scores[identity] = 1.0
-        return scores
-
-    # ------------------------------------------------------------------
-    # Local top-k — QueryEngine.top_k restricted to this shard's range
-    # ------------------------------------------------------------------
     def top_k_positions(
         self,
         pos_u: int,
         k: int,
-        positions: np.ndarray | None = None,
-        u_rows=None,
-        slot: int = 0,
+        positions=None,
         use_semantic_bound: bool = True,
         batch_size: int = 256,
     ) -> list[tuple[int, float]]:
         """Exact local top-k as ``(global_position, score)`` pairs.
 
-        Runs :func:`~repro.core.topk.top_k_similar` with the same bound
-        construction and the same ``(value, str(node))`` comparator as
-        the unsharded engine — the merge in
-        :class:`~repro.sched.sharded.ShardedRuntime` relies on the local
-        lists being exact under that total order.
+        :meth:`QueryEngine.top_k <repro.api.QueryEngine.top_k>` over this
+        range's nodes (or the given *positions*): the same bound and the
+        same ``(value, str(node))`` comparator as the unsharded scan — the
+        merge in :class:`~repro.sched.sharded.ShardedRuntime` relies on
+        the local lists being exact under that total order.
         """
         if positions is None:
-            positions = np.arange(self.lo, self.hi, dtype=np.int64)
+            candidates = self.nodes[self.lo:self.hi]
         else:
-            positions = np.asarray(positions, dtype=np.int64)
-        query = self.nodes[pos_u]
-        candidates = [self.nodes[int(position)] for position in positions]
-        sem_bounds = None
-        if use_semantic_bound and self._measure is not None:
-            sem_bounds = dict(
-                zip(candidates, self._measure.similarities(query, candidates))
-            )
-
-        def batch_score(u_node, block):
-            block_positions = np.fromiter(
-                (self.position[node] for node in block),
-                dtype=np.int64,
-                count=len(block),
-            )
-            return self.score_positions(
-                pos_u, block_positions, u_rows=u_rows, slot=slot
-            )
-
-        ranked = top_k_similar(
-            query,
-            candidates,
-            k,
-            measure=self._measure,
-            use_semantic_bound=use_semantic_bound,
-            batch_score=batch_score,
-            batch_size=batch_size,
-            sem_bounds=sem_bounds,
+            candidates = [self.nodes[int(position)] for position in positions]
+        ranked = self.engine.top_k(
+            self.nodes[pos_u], k, candidates=candidates,
+            use_semantic_bound=use_semantic_bound, batch_size=batch_size,
         )
         return [(self.position[node], float(value)) for node, value in ranked]
 
@@ -411,29 +128,15 @@ class ShardEngine:
             "shard": self.shard_index,
             "lo": self.lo,
             "hi": self.hi,
-            "nodes": self.count,
-            "semantic": self.semantic,
-            "backend": self.backend.name,
-            "cached_sources": len(self.source_rows),
+            "nodes": self.hi - self.lo,
+            "semantic": self.engine.measure is not None,
+            "backend": self.engine.backend_name,
         }
 
 
 # ---------------------------------------------------------------------------
 # The worker loop (thread- or process-hosted)
 # ---------------------------------------------------------------------------
-
-def _admit_source(engine: ShardEngine, message: dict) -> None:
-    """Reader-side cache bookkeeping — must run in pipe order.
-
-    The router mirrors this exact admit sequence, which is what lets it
-    skip shipping rows the worker already caches.
-    """
-    pos_u = message.get("pos_u")
-    if pos_u is None or engine.owns(pos_u):
-        return
-    _, stored = engine.source_rows.admit(pos_u, message.get("u_rows"))
-    message["u_rows"] = stored
-
 
 def _trace_context(message: dict):
     """The router-assigned trace context for *message*, or a no-op.
@@ -449,7 +152,7 @@ def _trace_context(message: dict):
     return nullcontext()
 
 
-def _handle(engine: ShardEngine, message: dict, slot: int) -> dict:
+def _handle(engine: ShardEngine, message: dict) -> dict:
     reply: dict = {"id": message.get("id")}
     op = message.get("op")
     started = time.perf_counter() if message.get("timings") else None
@@ -461,18 +164,13 @@ def _handle(engine: ShardEngine, message: dict, slot: int) -> dict:
         ):
             if op == OP_BATCH:
                 reply["values"] = engine.score_positions(
-                    message["pos_u"],
-                    message["positions"],
-                    u_rows=message.get("u_rows"),
-                    slot=slot,
+                    message["pos_u"], message["positions"]
                 )
             elif op == OP_TOPK:
                 reply["results"] = engine.top_k_positions(
                     message["pos_u"],
                     message["k"],
                     positions=message.get("positions"),
-                    u_rows=message.get("u_rows"),
-                    slot=slot,
                     use_semantic_bound=message.get("use_semantic_bound", True),
                     batch_size=message.get("batch_size") or 256,
                 )
@@ -520,19 +218,19 @@ def serve_connection(engine: ShardEngine, conn, workers: int = 1) -> None:
             except (OSError, ValueError, BrokenPipeError):
                 pass  # router went away; nothing left to answer to
 
-    def _run(slot: int) -> None:
+    def _run() -> None:
         while True:
             message = tasks.get()
             if message is None:
                 return
-            _send(_handle(engine, message, slot))
+            _send(_handle(engine, message))
 
     threads = [
         threading.Thread(
-            target=_run, args=(slot,), name=f"shard-{engine.shard_index}-w{slot}",
+            target=_run, name=f"shard-{engine.shard_index}-w{index}",
             daemon=True,
         )
-        for slot in range(workers)
+        for index in range(workers)
     ]
     for thread in threads:
         thread.start()
@@ -544,7 +242,6 @@ def serve_connection(engine: ShardEngine, conn, workers: int = 1) -> None:
                 break
             if not isinstance(message, dict) or message.get("op") == OP_SHUTDOWN:
                 break
-            _admit_source(engine, message)
             tasks.put(message)
     finally:
         for _ in threads:
@@ -557,17 +254,19 @@ def serve_connection(engine: ShardEngine, conn, workers: int = 1) -> None:
             pass
 
 
-def shard_worker_main(path, conn, config: dict | None = None) -> None:
-    """Process entry point: open the shard by path, handshake, serve.
+def shard_worker_main(index_path, conn, config: dict) -> None:
+    """Process entry point: open the index by path, handshake, serve.
+
+    *config* names the range (``shard``, ``lo``, ``hi``) and carries the
+    worker thread count and the compute backend.
 
     SIGINT/SIGTERM are ignored — shutdown is coordinated by the router
     over the pipe (or by pipe EOF when the router dies), which is what
     lets a supervisor's SIGTERM to the process group drain cleanly
     instead of killing shards mid-request.
     """
-    config = dict(config or {})
     # Fork-inherited registry values belong to the router's story, not
-    # this worker's; everything from here on (including the shard-open
+    # this worker's; everything from here on (including the index-open
     # I/O below) is this worker's own work and diffs against this.
     baseline = collect_snapshot()
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -576,12 +275,15 @@ def shard_worker_main(path, conn, config: dict | None = None) -> None:
         except (ValueError, OSError):  # pragma: no cover - non-main thread
             pass
     try:
-        engine = ShardEngine.open(
-            path,
-            backend=config.get("backend"),
-            backend_config=config.get("backend_config"),
-            slots=config.get("workers", 1),
-            source_cache=config.get("source_cache", DEFAULT_SOURCE_CACHE),
+        engine = ShardEngine(
+            QueryEngine.open(
+                index_path,
+                backend=config.get("backend"),
+                backend_config=config.get("backend_config"),
+            ),
+            shard_index=config["shard"],
+            lo=config["lo"],
+            hi=config["hi"],
         )
     except Exception as exc:
         try:

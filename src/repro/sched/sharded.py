@@ -28,8 +28,12 @@ wraps) while every other range keeps serving at full fidelity.  When the
 breaker half-opens, the next request restarts the worker process as the
 probe.
 
+Every worker opens the one index artifact by path and serves its range
+through that index's own :class:`~repro.api.QueryEngine`, so a request
+message carries node positions only.
+
 The worker seam mirrors PR 5's thread-factory seam one level up:
-``worker_factory(path, config)`` defaults to
+``worker_factory(index_path, config)`` defaults to
 :class:`ProcessShardWorker` (one forked process per shard, talking over
 a duplex pipe) and tests swap in :class:`ThreadShardWorker` to run the
 identical worker loop on in-process threads, deterministically.
@@ -45,7 +49,7 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from copy import deepcopy
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -72,19 +76,18 @@ from repro.sched.metrics import (
 from repro.sched.request import KIND_BATCH, KIND_SCORE, KIND_TOPK, DispatchGroup
 from repro.sched.runtime import ServingRuntime, _deliver
 from repro.sched.shard_worker import (
-    DEFAULT_SOURCE_CACHE,
     OP_BATCH,
     OP_SHUTDOWN,
     OP_STATS,
     OP_TOPK,
-    SourceRowLRU,
     shard_worker_main,
 )
 from repro.serve.breaker import CircuitBreaker, CircuitState
 from repro.serve.errors import MutationRejectedError
 from repro.serve.service import BatchResponse, QueryResponse, QueryService, TopKResponse
-from repro.store.artifacts import StoreError, read_artifact
-from repro.store.sharding import ShardPlan
+from repro.store.artifacts import read_artifact
+from repro.store.engine_io import graph_from_artifact
+from repro.store.sharding import ShardPlan, validate_shard_set
 
 _LOG = get_logger("sched.sharded")
 
@@ -112,9 +115,9 @@ class ShardFailure(RuntimeError):
 class ProcessShardWorker:
     """One shard served from a forked worker process over a duplex pipe.
 
-    The child receives only the artifact *path* and a plain config dict —
-    it opens the shard itself, so the transport is spawn-safe and the
-    mmap'd replicated matrices share page cache across workers.
+    The child receives only the index *path* and a plain config dict —
+    it opens the index itself, so the transport is spawn-safe and every
+    worker's memory maps share the index's pages in the OS page cache.
     """
 
     def __init__(self, path, config: dict) -> None:
@@ -182,17 +185,15 @@ class ThreadShardWorker:
             pass
 
 
-#: ``worker_factory(path, config) -> worker`` — the multi-process seam.
+#: ``worker_factory(index_path, config) -> worker`` — the multi-process seam.
 WorkerFactory = Callable[[object, dict], object]
 
 
 class ShardClient:
-    """Router-side endpoint of one shard: pipe, pending futures, mirror.
+    """Router-side endpoint of one shard: pipe and pending futures.
 
-    Request/reply matching is by id (a reader thread resolves futures as
-    replies arrive, in whatever order the worker finishes them); the
-    :class:`SourceRowLRU` mirror replays the worker's cache bookkeeping
-    so hot-source rows ship at most once per cache residency.
+    Request/reply matching is by id: a reader thread resolves futures as
+    replies arrive, in whatever order the worker finishes them.
     """
 
     def __init__(
@@ -208,11 +209,10 @@ class ShardClient:
         self.lo = lo
         self.hi = hi
         self.path = path
-        self._config = dict(config, shard=index)
+        self._config = dict(config, shard=index, lo=lo, hi=hi)
         self._factory = factory
         self._lock = threading.Lock()
         self._pending: dict[int, Future] = {}
-        self._cache = SourceRowLRU(config.get("source_cache", DEFAULT_SOURCE_CACHE))
         self._next_id = 0
         self._worker = None
         self._dead = True
@@ -229,9 +229,6 @@ class ShardClient:
             if self.running:
                 return
             self._fail_pending(ShardFailure(f"shard {self.index} restarting"))
-            self._cache = SourceRowLRU(
-                self._config.get("source_cache", DEFAULT_SOURCE_CACHE)
-            )
             worker = self._factory(self.path, self._config)
             try:
                 if not worker.conn.poll(START_TIMEOUT):
@@ -248,7 +245,7 @@ class ShardClient:
             if ready.get("error"):
                 worker.shutdown(timeout=1.0)
                 raise ShardFailure(
-                    f"shard {self.index} worker failed to open its artifact: "
+                    f"shard {self.index} worker failed to open the index: "
                     f"{ready['error']}"
                 )
             self.ready = ready
@@ -283,19 +280,13 @@ class ShardClient:
         for future in pending.values():
             _deliver(future, exc=exc)
 
-    def submit(
-        self, op: str, pos_u: int, u_rows_fn, **fields
-    ) -> Future:
+    def submit(self, op: str, **fields) -> Future:
         """Send one operation; the returned future resolves to the reply."""
         with self._lock:
             if self._worker is None or self._dead:
                 raise ShardFailure(f"shard {self.index} worker is not running")
             self._next_id += 1
-            message = {"op": op, "id": self._next_id, "pos_u": pos_u, **fields}
-            if not self.lo <= pos_u < self.hi:
-                present, _ = self._cache.admit(pos_u, True)
-                if not present:
-                    message["u_rows"] = u_rows_fn(pos_u)
+            message = {"op": op, "id": self._next_id, **fields}
             future: Future = Future()
             self._pending[message["id"]] = future
             try:
@@ -327,17 +318,15 @@ class ShardedRuntime(ServingRuntime):
     Parameters beyond :class:`ServingRuntime`'s (whose ``workers`` here
     are the *router* threads doing scatter-gather):
 
-    shard_paths:
-        The shard artifacts of one ``write_shard_artifacts`` run, in plan
-        order.
-    parent_path:
-        The unsharded parent artifact — source rows (``walks[u]`` and
-        step tables) are read from its mmap and shipped to shards.
-        Defaults to the path recorded in the shard manifests.
+    index_path:
+        The ``method="mc"`` index artifact every shard worker opens.
+    plan:
+        A :class:`~repro.store.ShardPlan` over the index's nodes, or a
+        shard count (even split).
     workers_per_shard:
         Worker threads inside each shard process.
     worker_factory:
-        ``(path, config) -> worker`` seam; defaults to
+        ``(index_path, config) -> worker`` seam; defaults to
         :class:`ProcessShardWorker`.
     breaker_factory:
         ``(shard_index) -> CircuitBreaker`` for per-shard quarantine.
@@ -360,9 +349,9 @@ class ShardedRuntime(ServingRuntime):
     def __init__(
         self,
         service: QueryService,
-        shard_paths: Sequence,
+        index_path,
+        plan: "ShardPlan | int",
         *,
-        parent_path=None,
         workers: int = 4,
         workers_per_shard: int = 1,
         max_batch: int = 32,
@@ -375,13 +364,17 @@ class ShardedRuntime(ServingRuntime):
         breaker_factory: Callable[[int], CircuitBreaker] | None = None,
         backend=None,
         backend_config=None,
-        source_cache: int = DEFAULT_SOURCE_CACHE,
         shard_timeout: float | None = DEFAULT_SHARD_TIMEOUT,
         stats_interval: float | None = 10.0,
         timings: bool = False,
     ) -> None:
-        if not shard_paths:
-            raise StoreError("ShardedRuntime needs at least one shard path")
+        index = read_artifact(Path(index_path))
+        self._nodes = list(graph_from_artifact(index).nodes())
+        if not isinstance(plan, ShardPlan):
+            plan = ShardPlan.even(len(self._nodes), plan)
+        validate_shard_set(index, plan)
+        self._plan = plan
+        self._node_position = {node: i for i, node in enumerate(self._nodes)}
         super().__init__(
             service,
             workers=workers,
@@ -402,35 +395,6 @@ class ShardedRuntime(ServingRuntime):
         self._stats_stop = threading.Event()
         self._stats_thread: threading.Thread | None = None
 
-        head = read_artifact(Path(shard_paths[0]))
-        self._plan = ShardPlan.from_manifest(head.manifest)
-        if self._plan.num_shards != len(shard_paths):
-            raise StoreError(
-                f"plan in {shard_paths[0]} names {self._plan.num_shards} "
-                f"shards but {len(shard_paths)} paths were given"
-            )
-        if parent_path is None:
-            parent_path = head.manifest["shard"].get("parent")
-        if parent_path is None:
-            raise StoreError(
-                "shard manifests record no parent artifact path — pass "
-                "parent_path explicitly"
-            )
-        parent = read_artifact(Path(parent_path))
-        self._method = str(parent.meta.get("params", {}).get("method", "mc"))
-        self._parent_walks = parent.arrays["walks"]
-        self._parent_sw = parent.arrays.get("step_weights")
-        self._parent_sq = parent.arrays.get("step_q")
-        from repro.store.engine_io import graph_from_artifact
-
-        graph = graph_from_artifact(parent)
-        self._nodes = list(graph.nodes())
-        self._node_position = {node: i for i, node in enumerate(self._nodes)}
-        if len(self._nodes) != self._plan.num_nodes:
-            raise StoreError(
-                f"parent graph has {len(self._nodes)} nodes but the shard "
-                f"plan covers {self._plan.num_nodes}"
-            )
         self._range_starts = np.fromiter(
             (lo for lo, _ in self._plan.boundaries),
             dtype=np.int64,
@@ -439,16 +403,13 @@ class ShardedRuntime(ServingRuntime):
 
         config = {
             "workers": self.workers_per_shard,
-            "source_cache": source_cache,
             "backend": backend,
             "backend_config": backend_config,
         }
         factory = worker_factory if worker_factory is not None else ProcessShardWorker
         self._clients = [
-            ShardClient(index, lo, hi, path, config, factory)
-            for index, ((lo, hi), path) in enumerate(
-                zip(self._plan.boundaries, shard_paths)
-            )
+            ShardClient(shard, lo, hi, index_path, config, factory)
+            for shard, (lo, hi) in enumerate(self._plan.boundaries)
         ]
         if breaker_factory is None:
             breaker_factory = lambda index: CircuitBreaker(  # noqa: E731
@@ -573,9 +534,9 @@ class ShardedRuntime(ServingRuntime):
     def apply_mutations(self, mutations) -> dict:
         """Reject live mutations: shard workers pin immutable snapshots.
 
-        Each shard process mmaps a walk-tensor artifact written at epoch 0
-        and cannot be repaired in place.  Mutating only the head engine
-        would let the fallback stack answer from a newer epoch than the
+        Each shard process mmaps the index's walk tensor, written at
+        epoch 0, and cannot repair it in place.  Mutating only the head
+        engine would let the fallback stack answer from a newer epoch than the
         shards — the mismatch this method refuses is the one ``health()``
         surfaces under ``mutations.epoch_mismatch``.
         """
@@ -584,7 +545,7 @@ class ShardedRuntime(ServingRuntime):
         raise MutationRejectedError(
             "sharded runtime cannot apply live mutations: shard workers "
             "serve immutable walk-tensor snapshots pinned at epoch 0 — "
-            "rebuild and re-shard the index instead",
+            "rebuild the index instead",
             head_epoch=head_epoch,
             shard_epoch=0,
         )
@@ -619,11 +580,7 @@ class ShardedRuntime(ServingRuntime):
             if self._breakers[client.index].state is not CircuitState.CLOSED:
                 continue
             try:
-                # pos_u = client.lo is always in-range: no source rows
-                # ship and the LRU mirrors stay untouched
-                in_flight.append(
-                    (client, client.submit(OP_STATS, client.lo, None))
-                )
+                in_flight.append((client, client.submit(OP_STATS)))
             except ShardFailure:
                 if is_enabled():
                     STATS_PULLS.labels(outcome="error").inc()
@@ -753,17 +710,6 @@ class ShardedRuntime(ServingRuntime):
         self._count_shard(index, "ok")
         self._sync_quarantine(index)
 
-    def _source_rows(self, pos_u: int):
-        """Materialise the source's rows off the parent artifact's mmap."""
-        walks_row = np.asarray(self._parent_walks[pos_u])
-        if self._parent_sw is None:
-            return (walks_row, None, None)
-        return (
-            walks_row,
-            np.asarray(self._parent_sw[pos_u]),
-            np.asarray(self._parent_sq[pos_u]),
-        )
-
     def _gather(self, index: int, future: Future, deadline: float | None):
         """Wait for one shard's reply within the request's budget.
 
@@ -868,7 +814,7 @@ class ShardedRuntime(ServingRuntime):
                 continue
             try:
                 future = self._clients[shard_id].submit(
-                    OP_BATCH, pos_u, self._source_rows,
+                    OP_BATCH, pos_u=pos_u,
                     positions=positions[member_idx], **extras,
                 )
             except ShardFailure as exc:
@@ -937,7 +883,7 @@ class ShardedRuntime(ServingRuntime):
                 request.u, request.v, float(values[i]), bool(degraded[i]),
                 acquisition.retries if degraded[i] and acquisition else 0,
                 acquisition.engine.method if degraded[i] and acquisition
-                else self._method,
+                else "mc",
                 elapsed_ms,
                 tier=acquisition.tier if degraded[i] and acquisition
                 else None,
@@ -964,7 +910,7 @@ class ShardedRuntime(ServingRuntime):
             degraded=any_degraded,
             retries=acquisition.retries if acquisition else 0,
             method=acquisition.engine.method
-            if acquisition and any_degraded else self._method,
+            if acquisition and any_degraded else "mc",
             elapsed_ms=elapsed_ms,
             tier=acquisition.tier if acquisition and any_degraded else None,
         ), request, **(timing or {})))
@@ -1006,7 +952,7 @@ class ShardedRuntime(ServingRuntime):
                 shard_fields["positions"] = shard_positions
             try:
                 future = self._clients[shard_id].submit(
-                    OP_TOPK, pos_u, self._source_rows, **shard_fields
+                    OP_TOPK, pos_u=pos_u, **shard_fields
                 )
             except ShardFailure as exc:
                 self._shard_failed(shard_id, "error", exc)
@@ -1072,7 +1018,7 @@ class ShardedRuntime(ServingRuntime):
             degraded=any_degraded,
             retries=acquisition.retries if acquisition else 0,
             method=acquisition.engine.method
-            if acquisition and any_degraded else self._method,
+            if acquisition and any_degraded else "mc",
             elapsed_ms=elapsed_ms,
             tier=acquisition.tier if acquisition and any_degraded else None,
         ), request, **(timing or {})))

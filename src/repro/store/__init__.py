@@ -20,8 +20,8 @@ Layers
 :mod:`repro.store.walk_io`
     the portable single-file ``.npz`` walk-tensor format;
 :mod:`repro.store.sharding`
-    node-range shard plans and per-range shard artifacts for the
-    multi-process serving runtime (:mod:`repro.sched.sharded`);
+    node-range shard plans for the multi-process serving runtime
+    (:mod:`repro.sched.sharded`), whose workers all open the one index;
 :mod:`repro.store.hooks`
     the injectable I/O seam every disk-touching entry point gates on,
     which is what makes the failure paths deterministically testable
@@ -42,25 +42,12 @@ from repro.store.fingerprint import (
     manifest_key,
 )
 from repro.store.hooks import io_gate, io_hook_installed, set_io_hook
-from repro.store.sharding import (
-    ShardPlan,
-    parent_fingerprint,
-    shard_dir_name,
-    shard_paths_for,
-    validate_shard_set,
-    validate_shardable,
-    write_shard_artifacts,
-)
+from repro.store.sharding import ShardPlan, validate_shard_set
 from repro.store.walk_io import WALK_FORMAT_VERSION, load_walks_npz, save_walks_npz
 
 __all__ = [
     "ShardPlan",
-    "parent_fingerprint",
-    "shard_dir_name",
-    "shard_paths_for",
     "validate_shard_set",
-    "validate_shardable",
-    "write_shard_artifacts",
     "ArtifactStore",
     "StoredArtifact",
     "StoreError",

@@ -1,49 +1,23 @@
 """Node-range sharding of persisted MC engines — the store half.
 
-A *shard plan* cuts the node axis ``[0, n)`` into contiguous ranges; a
-*shard artifact* is an ordinary content-addressed artifact (same
-``manifest.json`` + ``.npy`` layout, same atomic write and fail-closed
-read) holding the **candidate-side** slice of one range:
-
-``walks[lo:hi]``, ``step_weights[lo:hi]``, ``step_q[lo:hi]``
-    the ``O(n · n_w · t)`` tensors that dominate index size — genuinely
-    split, each row lives in exactly one shard;
-``sem_matrix``, ``so_matrix``
-    replicated whole into every shard.  The walk-score kernel indexes
-    them by the *global* node ids recorded inside the walk tensor, and
-    they are ``O(n²)`` lookups shared by every range — the documented
-    cost of keeping shards self-contained.
-
-The parent's identity fields (``method``/``graph``/``measure``/
-``params``) are copied verbatim and a ``shard`` section is added to the
-manifest — ``{"index", "num_shards", "lo", "hi", "plan", "parent"}`` —
-so a shard is self-describing: :mod:`repro.sched.shard_worker` can open
-one by path alone, and routing layers can rebuild the full
-:class:`ShardPlan` from any single shard.
-
-Source-side rows (``walks[u]`` etc. for arbitrary query nodes) are *not*
-duplicated: the router reads them from the parent artifact's mmap and
-ships them with requests (see :mod:`repro.sched.sharded`).
+A *shard plan* cuts the node axis ``[0, n)`` into contiguous ranges.
+Shards need no artifacts of their own: every shard worker opens the one
+parent index read-only (``QueryEngine.open``), so the router and all
+workers share its memory-mapped pages through the OS page cache, and
+each worker answers only for candidates inside its range (see
+:mod:`repro.sched.shard_worker`).
 
 Only ``method="mc"`` artifacts shard — the iterative engine is a dense
 ``(n, n)`` score table with no per-node working set to split.
+:func:`validate_shard_set` is the one start-up check.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from pathlib import Path
 
-from repro.store.artifacts import StoredArtifact, StoreError, read_artifact, write_artifact
-
-#: Array names sliced by node range into each shard (when present).
-SLICED_ARRAYS = ("walks", "step_weights", "step_q")
-
-#: Array names replicated whole into each shard (when present).
-REPLICATED_ARRAYS = ("sem_matrix", "so_matrix")
+from repro.store.artifacts import StoredArtifact, StoreError
 
 
 @dataclass(frozen=True)
@@ -104,15 +78,6 @@ class ShardPlan:
         """Build a (possibly uneven) plan from explicit ``(lo, hi)`` pairs."""
         return cls(num_nodes, tuple((int(lo), int(hi)) for lo, hi in boundaries))
 
-    @classmethod
-    def from_manifest(cls, manifest: dict) -> "ShardPlan":
-        """Recover the full plan recorded in any one shard's manifest."""
-        shard = manifest.get("shard")
-        if not isinstance(shard, dict) or "plan" not in shard:
-            raise StoreError("manifest carries no shard section — not a shard artifact")
-        plan = [(int(lo), int(hi)) for lo, hi in shard["plan"]]
-        return cls(plan[-1][1], tuple(plan))
-
     @property
     def num_shards(self) -> int:
         return len(self.boundaries)
@@ -125,67 +90,14 @@ class ShardPlan:
             )
         return bisect_right(self._starts, position) - 1
 
-    def as_json(self) -> dict:
-        return {
-            "num_nodes": self.num_nodes,
-            "boundaries": [[lo, hi] for lo, hi in self.boundaries],
-        }
 
+def validate_shard_set(index: StoredArtifact, plan: ShardPlan) -> None:
+    """Raise :class:`StoreError` unless *plan* can serve *index* by range.
 
-def shard_dir_name(index: int) -> str:
-    """Directory name of shard *index* under a shard-set root."""
-    return f"shard-{index:04d}"
-
-
-def parent_fingerprint(parent: StoredArtifact) -> str:
-    """Content identity of *parent* as recorded by its own manifest.
-
-    Derived from the per-array sha256 digests plus the identity sections
-    (``params``/``method``/``graph``/``measure``), so it changes whenever
-    the parent is rebuilt with different content — different walks, seed,
-    or graph — **without** faulting in a single array page.  Shard
-    manifests record it at split time (``shard.parent_digest``) and
-    :func:`validate_shard_set` compares it before an existing shard set
-    is reused, so a rebuilt index can never be served from the previous
-    build's shards.
+    The index must be a ``method="mc"`` artifact with a walk tensor, and
+    the plan must cover exactly its node axis.
     """
-    payload = {
-        "arrays": {
-            name: spec["sha256"]
-            for name, spec in sorted(parent.manifest.get("arrays", {}).items())
-        },
-        "identity": {
-            name: parent.manifest.get(name)
-            for name in ("method", "graph", "measure", "params")
-        },
-    }
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-
-
-def _shard_manifest(parent: StoredArtifact, plan: ShardPlan, index: int) -> dict:
-    lo, hi = plan.boundaries[index]
-    manifest = {
-        name: parent.manifest[name]
-        for name in ("method", "graph", "measure", "params", "meta")
-        if name in parent.manifest
-    }
-    manifest["shard"] = {
-        "index": index,
-        "num_shards": plan.num_shards,
-        "lo": lo,
-        "hi": hi,
-        "plan": [[b_lo, b_hi] for b_lo, b_hi in plan.boundaries],
-        "parent": str(parent.path),
-        "parent_digest": parent_fingerprint(parent),
-    }
-    return manifest
-
-
-def validate_shardable(parent: StoredArtifact) -> None:
-    """Raise :class:`StoreError` unless *parent* can be range-sharded."""
-    params = parent.meta.get("params") if isinstance(parent.meta, dict) else None
+    params = index.meta.get("params") if isinstance(index.meta, dict) else None
     method = params.get("method") if isinstance(params, dict) else None
     if method != "mc":
         raise StoreError(
@@ -193,112 +105,11 @@ def validate_shardable(parent: StoredArtifact) -> None:
             f"method={method!r} — the iterative score table has no "
             "per-node working set to split"
         )
-    if "walks" not in parent.arrays:
-        raise StoreError(f"artifact at {parent.path} stores no walk tensor")
-    if "sem_matrix" in parent.arrays:
-        missing = [
-            name
-            for name in ("so_matrix", "step_weights", "step_q")
-            if name not in parent.arrays
-        ]
-        if missing:
-            raise StoreError(
-                f"semantic artifact at {parent.path} is missing precomputed "
-                f"tables {missing} — rebuild it before sharding"
-            )
-
-
-def write_shard_artifacts(
-    parent: "StoredArtifact | str | Path",
-    out_dir: "str | Path",
-    plan: "ShardPlan | int",
-) -> list[Path]:
-    """Split *parent* into per-range shard artifacts under *out_dir*.
-
-    *plan* may be a ready :class:`ShardPlan` or a shard count (even
-    split).  Each shard is written atomically to
-    ``out_dir/shard-NNNN``; the list of shard paths is returned in plan
-    order.  Slices come straight off the parent's mmap'd arrays — the
-    split re-reads nothing it does not write.
-    """
-    if not isinstance(parent, StoredArtifact):
-        parent = read_artifact(Path(parent))
-    validate_shardable(parent)
-    num_nodes = int(parent.arrays["walks"].shape[0])
-    if isinstance(plan, int):
-        plan = ShardPlan.even(num_nodes, plan)
-    if plan.num_nodes != num_nodes:
+    walks = index.arrays.get("walks")
+    if walks is None:
+        raise StoreError(f"artifact at {index.path} stores no walk tensor")
+    if plan.num_nodes != walks.shape[0]:
         raise StoreError(
-            f"shard plan covers {plan.num_nodes} nodes but the walk tensor "
-            f"has {num_nodes} rows"
+            f"shard plan covers {plan.num_nodes} nodes but the index at "
+            f"{index.path} has {walks.shape[0]}"
         )
-    out_root = Path(out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
-    paths: list[Path] = []
-    for index, (lo, hi) in enumerate(plan.boundaries):
-        arrays = {
-            name: parent.arrays[name][lo:hi]
-            for name in SLICED_ARRAYS
-            if name in parent.arrays
-        }
-        arrays.update(
-            (name, parent.arrays[name])
-            for name in REPLICATED_ARRAYS
-            if name in parent.arrays
-        )
-        path = out_root / shard_dir_name(index)
-        write_artifact(
-            path,
-            _shard_manifest(parent, plan, index),
-            arrays,
-            documents=dict(parent.documents),
-        )
-        paths.append(path)
-    return paths
-
-
-def shard_paths_for(out_dir: "str | Path", num_shards: int) -> list[Path]:
-    """The canonical shard paths a ``write_shard_artifacts`` run produced."""
-    root = Path(out_dir)
-    return [root / shard_dir_name(index) for index in range(num_shards)]
-
-
-def validate_shard_set(
-    paths: "list[Path]", parent: "StoredArtifact | str | Path"
-) -> None:
-    """Raise :class:`StoreError` unless *paths* is a complete shard set of
-    *parent* as it exists **now**.
-
-    Checks every shard in plan order: it opens and structurally validates
-    (missing/corrupt artifacts fail closed via :func:`read_artifact`),
-    carries shard metadata with the expected index and count, and its
-    recorded ``parent_digest`` matches :func:`parent_fingerprint` of the
-    current parent.  A parent rebuilt with different walks or parameters
-    — or a shard set written before digests were recorded — therefore
-    fails validation and must be re-split; serving it would silently
-    break the sharded-vs-unsharded bit-identity guarantee.
-    """
-    if not isinstance(parent, StoredArtifact):
-        parent = read_artifact(Path(parent))
-    expected = parent_fingerprint(parent)
-    for index, path in enumerate(paths):
-        artifact = read_artifact(Path(path))
-        shard = artifact.manifest.get("shard")
-        if not isinstance(shard, dict):
-            raise StoreError(
-                f"artifact at {path} carries no shard metadata — not a "
-                "shard artifact"
-            )
-        if shard.get("index") != index or shard.get("num_shards") != len(paths):
-            raise StoreError(
-                f"shard artifact at {path} is shard "
-                f"{shard.get('index')}/{shard.get('num_shards')}, expected "
-                f"{index}/{len(paths)}"
-            )
-        if shard.get("parent_digest") != expected:
-            raise StoreError(
-                f"shard artifact at {path} was split from a different build "
-                f"of the parent index (digest "
-                f"{shard.get('parent_digest')!r} != {expected!r}) — re-run "
-                "the split so served scores stay bit-identical to the index"
-            )

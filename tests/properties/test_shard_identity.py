@@ -37,7 +37,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.api import QueryEngine
 from repro.sched import ShardedRuntime, ThreadShardWorker
 from repro.serve import IndexManager, QueryService
-from repro.store import ShardPlan, write_shard_artifacts
+from repro.store import ShardPlan
 
 from tests.conftest import random_hin_with_measure
 
@@ -97,14 +97,13 @@ def test_sharded_results_bit_identical_to_unsharded(
     try:
         parent = root / "parent"
         engine.save(parent)
-        paths = write_shard_artifacts(parent, root / "shards", plan)
         manager = IndexManager(
             graph, measure,
             engine_kwargs=dict(engine_kwargs),
             background_rebuild=False,
         )
         runtime = ShardedRuntime(
-            QueryService(manager), paths,
+            QueryService(manager), parent, plan,
             worker_factory=ThreadShardWorker, autostart=False,
             max_batch=16, queue_depth=10_000, backend=backend,
         )

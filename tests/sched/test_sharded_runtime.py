@@ -21,7 +21,7 @@ from repro.errors import NodeNotFoundError
 from repro.sched import ShardedRuntime, ThreadShardWorker
 from repro.sched.sharded import ShardFailure
 from repro.serve import CircuitBreaker
-from repro.store import write_shard_artifacts
+from repro.store import ShardPlan
 
 from tests.sched.conftest import ENGINE_KWARGS
 
@@ -30,7 +30,7 @@ MC_KWARGS = dict(ENGINE_KWARGS, method="mc")
 
 @pytest.fixture(scope="module")
 def sharded_model(tmp_path_factory):
-    """One mc engine, its saved parent artifact, and 1/2/3-shard splits."""
+    """One mc engine, its saved parent artifact, and 1/2/3-shard plans."""
     from tests.conftest import random_hin_with_measure
 
     graph, measure = random_hin_with_measure(11, num_entities=8, extra_edges=10)
@@ -38,11 +38,10 @@ def sharded_model(tmp_path_factory):
     root = tmp_path_factory.mktemp("sharded")
     parent = root / "parent"
     engine.save(parent)
-    shards = {
-        count: write_shard_artifacts(parent, root / f"shards-{count}", count)
-        for count in (1, 2, 3)
+    plans = {
+        count: ShardPlan.even(graph.num_nodes, count) for count in (1, 2, 3)
     }
-    return graph, measure, engine, parent, shards
+    return graph, measure, engine, parent, plans
 
 
 @pytest.fixture
@@ -55,8 +54,8 @@ def mc_service(sharded_model, make_service):
 
 @pytest.fixture
 def make_sharded(mc_service, sharded_model):
-    """Factory for sharded runtimes over the module's shard artifacts."""
-    *_, shards = sharded_model
+    """Factory for sharded runtimes over the module's parent artifact."""
+    *_, parent, plans = sharded_model
     created = []
 
     def factory(count=3, service=None, **kwargs):
@@ -67,7 +66,7 @@ def make_sharded(mc_service, sharded_model):
         # no background stats puller, no implicit pulls on health/drain:
         # fault-double workers never answer and must not be waited on
         kwargs.setdefault("stats_interval", None)
-        runtime = ShardedRuntime(service, shards[count], **kwargs)
+        runtime = ShardedRuntime(service, parent, plans[count], **kwargs)
         created.append(runtime)
         return runtime
 
@@ -221,11 +220,10 @@ class TestScatterGatherParity:
 class TestBackendParity:
     """Sharded identity must hold for every exact backend, not just numpy.
 
-    Regression for the blocked backend's u-side key-plane cache: shipped
-    source rows are parked in one slot row per worker thread, so serving
-    several *distinct* sources through the same shard rewrites that row
-    in place — a cache keyed on row position alone served the first
-    source's plane for every later one.
+    Guards the blocked backend's per-source u-side key-plane cache: one
+    shard worker serves several *distinct* sources in turn, including
+    sources outside its own range, and must never reuse one source's
+    cached plane for another.
     """
 
     @pytest.mark.parametrize("backend", ["numpy", "blocked"])
@@ -234,7 +232,7 @@ class TestBackendParity:
     ):
         _, _, engine, _, _ = sharded_model
         runtime = make_sharded(2, backend=backend)
-        sources = nodes[:5] + [nodes[0]]  # revisit after the slot moved on
+        sources = nodes[:5] + [nodes[0]]  # revisit after other sources
         futures = [(u, runtime.submit_batch(u, nodes)) for u in sources]
         runtime.close(drain=True)
         for u, future in futures:
@@ -394,15 +392,15 @@ class TestFaultIsolation:
         runtime.close(drain=True)
 
     def test_submit_to_dead_client_raises_shard_failure(self, sharded_model):
-        *_, shards = sharded_model
+        *_, parent, _ = sharded_model
         from repro.sched.sharded import ShardClient
         client = ShardClient(
-            0, 0, 4, shards[2][0], {}, lambda path, config: _DeadWorker()
+            0, 0, 4, parent, {}, lambda path, config: _DeadWorker()
         )
         with pytest.raises(ShardFailure):
             client.start()
         with pytest.raises(ShardFailure):
-            client.submit("batch", 0, lambda pos: None, positions=[0])
+            client.submit("batch", pos_u=0, positions=[0])
 
 
 class TestLifecycle:
@@ -422,13 +420,20 @@ class TestLifecycle:
         assert runtime.close(drain=True)
 
     def test_mismatched_shard_count_rejected(self, mc_service, sharded_model):
-        *_, shards = sharded_model
+        graph, *_, parent, _ = sharded_model
         from repro.store import StoreError
-        with pytest.raises(StoreError, match="shards"):
+        started = []
+
+        def factory(path, config):
+            started.append(config["shard"])
+            return ThreadShardWorker(path, config)
+
+        with pytest.raises(StoreError, match="nodes"):
             ShardedRuntime(
-                mc_service(), shards[3][:2],
-                worker_factory=ThreadShardWorker, autostart=False,
+                mc_service(), parent, ShardPlan.even(graph.num_nodes + 1, 2),
+                worker_factory=factory,
             )
+        assert started == []
 
 
 def sorted_nodes(runtime):
@@ -443,9 +448,9 @@ class TestMultiProcess:
     def test_process_workers_serve_bit_identical(
         self, mc_service, sharded_model, nodes
     ):
-        _, _, engine, _, shards = sharded_model
+        _, _, engine, parent, plans = sharded_model
         runtime = ShardedRuntime(
-            mc_service(), shards[2],
+            mc_service(), parent, plans[2],
             workers=2, workers_per_shard=2,
         )
         try:
@@ -464,9 +469,9 @@ class TestMultiProcess:
     def test_concurrent_submissions_across_processes(
         self, mc_service, sharded_model, nodes
     ):
-        _, _, engine, _, shards = sharded_model
+        _, _, engine, parent, plans = sharded_model
         runtime = ShardedRuntime(
-            mc_service(), shards[3],
+            mc_service(), parent, plans[3],
             workers=4, workers_per_shard=2, max_batch=8,
         )
         try:

@@ -245,11 +245,12 @@ class TestMultiprocessAggregation:
         batches each forked worker has observed exactly N kernel calls —
         numbers the router can only know by actually pulling and folding
         worker registries (its own process never ran those kernels)."""
-        *_, shards = sharded_model
+        *_, parent, plans = sharded_model
         n_batches = 4
         runtime = ShardedRuntime(
             mc_service(),
-            shards[2],
+            parent,
+            plans[2],
             stats_interval=3600.0,  # explicit pulls only, but drain pulls
             max_wait_us=0.0,
         )
@@ -286,11 +287,12 @@ class TestMultiprocessAggregation:
 
         from repro.obs.trace import trace_to
 
-        *_, shards = sharded_model
+        *_, parent, plans = sharded_model
         trace_path = tmp_path / "trace.jsonl"
         runtime = ShardedRuntime(
             mc_service(),
-            shards[2],
+            parent,
+            plans[2],
             stats_interval=None,
             timings=True,
             max_wait_us=0.0,

@@ -184,16 +184,14 @@ class TestShardedRejection:
     @pytest.fixture
     def sharded(self, tmp_path, model, make_service):
         from repro.sched import ShardedRuntime, ThreadShardWorker
-        from repro.store import write_shard_artifacts
 
         graph, measure = model
         engine = QueryEngine(graph, measure, method="mc", **ENGINE_KWARGS)
         parent = tmp_path / "parent"
         engine.save(parent)
-        paths = write_shard_artifacts(parent, tmp_path / "shards", 2)
         service = make_service(engine_kwargs=dict(ENGINE_KWARGS, method="mc"))
         runtime = ShardedRuntime(
-            service, paths,
+            service, parent, 2,
             worker_factory=ThreadShardWorker,
             autostart=False, stats_interval=None,
         )

@@ -1,24 +1,10 @@
-"""Shard plans and shard artifacts: validation, ownership, round-trips."""
+"""Shard plans: validation, ownership, and the start-up check."""
 
-import json
-import shutil
-
-import numpy as np
 import pytest
 
 from tests.conftest import random_hin_with_measure
 from repro.api import QueryEngine
-from repro.store import (
-    ShardPlan,
-    StoreError,
-    parent_fingerprint,
-    read_artifact,
-    shard_paths_for,
-    validate_shard_set,
-    validate_shardable,
-    write_shard_artifacts,
-)
-from repro.store.sharding import REPLICATED_ARRAYS, SLICED_ARRAYS
+from repro.store import ShardPlan, StoreError, read_artifact, validate_shard_set
 
 ENGINE_KWARGS = dict(method="mc", num_walks=20, length=6, seed=3)
 
@@ -71,74 +57,18 @@ class TestShardPlan:
         with pytest.raises(StoreError):
             plan.owner(-1)
 
-    def test_as_json_round_trips_through_from_boundaries(self):
-        plan = ShardPlan.from_boundaries(8, [(0, 5), (5, 8)])
-        payload = plan.as_json()
-        again = ShardPlan.from_boundaries(
-            payload["num_nodes"], payload["boundaries"]
-        )
-        assert again == plan
 
+class TestValidateShardSet:
+    """The one start-up check: an mc index and a plan over its nodes."""
 
-class TestWriteShardArtifacts:
-    def test_slices_and_replicas_round_trip(self, parent_path, tmp_path):
-        parent = read_artifact(parent_path)
-        paths = write_shard_artifacts(parent_path, tmp_path / "shards", 3)
-        assert paths == shard_paths_for(tmp_path / "shards", 3)
-        num_nodes = parent.arrays["walks"].shape[0]
-        plan = ShardPlan.even(num_nodes, 3)
-        for index, path in enumerate(paths):
-            shard = read_artifact(path)
-            lo, hi = plan.boundaries[index]
-            for name in SLICED_ARRAYS:
-                if name in parent.arrays:
-                    np.testing.assert_array_equal(
-                        shard.arrays[name], parent.arrays[name][lo:hi]
-                    )
-            for name in REPLICATED_ARRAYS:
-                if name in parent.arrays:
-                    np.testing.assert_array_equal(
-                        shard.arrays[name], parent.arrays[name]
-                    )
-            # graph document embedded, so a shard opens standalone
-            assert shard.documents["graph"] == parent.documents["graph"]
-
-    def test_manifest_records_the_full_plan(self, parent_path, tmp_path):
-        paths = write_shard_artifacts(parent_path, tmp_path / "shards", 2)
-        for index, path in enumerate(paths):
-            manifest = json.loads((path / "manifest.json").read_text())
-            shard = manifest["shard"]
-            assert shard["index"] == index
-            assert shard["num_shards"] == 2
-            assert shard["parent"] == str(parent_path)
-            assert [shard["lo"], shard["hi"]] == shard["plan"][index]
-            # identity copied verbatim from the parent
-            parent_manifest = json.loads(
-                (parent_path / "manifest.json").read_text()
-            )
-            assert manifest["graph"] == parent_manifest["graph"]
-            assert manifest["meta"]["params"] == parent_manifest["meta"]["params"]
-            # and the plan in any shard rebuilds the whole ShardPlan
-            plan = ShardPlan.from_manifest(manifest)
-            assert plan.num_shards == 2
-
-    def test_uneven_plan_is_honoured(self, parent_path, tmp_path):
+    def test_matching_set_passes(self, parent_path):
         parent = read_artifact(parent_path)
         num_nodes = parent.arrays["walks"].shape[0]
-        plan = ShardPlan.from_boundaries(
-            num_nodes, [(0, 1), (1, num_nodes)]
-        )
-        paths = write_shard_artifacts(parent_path, tmp_path / "uneven", plan)
-        first = read_artifact(paths[0])
-        assert first.arrays["walks"].shape[0] == 1
-        second = read_artifact(paths[1])
-        assert second.arrays["walks"].shape[0] == num_nodes - 1
+        validate_shard_set(parent, ShardPlan.even(num_nodes, 2))  # must not raise
 
-    def test_plan_node_count_mismatch_rejected(self, parent_path, tmp_path):
-        with pytest.raises(StoreError, match="rows"):
-            write_shard_artifacts(
-                parent_path, tmp_path / "bad", ShardPlan.even(3, 2)
-            )
+    def test_plan_node_count_mismatch_rejected(self, parent_path):
+        with pytest.raises(StoreError, match="nodes"):
+            validate_shard_set(read_artifact(parent_path), ShardPlan.even(3, 2))
 
     def test_iterative_artifact_rejected(self, model, tmp_path):
         graph, measure = model
@@ -146,56 +76,6 @@ class TestWriteShardArtifacts:
         path = tmp_path / "iterative"
         engine.save(path)
         with pytest.raises(StoreError, match="mc"):
-            validate_shardable(read_artifact(path))
-        with pytest.raises(StoreError, match="mc"):
-            write_shard_artifacts(path, tmp_path / "never", 2)
-
-    def test_from_manifest_rejects_unsharded_artifact(self, parent_path):
-        manifest = json.loads((parent_path / "manifest.json").read_text())
-        with pytest.raises(StoreError, match="shard"):
-            ShardPlan.from_manifest(manifest)
-
-
-class TestValidateShardSet:
-    """Reuse guard: a shard set must derive from the parent as it is NOW."""
-
-    def test_matching_set_passes(self, parent_path, tmp_path):
-        paths = write_shard_artifacts(parent_path, tmp_path / "shards", 2)
-        validate_shard_set(paths, parent_path)  # must not raise
-        for path in paths:
-            shard = json.loads((path / "manifest.json").read_text())["shard"]
-            assert shard["parent_digest"] == parent_fingerprint(
-                read_artifact(parent_path)
+            validate_shard_set(
+                read_artifact(path), ShardPlan.even(graph.num_nodes, 2)
             )
-
-    def test_rebuilt_parent_rejected(self, model, parent_path, tmp_path):
-        paths = write_shard_artifacts(parent_path, tmp_path / "shards", 2)
-        graph, measure = model
-        rebuilt = tmp_path / "rebuilt"
-        QueryEngine(
-            graph, measure, **dict(ENGINE_KWARGS, seed=99)
-        ).save(rebuilt)
-        # same node count, different walks: only the digest catches it
-        with pytest.raises(StoreError, match="different build"):
-            validate_shard_set(paths, rebuilt)
-
-    def test_predigest_shard_set_rejected(self, parent_path, tmp_path):
-        # shard sets written before digests were recorded must re-split
-        paths = write_shard_artifacts(parent_path, tmp_path / "shards", 2)
-        manifest_path = paths[0] / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        del manifest["shard"]["parent_digest"]
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(StoreError, match="different build"):
-            validate_shard_set(paths, parent_path)
-
-    def test_wrong_shard_count_rejected(self, parent_path, tmp_path):
-        paths = write_shard_artifacts(parent_path, tmp_path / "shards", 3)
-        with pytest.raises(StoreError, match="expected"):
-            validate_shard_set(paths[:2], parent_path)
-
-    def test_missing_shard_rejected(self, parent_path, tmp_path):
-        paths = write_shard_artifacts(parent_path, tmp_path / "shards", 2)
-        shutil.rmtree(paths[1])
-        with pytest.raises(StoreError, match="no artifact"):
-            validate_shard_set(paths, parent_path)

@@ -341,7 +341,7 @@ class TestServe:
 
 
 class TestShardedServe:
-    """`index shard` and `serve --shards`: multi-process scatter-gather."""
+    """`serve --shards`: multi-process scatter-gather over one index."""
 
     @pytest.fixture(scope="class")
     def bundle_path(self, tmp_path_factory):
@@ -367,22 +367,6 @@ class TestShardedServe:
         assert main(["serve", *argv]) == 0
         out = capsys.readouterr().out
         return [_json.loads(line) for line in out.splitlines() if line]
-
-    def test_index_shard_writes_ranged_artifacts(
-        self, index_path, tmp_path, capsys
-    ):
-        from repro.store import shard_paths_for
-
-        out_dir = tmp_path / "shards"
-        assert main([
-            "index", "shard", str(index_path),
-            "--out", str(out_dir), "--shards", "2",
-        ]) == 0
-        printed = capsys.readouterr().out
-        assert "wrote 2 shard artifacts" in printed
-        assert "shard-0000" in printed and "nodes [0," in printed
-        for path in shard_paths_for(out_dir, 2):
-            assert (path / "manifest.json").is_file()
 
     def test_serve_shards_requires_index(self, bundle_path, capsys):
         assert main(["serve", str(bundle_path), "--shards", "2"]) == 2
@@ -411,7 +395,7 @@ class TestShardedServe:
         assert sharded[3]["results"] == plain[3]["results"]
         assert not any(r["degraded"] for r in sharded[1:])
 
-    def test_stale_shard_set_is_rebuilt_before_serving(
+    def test_rebuilt_index_is_served_without_shard_artifacts(
         self, bundle_path, tmp_path, monkeypatch, capsys
     ):
         import io
@@ -433,29 +417,23 @@ class TestShardedServe:
                 _sys, "stdin", io.StringIO("BATCH n3 n4 n5 n6\n")
             )
             assert main(["serve", "--index", str(index), *extra]) == 0
-            captured = capsys.readouterr()
-            lines = [
+            return [
                 _json.loads(line)
-                for line in captured.out.splitlines() if line
+                for line in capsys.readouterr().out.splitlines() if line
             ]
-            return lines, captured.err
 
         build(5)
-        _, err = serve_once("--shards", "2")
-        assert "wrote 2 shard artifacts" in err
+        serve_once("--shards", "2")
 
-        # rebuild in place: same node count, different walks — the stale
-        # shard set must be detected and re-split, not silently served
+        # rebuild in place: same node count, different walks — the shard
+        # workers open the index itself, so they serve the new build
         build(11)
-        plain, _ = serve_once()
-        sharded, err = serve_once("--shards", "2")
-        assert "rebuilding shard artifacts" in err
+        plain = serve_once()
+        sharded = serve_once("--shards", "2")
         assert sharded[1]["values"] == plain[1]["values"]
-
-        # the freshly split set is valid and gets reused without a rewrite
-        again, err = serve_once("--shards", "2")
-        assert "shard artifacts" not in err
-        assert again[1]["values"] == plain[1]["values"]
+        # nothing is written beside the index
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["wn.idx"]
+        assert not (tmp_path / "wn.idx.shards-2").exists()
 
     @pytest.mark.concurrency
     def test_sigterm_drains_and_exits_zero(self, index_path):
