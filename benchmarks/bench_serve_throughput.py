@@ -17,11 +17,11 @@ coalescing pays.
 
 What makes the speedup: this container has a single CPU, so thread
 parallelism alone buys nothing — the win is **coalescing**.  The
-workload concentrates on a few hot sources, the scheduler merges
-same-source requests into one vectorised ``score_batch`` call (bit
--identical to scalar ``score`` — the PR 1 guarantee), and the per-walk
-Python loop the sequential baseline pays per request amortises into the
-batched kernel.  ``max_batch=1`` isolates the scheduler's own overhead
+workload concentrates on a few hot sources, the scheduler merges every
+single-pair request of a micro-batch into one vectorised ``score_pairs``
+call (bit-identical to scalar ``score``), and the per-walk Python loop
+the sequential baseline pays per request amortises into the batched
+kernel.  ``max_batch=1`` isolates the scheduler's own overhead
 (it can only lose there); the larger batches show the coalescing curve.
 
 The ISSUE acceptance gate: sustained QPS at 8 workers >= 3x the
@@ -218,7 +218,7 @@ def test_scheduler_throughput_vs_sequential(bundle, show, bench_backend):
         "(sched_queue_wait_seconds)",
         "",
         "single CPU in this container: the gain is coalescing (merged",
-        "score_batch calls amortising the per-walk scalar loop), not",
+        "score_pairs calls amortising the per-walk scalar loop), not",
         "thread parallelism — watch the max_batch axis, not workers.",
     ]
     show("serve_throughput", lines)

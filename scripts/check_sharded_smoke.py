@@ -6,17 +6,19 @@ Usage::
     python scripts/check_sharded_smoke.py SHARDED_OUT PLAIN_OUT
 
 Both files hold one ``repro serve`` session's stdout (JSON lines) over
-the same request script: a single pair, a BATCH, a TOPK, and HEALTH.
-Fails (exit 1, with a message) unless
+the same request script: single pairs from more than one source, a
+BATCH, a TOPK, and HEALTH last.  Fails (exit 1, with a message) unless
 
-* both sessions printed a ready banner plus four responses;
+* both sessions printed a ready banner plus the same number of
+  responses, the last one the HEALTH snapshot;
 * the sharded banner advertises the shard topology (``shards`` list,
   every shard running and not quarantined);
-* the pair ``value``, BATCH ``values`` and TOPK ``results`` are
+* every pair ``value``, BATCH ``values`` and TOPK ``results`` line is
   **bit-identical** between the sharded and unsharded sessions (the
-  tentpole scatter-gather guarantee), and nothing is degraded;
-* the sharded HEALTH snapshot still shows every shard healthy after the
-  traffic.
+  tentpole scatter-gather guarantee), the pair lines cover at least two
+  sources, and nothing is degraded;
+* the sharded HEALTH snapshot still shows a live runtime with every
+  shard healthy after the traffic.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+
+#: The answer field of each response kind, in the order they are checked.
+_ANSWER_FIELDS = ("value", "values", "results")
 
 
 def _fail(message: str) -> "NoReturn":  # noqa: F821 - py3.11 typing-lite
@@ -37,15 +42,26 @@ def _load(path: str) -> list[dict]:
         for line in Path(path).read_text(encoding="utf-8").splitlines()
         if line.strip()
     ]
-    if len(lines) != 5:
-        _fail(f"{path}: expected banner + 4 responses, got {len(lines)} lines")
+    if len(lines) < 3:
+        _fail(f"{path}: expected a banner, responses and HEALTH, got "
+              f"{len(lines)} lines")
     return lines
+
+
+def _answer_field(response: dict, line: int) -> str:
+    for field in _ANSWER_FIELDS:
+        if field in response:
+            return field
+    _fail(f"response {line} carries no answer: {response}")
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         _fail("usage: check_sharded_smoke.py SHARDED_OUT PLAIN_OUT")
     sharded, plain = _load(argv[0]), _load(argv[1])
+    if len(sharded) != len(plain):
+        _fail(f"sharded session printed {len(sharded)} lines, unsharded "
+              f"{len(plain)}")
 
     banner = sharded[0]
     if not banner.get("ready"):
@@ -59,24 +75,35 @@ def main(argv: list[str]) -> int:
     if not plain[0].get("ready"):
         _fail("unsharded session never became ready")
 
-    pair_s, batch_s, topk_s, health_s = sharded[1:]
-    pair_p, batch_p, topk_p, _ = plain[1:]
-    if pair_s["value"] != pair_p["value"]:
-        _fail(f"pair value drifted: {pair_s['value']} != {pair_p['value']}")
-    if batch_s["values"] != batch_p["values"]:
-        _fail(f"BATCH values drifted: {batch_s['values']} != {batch_p['values']}")
-    if topk_s["results"] != topk_p["results"]:
-        _fail(f"TOPK results drifted: {topk_s['results']} != {topk_p['results']}")
-    degraded = [r for r in (pair_s, batch_s, topk_s) if r.get("degraded")]
-    if degraded:
-        _fail(f"sharded responses degraded: {degraded}")
-    for shard in health_s.get("shards", []):
+    counts = dict.fromkeys(_ANSWER_FIELDS, 0)
+    sources = set()
+    for line, (got, want) in enumerate(zip(sharded[1:-1], plain[1:-1]), 1):
+        field = _answer_field(got, line)
+        counts[field] += 1
+        if field == "value":
+            sources.add(got["u"])
+        if got[field] != want.get(field):
+            _fail(f"response {line} drifted: {field} {got[field]} != "
+                  f"{want.get(field)}")
+        if got.get("degraded"):
+            _fail(f"sharded response {line} degraded: {got}")
+    missing = [field for field, count in counts.items() if not count]
+    if missing:
+        _fail(f"no response answered with {missing}")
+    if len(sources) < 2:
+        _fail(f"pair lines cover {len(sources)} source(s); expected >= 2")
+
+    health = sharded[-1]
+    if health.get("runtime_closed") is not False:
+        _fail(f"HEALTH snapshot taken after the drain: {health}")
+    for shard in health.get("shards", []):
         if not shard["running"] or shard["quarantined"]:
             _fail(f"shard {shard['shard']} unhealthy after traffic: {shard}")
 
     print(
         "check_sharded_smoke: OK — "
-        f"{len(shards)} shards, pair/BATCH/TOPK bit-identical to unsharded"
+        f"{len(shards)} shards, {counts['value']} pairs from "
+        f"{len(sources)} sources, BATCH and TOPK bit-identical to unsharded"
     )
     return 0
 

@@ -139,12 +139,14 @@ _MUTATION_KINDS = ("add_edge", "set_weight", "remove_edge", "add_node")
 
 _QUERY_LATENCY = get_registry().histogram(
     "query_latency_seconds",
-    help="End-to-end QueryEngine latency per score()/score_batch() call.",
+    help="End-to-end QueryEngine latency per score()/score_batch()/"
+    "score_pairs() call.",
     labelnames=("method", "mode"),
 )
 _BATCH_CANDIDATES = get_registry().histogram(
     "query_batch_candidates",
-    help="Candidate-set sizes submitted to score_batch().",
+    help="Candidate-set sizes submitted to score_batch() and pair counts "
+    "submitted to score_pairs().",
     buckets=(1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
              1000.0, 2500.0, 5000.0, 10000.0),
 )
@@ -177,15 +179,15 @@ class QueryEngine:
         disables pruning).
     backend, backend_config:
         Compute backend for the MC scoring hot path: a registered backend
-        name (``"numpy"``, ``"blocked"``, ``"numba"`` where available, or
-        any third-party registration), a ready
-        :class:`~repro.backends.ComputeBackend` instance, or ``None`` for
-        the default.  Selection precedence: explicit argument > the
-        ``REPRO_BACKEND`` environment variable > ``"numpy"``.
-        *backend_config* is a :class:`~repro.backends.BackendConfig` of
-        tuning knobs, only valid when *backend* is not already an
-        instance.  Exact backends (``numpy``, ``blocked``) return
-        bit-identical scores; jitted backends document a tolerance.
+        name (``"numpy"``, ``"blocked"``, or any third-party
+        registration), a ready :class:`~repro.backends.ComputeBackend`
+        instance, or ``None`` for the default.  Selection precedence:
+        explicit argument > the ``REPRO_BACKEND`` environment variable >
+        ``"numpy"``.  *backend_config* is a
+        :class:`~repro.backends.BackendConfig` of tuning knobs, only valid
+        when *backend* is not already an instance.  Exact backends
+        (``numpy``, ``blocked``) return bit-identical scores; inexact
+        ones document a tolerance.
     policy:
         MC proposal distribution (:class:`WalkPolicy`).
     workers:
@@ -1007,25 +1009,59 @@ class QueryEngine:
         start = time.perf_counter()
         candidates = list(candidates)
         if self._table is not None:
-            self.stats.add(
-                queries=len(candidates), batch_queries=1,
-                batch_pairs=len(candidates),
-                vectorized_pairs=len(candidates),
-            )
-            matrix = self._table.result.matrix
-            position = self._table._position
-            row = position[u]
-            cols = np.fromiter(
-                (position[v] for v in candidates), dtype=np.int64,
-                count=len(candidates),
-            )
-            scores = matrix[row, cols].astype(np.float64)
+            scores = self._table_gather([u], candidates)
         else:
             scores = self.estimator.similarity_batch(u, candidates)
         if is_enabled():
             _BATCH_CANDIDATES.observe(len(candidates))
             self._latency_batch.observe(time.perf_counter() - start)
         return scores
+
+    def score_pairs(self, us: Sequence[Node], vs: Sequence[Node]) -> np.ndarray:
+        """Return ``sim(us[i], vs[i])`` for pairs from any mix of sources.
+
+        Every entry equals :meth:`score` of its pair.  The MC SemSim
+        engine scores all pairs in one vectorised pass
+        (:meth:`~repro.core.montecarlo.MonteCarloSemSim.similarity_pairs`),
+        the iterative engine with one table gather, and every other
+        engine pair by pair.
+        """
+        start = time.perf_counter()
+        us, vs = list(us), list(vs)
+        if len(us) != len(vs):
+            raise ConfigurationError(
+                f"score_pairs needs one source per pair, got {len(us)} "
+                f"sources for {len(vs)} pairs"
+            )
+        if self._table is not None:
+            scores = self._table_gather(us, vs)
+        elif isinstance(self.estimator, MonteCarloSemSim):
+            scores = self.estimator.similarity_pairs(us, vs)
+        else:
+            similarity = self.estimator.similarity
+            scores = np.array(
+                [similarity(u, v) for u, v in zip(us, vs)], dtype=np.float64
+            )
+        if is_enabled():
+            _BATCH_CANDIDATES.observe(len(vs))
+            self._latency_batch.observe(time.perf_counter() - start)
+        return scores
+
+    def _table_gather(self, us: list[Node], vs: list[Node]) -> np.ndarray:
+        """Iterative-table scores of ``(us[i], vs[i])``; one *us* entry is
+        shared by every pair."""
+        self.stats.add(
+            queries=len(vs), batch_queries=1, batch_pairs=len(vs),
+            vectorized_pairs=len(vs),
+        )
+        position = self._table._position
+        rows = np.fromiter(
+            (position[u] for u in us), dtype=np.int64, count=len(us)
+        )
+        cols = np.fromiter(
+            (position[v] for v in vs), dtype=np.int64, count=len(vs)
+        )
+        return self._table.result.matrix[rows, cols].astype(np.float64)
 
     def single_source(
         self, u: Node, candidates: Sequence[Node] | None = None

@@ -6,9 +6,7 @@ contract.  Importing this package registers the built-in backends:
 * ``numpy`` — the reference stacked-array kernels (the baseline every
   other backend is verified against);
 * ``blocked`` — cache-blocked/preallocated kernels, bit-identical to the
-  reference and the guaranteed accelerated fallback;
-* ``numba`` — jitted per-row kernels, registered when ``numba`` is
-  importable (otherwise listed as unavailable with the reason).
+  reference and the guaranteed accelerated fallback.
 
 Select one with ``QueryEngine(backend=...)``, the CLI's ``--backend``, or
 the ``REPRO_BACKEND`` environment variable; inspect the registry with
@@ -36,10 +34,9 @@ from repro.backends.base import (
     unregister_backend,
 )
 
-# Importing the modules registers the built-ins (numba only when present).
+# Importing the modules registers the built-ins.
 from repro.backends import numpy_ref as _numpy_ref  # noqa: F401
 from repro.backends import blocked as _blocked      # noqa: F401
-from repro.backends import numba_jit as _numba_jit  # noqa: F401
 
 __all__ = [
     "BACKEND_ENV_VAR",

@@ -7,8 +7,8 @@ prepared by the estimator (walk tensors, per-step ``W``/``Q`` tables, the
 dense semantic matrix, meeting times) and every output is a plain array
 plus a handful of work counters.  :class:`ComputeBackend` pins that
 contract down so the kernels can be swapped — a different blocking
-strategy, a JIT, eventually a sharded or low-rank engine — without
-touching the estimator, the serving stack or the CLI.
+strategy, eventually a compiled kernel — without touching the estimator,
+the serving stack or the CLI.
 
 Backends register themselves by name (:func:`register_backend`) and are
 discovered through :func:`available_backends` / ``repro backends list``.
@@ -114,21 +114,19 @@ class WalkScoreRequest:
     """Inputs of the batched Algorithm-1 walk-score kernel.
 
     All arrays are prepared by :class:`~repro.core.montecarlo.MonteCarloSemSim`
-    — the kernel does no graph or measure work of its own.  Rows of the
-    kernel's intermediate planes are the met coupled walks, enumerated
-    exactly as ``np.nonzero(meetings >= 1)`` (C order); *so_lookup*, when
-    given, replaces the dense *so_matrix* with a per-pair callable (the
-    SLING ``pair_index`` path) and owns its own evaluation counting.
-
-    Row ``walks[pos_u]`` is immutable for the lifetime of the ``walks``
-    object (estimator- and mmap-backed tensors are never rewritten in
-    place), so backends may cache source-row derivations keyed on
-    ``pos_u``.
+    — the kernel does no graph or measure work of its own.  Pair *i* is
+    ``(pos_u[i], positions[i])``: every pair carries its own source, so
+    one call can score pairs from many sources.  Rows of the kernel's
+    intermediate planes are the met coupled walks, enumerated exactly as
+    ``np.nonzero(meetings >= 1)`` (C order), and each row reads only its
+    own pair's walks; *so_lookup*, when given, replaces the dense
+    *so_matrix* with a per-pair callable (the SLING ``pair_index`` path)
+    and owns its own evaluation counting.
     """
 
     walks: np.ndarray                 # (n, n_w, L + 1) node positions, -1 padded
-    pos_u: int                        # query node position
-    positions: np.ndarray             # (m,) candidate node positions
+    pos_u: np.ndarray                 # (m,) source node position per pair
+    positions: np.ndarray             # (m,) candidate node position per pair
     meetings: np.ndarray              # (m, n_w) first-meeting steps, -1 = never
     sem_matrix: np.ndarray            # (n, n) dense semantic matrix
     step_weights: np.ndarray          # (n, n_w, L) per-step edge weights W
@@ -143,7 +141,7 @@ class WalkScoreRequest:
 class WalkScoreResult:
     """Outputs of the batched walk-score kernel.
 
-    *totals* holds, per candidate, the sum of per-walk likelihood-ratio
+    *totals* holds, per pair, the sum of per-walk likelihood-ratio
     scores (the scalar path's ``sum_w _walk_score(...)``); the counters are
     the stat deltas the estimator folds into its
     :class:`~repro.core.montecarlo.EstimatorStats`.
@@ -277,7 +275,7 @@ def register_backend(cls: type[ComputeBackend]) -> type[ComputeBackend]:
 
 
 def register_unavailable(name: str, reason: str, description: str = "") -> None:
-    """Record a backend that exists but cannot run here (e.g. no numba).
+    """Record a backend that exists but cannot run here (a missing dependency).
 
     Keeps the name discoverable — ``repro backends list`` shows it with
     its reason, and selecting it raises :class:`BackendUnavailableError`

@@ -1,23 +1,17 @@
 """Flat-gather, preallocated, row-blocked backend — the guaranteed fast path.
 
-Same arithmetic as the ``numpy`` reference, reorganised around four
+Same arithmetic as the ``numpy`` reference, reorganised around three
 observations about where the reference kernel actually spends its time:
 
 * **Flat-index gathers.**  Two-array fancy indexing (``sem[nu, nv]``,
   ``walks[cr, rw]``) goes through numpy's general ``mapiter`` machinery —
   measured 2-3x slower per element than a flat ``take``.  Row gathers
-  become ``table.reshape(-1, L).take(cand * n_w + walk, axis=0)``, and the
-  per-step node-pair key plane ``walk_u * n + walk_v`` is computed **once**
-  and serves *both* element gathers: sliced ``[:, 1:]`` it addresses the
-  semantic numerators, sliced ``[:, :k]`` the SO denominators.
-* **Cached u-side key plane.**  ``walk_u * n`` depends only on the source
-  row, so for repeated same-source batches (top-k scans, coalesced serve
-  traffic, sharded scatter fan-out) the int64 plane ``walks[pos_u] * n``
-  is computed once per source and reused across calls from a small
-  per-thread cache keyed on ``pos_u`` (walk rows are never rewritten in
-  place); later calls pay one ``take`` + one integer add.  When
-  the SO denominators come from the precomputed matrix, the u-side walk
-  gather is skipped entirely — the key plane is its only consumer.
+  become ``table.reshape(-1, L).take(node * n_w + walk, axis=0)`` — on
+  both sides, since every met walk carries its own source and candidate
+  — and the per-step node-pair key plane ``walk_u * n + walk_v`` is
+  computed **once** and serves *both* element gathers: sliced ``[:, 1:]``
+  it addresses the semantic numerators, sliced ``[:, :k]`` the SO
+  denominators.
 * **Preallocated scratch.**  The factor/SO/q/cumprod planes *and* the
   step-mask planes live in thread-local buffers reused across calls
   (serving workers share one estimator, so scratch must be per-thread);
@@ -31,17 +25,15 @@ observations about where the reference kernel actually spends its time:
   planes from memory on every pass.
 
 Bit-identity argument (``exact = True``): ``take`` fetches exactly the
-floats fancy indexing fetched; the cached key plane is integer arithmetic
-(``(walks[pos_u].astype(int64) * n).take(rows)[:, :k] + walk_v`` is
-elementwise equal to ``walk_u.astype(int64) * n + walk_v`` — exact, no
-rounding); every per-step value is a pure elementwise function of that
-row's inputs; the mask writes set exactly the cells the reference's
-boolean assignments set; and the cumprod runs per row — so neither the
-gather style, the caching, nor the block boundaries can change a single
-intermediate float.  The only order-sensitive operation is the
-per-candidate summation; rows are processed in their original order and
-reduced by a **single** global ``bincount``, the exact addition sequence
-of the reference.
+floats fancy indexing fetched; the key plane is integer arithmetic
+(``walk_u.astype(int64) * n + walk_v`` — exact, no rounding); every
+per-step value is a pure elementwise function of that row's inputs; the
+mask writes set exactly the cells the reference's boolean assignments
+set; and the cumprod runs per row — so neither the gather style nor the
+block boundaries can change a single intermediate float.  The only
+order-sensitive operation is the per-pair summation; rows are processed
+in their original order and reduced by a **single** global ``bincount``,
+the exact addition sequence of the reference.
 """
 
 from __future__ import annotations
@@ -57,11 +49,6 @@ from repro.backends.base import (
     resolve_so_plane,
 )
 from repro.backends.numpy_ref import NumpyBackend
-
-#: Sources whose int64 key plane is kept per thread (top-k scans and
-#: coalesced serving hit one source many times; the plane is a few tens
-#: of KB, so a handful of entries covers every real access pattern).
-_U_KEY_CACHE = 16
 
 
 @register_backend
@@ -93,30 +80,6 @@ class BlockedBackend(NumpyBackend):
             self._scratch.planes = planes
         return planes
 
-    def _u_key_plane(
-        self, walks: np.ndarray, pos_u: int, num_nodes: int
-    ) -> np.ndarray:
-        """``walks[pos_u].astype(int64) * num_nodes``, cached per source.
-
-        The cache is invalidated whenever the walk tensor object changes
-        (a different index generation) and is thread-local, so serving
-        workers never contend.  Entries are keyed by ``pos_u``, which is
-        sound because walk rows are immutable (see
-        :class:`~repro.backends.WalkScoreRequest`).
-        """
-        cache = getattr(self._scratch, "u_keys", None)
-        if cache is None or cache[0] is not walks or cache[1] != num_nodes:
-            cache = (walks, num_nodes, {})
-            self._scratch.u_keys = cache
-        per_source = cache[2]
-        plane = per_source.get(pos_u)
-        if plane is None:
-            if len(per_source) >= _U_KEY_CACHE:
-                per_source.clear()
-            plane = walks[pos_u].astype(np.int64) * num_nodes
-            per_source[pos_u] = plane
-        return plane
-
     def batch_walk_scores(self, request: WalkScoreRequest) -> WalkScoreResult:
         meetings = request.meetings
         m = request.positions.size
@@ -127,7 +90,6 @@ class BlockedBackend(NumpyBackend):
                 totals=np.zeros(m, dtype=np.float64), walks_met=0
             )
         walks = request.walks
-        pos_u = request.pos_u
         decay = request.decay
         theta = request.theta
         met_at = meetings[rows_pair, rows_walk]                         # (R,)
@@ -137,26 +99,24 @@ class BlockedBackend(NumpyBackend):
         width1 = walks.shape[2]                                         # L + 1
         width = width1 - 1
 
-        # Flat-index row gathers: one take per table.  The u-side tables are
-        # indexed by walk alone; the candidate side by (candidate, walk)
-        # collapsed to a single flat row id.
-        flat_rows = request.positions[rows_pair] * n_w + rows_walk
-        walk_v = walks.reshape(-1, width1).take(flat_rows, axis=0)[:, : max_k + 1]
-        w_u = request.step_weights[pos_u].take(rows_walk, axis=0)[:, :max_k]
-        w_v = request.step_weights.reshape(-1, width).take(flat_rows, axis=0)[
-            :, :max_k
-        ]
-        q_u = request.step_q[pos_u].take(rows_walk, axis=0)[:, :max_k]
-        q_v = request.step_q.reshape(-1, width).take(flat_rows, axis=0)[:, :max_k]
+        # Flat-index row gathers: one take per table and side, each row
+        # addressed by its (node, walk) pair collapsed to one flat id.
+        flat_u = request.pos_u[rows_pair] * n_w + rows_walk
+        flat_v = request.positions[rows_pair] * n_w + rows_walk
+        flat_walks = walks.reshape(-1, width1)
+        walk_u = flat_walks.take(flat_u, axis=0)[:, : max_k + 1]
+        walk_v = flat_walks.take(flat_v, axis=0)[:, : max_k + 1]
+        flat_w = request.step_weights.reshape(-1, width)
+        w_u = flat_w.take(flat_u, axis=0)[:, :max_k]
+        w_v = flat_w.take(flat_v, axis=0)[:, :max_k]
+        flat_q = request.step_q.reshape(-1, width)
+        q_u = flat_q.take(flat_u, axis=0)[:, :max_k]
+        q_v = flat_q.take(flat_v, axis=0)[:, :max_k]
 
         # One key plane, two gathers: keys[:, 1:] addresses sem(nu, nv),
-        # keys[:, :max_k] addresses SO(cu, cv).  The u-side term
-        # walk_u * n (int64: it overflows int32 past ~46k nodes) is cached
-        # across calls, so a repeated source pays one take + one add.
-        keys = self._u_key_plane(walks, pos_u, num_nodes).take(
-            rows_walk, axis=0
-        )[:, : max_k + 1]
-        keys = keys + walk_v
+        # keys[:, :max_k] addresses SO(cu, cv).  int64: walk_u * n
+        # overflows int32 past ~46k nodes.
+        keys = walk_u.astype(np.int64) * num_nodes + walk_v
 
         f_s, so_s, q_s, run_s, act_s, bad_s, tmp_s = self._buffers(n_rows, max_k)
         factor = f_s[:n_rows, :max_k]
@@ -169,18 +129,15 @@ class BlockedBackend(NumpyBackend):
 
         np.take(request.sem_matrix, keys[:, 1:], out=factor)
         if request.so_lookup is None:
-            # active cells = one per step before each meeting; the u-side
-            # walk gather is not needed at all on this path — the cached
-            # key plane is its only consumer.
+            # active cells = one per step before each meeting
             so_evaluations = int(met_at.sum())
             np.take(request.so_matrix, keys[:, :max_k], out=so)
         else:
             so_evaluations = 0
-            walk_u = walks[pos_u].take(rows_walk, axis=0)[:, :max_k]
             step_ids_full = np.arange(max_k)
             active_full = step_ids_full[None, :] < met_at[:, None]
             so[...] = resolve_so_plane(
-                walk_u, walk_v[:, :max_k], active_full,
+                walk_u[:, :max_k], walk_v[:, :max_k], active_full,
                 num_nodes, request.so_lookup,
             )
 

@@ -39,11 +39,12 @@ class NumpyBackend(ComputeBackend):
         if n_rows == 0:
             return WalkScoreResult(totals=totals, walks_met=0)
         walks = request.walks
-        pos_u = request.pos_u
-        positions = request.positions
+        # each met walk's own pair: its source row and its candidate row
+        src_u = request.pos_u[rows_pair]
+        src_v = request.positions[rows_pair]
         max_k = int(meetings.max())
-        walk_u = walks[pos_u][rows_walk, : max_k + 1]                   # (R, K+1)
-        walk_v = walks[positions[rows_pair], rows_walk][:, : max_k + 1]
+        walk_u = walks[src_u, rows_walk][:, : max_k + 1]                # (R, K+1)
+        walk_v = walks[src_v, rows_walk][:, : max_k + 1]
         met_at = meetings[rows_pair, rows_walk]                         # (R,)
         step_ids = np.arange(max_k)
         active = step_ids[None, :] < met_at[:, None]                    # (R, K)
@@ -63,8 +64,8 @@ class NumpyBackend(ComputeBackend):
         # P numerator, replaying the scalar operation order exactly:
         # (sem(nu, nv) * W(nu -> cu)) * W(nv -> cv).  W and Q come from the
         # precomputed per-step tables (identical floats, no lookups).
-        w_u = request.step_weights[pos_u, rows_walk][:, :max_k]
-        w_v = request.step_weights[positions[rows_pair], rows_walk][:, :max_k]
+        w_u = request.step_weights[src_u, rows_walk][:, :max_k]
+        w_v = request.step_weights[src_v, rows_walk][:, :max_k]
         numerator = request.sem_matrix[nu, nv] * w_u * w_v
 
         # SO denominators.  Without a pair_index every value comes straight
@@ -82,8 +83,8 @@ class NumpyBackend(ComputeBackend):
                 cu, cv, active, request.sem_matrix.shape[0], request.so_lookup
             )
 
-        q_u = request.step_q[pos_u, rows_walk][:, :max_k]
-        q_v = request.step_q[positions[rows_pair], rows_walk][:, :max_k]
+        q_u = request.step_q[src_u, rows_walk][:, :max_k]
+        q_v = request.step_q[src_v, rows_walk][:, :max_k]
         q_step = q_u * q_v
 
         # Per-step factor (p_step * c) / q_step, 1 on inactive steps and 0

@@ -398,12 +398,10 @@ def _serve_mutate(runtime: ServingRuntime, head: str, parts: list, line: str):
     })
 
 
-def _serve_render(entry, runtime: ServingRuntime) -> dict:
+def _serve_render(entry) -> dict:
     """Resolve one queue entry into its JSON payload (never raises)."""
     kind, payload = entry
-    if kind == "health":
-        return runtime.health()
-    if kind in ("error", "mutation"):
+    if kind in ("error", "mutation", "health"):
         return payload
     try:
         return payload.result().as_dict()
@@ -507,7 +505,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             entry = entries.get()
             if entry is _SERVE_DONE:
                 return
-            print(json.dumps(_serve_render(entry, runtime)), flush=True)
+            print(json.dumps(_serve_render(entry)), flush=True)
 
     printer = threading.Thread(
         target=_printer, name="repro-serve-printer", daemon=True
@@ -533,7 +531,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if not line:
                 break
             if line.upper() == "HEALTH":
-                entries.put(("health", None))
+                # snapshot now, at the line's place in the stream: the
+                # printer may reach this entry only after EOF has started
+                # the drain and closed the runtime
+                entries.put(("health", runtime.health()))
                 continue
             entries.put(_serve_submit(runtime, line))
     except KeyboardInterrupt:

@@ -116,9 +116,9 @@ class DynamicWalkIndex:
     Wraps a private copy of the graph (updates go through this class only)
     and keeps the walk tensor identical to what a from-scratch
     :class:`WalkIndex` build on the mutated graph would sample under the
-    same seed.  Query methods mirror :class:`WalkIndex`, so estimators plug
-    in unchanged — but must be recreated after mutations (enforced via
-    :attr:`epoch` / :class:`~repro.errors.StaleIndexError`).
+    same seed.  Query methods delegate to an inner :class:`WalkIndex`, so
+    estimators plug in unchanged — but must be recreated after mutations
+    (enforced via :attr:`epoch` / :class:`~repro.errors.StaleIndexError`).
 
     Supported mutations: :meth:`add_edge` (insert or re-weight — the model
     has no parallel edges), :meth:`set_weight`, :meth:`remove_edge` and
@@ -203,74 +203,25 @@ class DynamicWalkIndex:
     # ------------------------------------------------------------------
     # WalkIndex-compatible query API
     # ------------------------------------------------------------------
-    @property
-    def index(self):
-        """Mirror of :class:`WalkIndex`.index for drop-in use."""
-        return self._inner.index
+    def __getattr__(self, name: str):
+        """Delegate every public :class:`WalkIndex` attribute to the inner index.
 
-    @property
-    def num_walks(self) -> int:
-        """Mirror of :class:`WalkIndex`.num_walks for drop-in use."""
-        return self._inner.num_walks
-
-    @property
-    def length(self) -> int:
-        """Mirror of :class:`WalkIndex`.length for drop-in use."""
-        return self._inner.length
-
-    @property
-    def policy(self) -> WalkPolicy:
-        """Mirror of :class:`WalkIndex`.policy for drop-in use."""
-        return self._inner.policy
-
-    @property
-    def walks(self) -> np.ndarray:
-        """Mirror of :class:`WalkIndex`.walks for drop-in use."""
-        return self._inner.walks
-
-    @property
-    def tables(self) -> _TransitionTables:
-        """Mirror of :class:`WalkIndex`.tables for drop-in use."""
-        return self._inner.tables
+        Only reached for names this class does not define, so the query
+        methods (``first_meetings_pairs``, ``node_positions``, ...) and
+        views (``walks``, ``index``, ``tables``, ...) always read the
+        current generation's tensor and tables — a method added to
+        :class:`WalkIndex` is served here with no pass-through to keep.
+        """
+        if name.startswith("_"):
+            # private names never delegate (and copy/pickle probe
+            # dunders before _inner exists)
+            raise AttributeError(name)
+        return getattr(self._inner, name)
 
     @property
     def entropy(self) -> int:
         """The seed entropy every per-node draw stream derives from."""
         return self._entropy
-
-    def node_position(self, node: Node) -> int:
-        """See :meth:`WalkIndex.node_position`."""
-        return self._inner.node_position(node)
-
-    def node_positions(self, nodes) -> np.ndarray:
-        """See :meth:`WalkIndex.node_positions`."""
-        return self._inner.node_positions(nodes)
-
-    def walks_from(self, node: Node) -> np.ndarray:
-        """See :meth:`WalkIndex.walks_from`."""
-        return self._inner.walks_from(node)
-
-    def first_meetings(self, u: Node, v: Node) -> np.ndarray:
-        """See :meth:`WalkIndex.first_meetings`."""
-        return self._inner.first_meetings(u, v)
-
-    def first_meetings_batch(self, query: Node, candidates) -> np.ndarray:
-        """See :meth:`WalkIndex.first_meetings_batch`."""
-        return self._inner.first_meetings_batch(query, candidates)
-
-    def q_step_probability(self, current: int, chosen: int) -> float:
-        """See :meth:`WalkIndex.q_step_probability`."""
-        return self._inner.q_step_probability(current, chosen)
-
-    @property
-    def storage_entries(self) -> int:
-        """Mirror of :class:`WalkIndex`.storage_entries for drop-in use."""
-        return self._inner.storage_entries
-
-    @property
-    def storage_bytes(self) -> int:
-        """Mirror of :class:`WalkIndex`.storage_bytes for drop-in use."""
-        return self._inner.storage_bytes
 
     # ------------------------------------------------------------------
     # Updates

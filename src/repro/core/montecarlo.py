@@ -27,10 +27,13 @@ Both estimators expose a **batched query path**
 ``{(u, v_i)}`` is estimated in one numpy pass — first-meeting detection,
 likelihood-ratio products and the θ walk-cut all run on stacked
 ``(num_pairs, num_walks, length)`` arrays instead of per-pair
-``similarity()`` calls.  The batch path reproduces the scalar path's
-arithmetic operation-for-operation, so the two agree to float precision;
-when it cannot run vectorised (no dense semantic matrix is available) it
-falls back to scalar queries and counts the fallback in the stats.
+``similarity()`` calls.  :meth:`MonteCarloSemSim.similarity_pairs` is the
+same pass over pairs ``{(u_i, v_i)}`` from any mix of sources; the
+single-source batch is its special case.  The batch path reproduces the
+scalar path's arithmetic operation-for-operation, so the two agree
+bit for bit; when it cannot run vectorised (no dense semantic matrix is
+available) it falls back to scalar queries and counts the fallback in
+the stats.
 
 A note on the paper's Algorithm 1 listing: it accumulates ``Pw`` and ``Qw``
 cumulatively *and* multiplies ``Pw/Qw`` into ``sim_w`` at every step, which
@@ -76,8 +79,8 @@ _STAT_HELP: dict[str, str] = {
     "walks_pruned": "Met walks frozen early by the theta walk-cut (Def. 4.5).",
     "so_evaluations": "SO(u, v) denominators computed from scratch.",
     "sem_gate_hits": "Pairs short-circuited to 0 by the Prop. 2.5 semantic gate.",
-    "batch_queries": "Calls to a similarity_batch entry point.",
-    "batch_pairs": "Total pairs submitted through similarity_batch.",
+    "batch_queries": "Calls to a similarity_batch/similarity_pairs entry point.",
+    "batch_pairs": "Total pairs submitted through similarity_batch/similarity_pairs.",
     "vectorized_pairs": "Batch pairs scored on the stacked-array fast path.",
     "scalar_fallbacks": "Batch pairs that fell back to scalar similarity().",
 }
@@ -126,9 +129,9 @@ class EstimatorStats:
     sem_gate_hits:
         Pairs short-circuited to 0 by the Prop. 2.5 semantic gate.
     batch_queries:
-        Calls to a ``similarity_batch`` entry point.
+        Calls to a ``similarity_batch`` or ``similarity_pairs`` entry point.
     batch_pairs:
-        Total pairs submitted through ``similarity_batch``.
+        Total pairs submitted through those entry points.
     vectorized_pairs:
         Batch pairs scored on the stacked-array fast path.
     scalar_fallbacks:
@@ -388,11 +391,10 @@ class MonteCarloSemSim:
         self._nodes = graph_index.nodes
         self._in_lists = graph_index.in_lists
         self._in_weights = graph_index.in_weights
-        # weight_to[v][a] = W(a, v) for O(1) edge-weight lookups by position.
-        self._weight_to: list[dict[int, float]] = [
-            dict(zip(map(int, graph_index.in_lists[v]), map(float, graph_index.in_weights[v])))
-            for v in range(graph_index.num_nodes)
-        ]
+        # weight_to[v][a] = W(a, v) for O(1) edge-weight lookups by position;
+        # only the per-walk loop reads it, so it is built on that loop's
+        # first run (see _walk_score).
+        self._weight_to: list[dict[int, float]] | None = None
         # Fast path: a MatrixMeasure whose node order matches the index lets
         # the O(d²) SO sum collapse to one vectorised bilinear form, and is
         # what unlocks the fully vectorised batch path below.
@@ -537,50 +539,38 @@ class MonteCarloSemSim:
     ) -> np.ndarray:
         """Estimate ``sim(u, v_i)`` for a whole candidate set in one pass.
 
-        Agrees with per-candidate :meth:`similarity` calls to float
-        precision (the arithmetic is replayed in the same operation order
-        on stacked arrays).  Requires a dense semantic matrix to run
-        vectorised — built automatically when *measure* is a
+        The single-source case of :meth:`similarity_pairs`: the same
+        identity, θ-gate and kernel sequence, with *u*'s walk rows shared
+        by every candidate instead of gathered per pair.
+        """
+        index = self.walk_index
+        return self._score_positions(
+            index.node_position(u), index.node_positions(candidates)
+        )
+
+    def similarity_pairs(
+        self, us: Sequence[Node], vs: Sequence[Node]
+    ) -> np.ndarray:
+        """Estimate ``sim(us[i], vs[i])`` for pairs from any mix of sources.
+
+        One vectorised pass over all pairs: each pair's score reads only
+        its own two walk rows, and its arithmetic is replayed in the
+        scalar operation order, so every entry equals :meth:`similarity`
+        of that pair.  Requires a dense semantic matrix to run vectorised
+        — built automatically when *measure* is a
         :class:`~repro.semantics.cache.MatrixMeasure` in index node order;
         otherwise every pair falls back to the scalar path (counted in
         ``stats.scalar_fallbacks``).
         """
-        self._check_epoch()
-        m = len(candidates)
-        self.stats.add(batch_queries=1, batch_pairs=m)
-        if m == 0:
-            return np.empty(0, dtype=np.float64)
-        if self._sem_matrix is None:
-            self.stats.add(scalar_fallbacks=m)
-            return np.array(
-                [self.similarity(u, v) for v in candidates], dtype=np.float64
+        if len(us) != len(vs):
+            raise ConfigurationError(
+                f"similarity_pairs needs one source per pair, got "
+                f"{len(us)} sources for {len(vs)} pairs"
             )
-        self.stats.add(vectorized_pairs=m, queries=m)
-
         index = self.walk_index
-        pos_u = index.node_position(u)
-        positions = index.node_positions(candidates)
-        scores = np.zeros(m, dtype=np.float64)
-
-        identity = positions == pos_u
-        scores[identity] = 1.0
-
-        sem_row = self._sem_matrix[pos_u, positions]
-        if self.theta is not None:
-            gated = (sem_row <= self.theta) & ~identity
-            self.stats.add(sem_gate_hits=int(gated.sum()))
-        else:
-            gated = np.zeros(m, dtype=bool)
-        active = ~identity & ~gated
-        active_idx = np.flatnonzero(active)
-        if active_idx.size == 0:
-            return scores
-        self.stats.add(walks_examined=int(active_idx.size) * index.num_walks)
-
-        meetings = index.first_meetings_batch(u, positions[active_idx])
-        totals = self._batch_walk_scores(pos_u, positions[active_idx], meetings)
-        scores[active_idx] = sem_row[active_idx] * totals / index.num_walks
-        return scores
+        return self._score_positions(
+            index.node_positions(us), index.node_positions(vs)
+        )
 
     def similarity_with_interval(
         self, u: Node, v: Node, z: float = 1.96
@@ -636,6 +626,12 @@ class MonteCarloSemSim:
         :class:`EstimatorStats` once per public query, which is what keeps
         the registry-mirrored counters off this hot path.
         """
+        weight_to = self._weight_to
+        if weight_to is None:
+            weight_to = self._weight_to = [
+                dict(zip(map(int, in_list), map(float, in_weights)))
+                for in_list, in_weights in zip(self._in_lists, self._in_weights)
+            ]
         score = 1.0
         so_evals = 0
         for step in range(meeting):
@@ -645,8 +641,8 @@ class MonteCarloSemSim:
             next_v = int(walk_v[step + 1])
             numerator = (
                 self.measure.similarity(self._nodes[next_u], self._nodes[next_v])
-                * self._weight_to[current_u][next_u]
-                * self._weight_to[current_v][next_v]
+                * weight_to[current_u][next_u]
+                * weight_to[current_v][next_v]
             )
             so, fresh = self._so_value(current_u, current_v)
             so_evals += fresh
@@ -702,6 +698,59 @@ class MonteCarloSemSim:
     # ------------------------------------------------------------------
     # Internals — vectorised batch path
     # ------------------------------------------------------------------
+    def _score_positions(
+        self, pos_u: int | np.ndarray, pos_v: np.ndarray
+    ) -> np.ndarray:
+        """Scores of the pairs ``(pos_u[i], pos_v[i])`` — both batch entries.
+
+        *pos_u* is one source position shared by every pair, or one per
+        pair.  Identity pairs score 1, θ-gated pairs (Prop. 2.5) 0, and
+        the rest run first-meeting detection plus the backend kernel.
+        """
+        self._check_epoch()
+        m = pos_v.size
+        self.stats.add(batch_queries=1, batch_pairs=m)
+        if m == 0:
+            return np.empty(0, dtype=np.float64)
+        sources = np.broadcast_to(pos_u, pos_v.shape)
+        if self._sem_matrix is None:
+            self.stats.add(scalar_fallbacks=m)
+            nodes = self._nodes
+            return np.array(
+                [
+                    self.similarity(nodes[a], nodes[b])
+                    for a, b in zip(sources.tolist(), pos_v.tolist())
+                ],
+                dtype=np.float64,
+            )
+        self.stats.add(vectorized_pairs=m, queries=m)
+
+        index = self.walk_index
+        scores = np.zeros(m, dtype=np.float64)
+        identity = pos_v == sources
+        scores[identity] = 1.0
+
+        sem = self._sem_matrix[sources, pos_v]
+        if self.theta is not None:
+            gated = (sem <= self.theta) & ~identity
+            self.stats.add(sem_gate_hits=int(gated.sum()))
+        else:
+            gated = np.zeros(m, dtype=bool)
+        active_idx = np.flatnonzero(~identity & ~gated)
+        if active_idx.size == 0:
+            return scores
+        self.stats.add(walks_examined=int(active_idx.size) * index.num_walks)
+
+        live_u = sources[active_idx]
+        live_v = pos_v[active_idx]
+        # a shared source is compared by broadcasting, not gathered per pair
+        meetings = index.first_meetings_pairs(
+            pos_u if np.ndim(pos_u) == 0 else live_u, live_v
+        )
+        totals = self._batch_walk_scores(live_u, live_v, meetings)
+        scores[active_idx] = sem[active_idx] * totals / index.num_walks
+        return scores
+
     def _in_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every edge as ``(rows, cols, weights)``, ``cols[k] -> rows[k]``.
 
@@ -736,7 +785,10 @@ class MonteCarloSemSim:
             return
         weight_matrix = self._weight_matrix()
         left = np.asarray(weight_matrix @ self._sem_matrix)          # W sem
-        self._so_matrix = np.asarray(weight_matrix @ left.T).T       # W sem Wᵀ
+        so_matrix = np.asarray(weight_matrix @ left.T).T             # W sem Wᵀ
+        # Stored in C order, as an opened artifact's is: the blocked
+        # kernel's flat take would otherwise copy the whole matrix per call.
+        self._so_matrix = np.ascontiguousarray(so_matrix)
         _count_tables_built("full")
 
     def _patch_so(self, so_matrix: np.ndarray, rows: np.ndarray) -> None:
@@ -854,14 +906,14 @@ class MonteCarloSemSim:
         return cached
 
     def _batch_walk_scores(
-        self, pos_u: int, positions: np.ndarray, meetings: np.ndarray
+        self, pos_u: np.ndarray, positions: np.ndarray, meetings: np.ndarray
     ) -> np.ndarray:
-        """Sum of per-walk likelihood-ratio scores for each candidate.
+        """Sum of per-walk likelihood-ratio scores for each pair.
 
-        *meetings* is the ``(m, num_walks)`` first-meeting array for
-        ``(pos_u, positions[i])``; the return value's entry *i* equals the
-        scalar path's ``sum_w _walk_score(...)`` for candidate *i*.  The
-        arithmetic itself lives in the compute backend — this method
+        *meetings* is the ``(m, num_walks)`` first-meeting array for the
+        pairs ``(pos_u[i], positions[i])``; the return value's entry *i*
+        equals the scalar path's ``sum_w _walk_score(...)`` for pair *i*.
+        The arithmetic itself lives in the compute backend — this method
         prepares the request (step tables, SO source) and folds the
         kernel's work counters back into the stats.
         """

@@ -374,20 +374,30 @@ class WalkIndex:
         """First-meeting steps of *query* against many candidates at once.
 
         Returns an int64 array of shape ``(len(candidates), num_walks)``
-        whose row *i* equals ``first_meetings(query, candidates[i])`` — but
-        computed in one stacked comparison over the walk tensor instead of
-        one pass per candidate.
+        whose row *i* equals ``first_meetings(query, candidates[i])`` — the
+        single-source case of :meth:`first_meetings_pairs`.
         """
         positions = (
             np.asarray(candidates, dtype=np.int64)
             if isinstance(candidates, np.ndarray)
             else self.node_positions(candidates)
         )
-        walks_q = self.walks[self.node_position(query)]  # (n_w, t + 1)
-        walks_c = self.walks[positions]                  # (m, n_w, t + 1)
-        same = (walks_c == walks_q[None, :, :]) & (walks_c >= 0) & (
-            walks_q[None, :, :] >= 0
-        )
+        return self.first_meetings_pairs(self.node_position(query), positions)
+
+    def first_meetings_pairs(
+        self, pos_u: int | np.ndarray, pos_v: np.ndarray
+    ) -> np.ndarray:
+        """First-meeting steps of the pairs ``(pos_u[i], pos_v[i])``.
+
+        *pos_u* is one source position shared by every pair, or one per
+        pair; *pos_v* holds the candidate positions.  Returns an int64
+        ``(len(pos_v), num_walks)`` array whose row *i* equals
+        ``first_meetings`` of pair *i*, computed in one stacked comparison
+        over the walk tensor.
+        """
+        walks_u = self.walks[pos_u]         # (n_w, t + 1) or (m, n_w, t + 1)
+        walks_v = self.walks[pos_v]         # (m, n_w, t + 1)
+        same = (walks_v == walks_u) & (walks_v >= 0) & (walks_u >= 0)
         same[:, :, 0] = False
         met_anywhere = same.any(axis=2)
         first = same.argmax(axis=2)

@@ -134,7 +134,18 @@ def log_event(
     become top-level JSON attributes via ``extra``.  Records are cheap
     no-ops unless a handler is listening at *level*.  An active trace
     context contributes a ``trace_id`` field (an explicit keyword wins).
+
+    A field named like a standard :class:`logging.LogRecord` attribute
+    (``name``, ``msg``, ``module``, ...) raises :class:`ValueError` at
+    every level — ``logging`` would refuse it only once a handler
+    listens, so the mistake would surface in production, not in tests.
     """
+    if not _STANDARD_RECORD_ATTRS.isdisjoint(fields):
+        reserved = sorted(_STANDARD_RECORD_ATTRS.intersection(fields))
+        raise ValueError(
+            f"log_event({event!r}): field(s) {reserved} would overwrite "
+            "LogRecord attributes; rename them"
+        )
     if logger.isEnabledFor(level):
         if "trace_id" not in fields:
             trace_id = current_trace_id()

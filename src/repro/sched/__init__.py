@@ -5,9 +5,9 @@ The ``repro.sched`` package turns the request/response serving stack of
 
 * :class:`AdmissionQueue` — bounded FIFO; overload is answered at
   submission time with :class:`Overloaded`, never by silent drops.
-* :func:`plan_groups` — the coalescer: same-source single-pair requests
-  in a micro-batch merge into one vectorised ``score_batch`` call
-  (bit-identical to scalar ``score`` — the PR 1 guarantee).
+* :func:`plan_groups` — the coalescer: every single-pair request in a
+  micro-batch, whatever its source, merges into one vectorised
+  ``score_pairs`` call (bit-identical to scalar ``score``).
 * :class:`WorkerPool` — N dispatch threads (numpy releases the GIL)
   behind a pluggable thread factory.
 * :class:`ServingRuntime` — ties the three together over one

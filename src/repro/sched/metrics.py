@@ -46,8 +46,8 @@ EXPIRED = _REGISTRY.counter(
 )
 COALESCED = _REGISTRY.counter(
     "sched_coalesced_requests_total",
-    help="Single-pair requests merged into a shared same-source "
-    "score_batch call (requests dispatched alone are not counted).",
+    help="Single-pair requests merged into a shared score_pairs call "
+    "(requests dispatched alone are not counted).",
 )
 WORKERS = _REGISTRY.gauge(
     "sched_workers",

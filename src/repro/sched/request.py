@@ -53,34 +53,19 @@ class ScheduledRequest:
         """Whether the deadline passed before *now* (no deadline: never)."""
         return self.deadline is not None and now > self.deadline
 
-    @property
-    def coalesce_key(self) -> tuple[str, Node] | None:
-        """Requests sharing a key may merge into one vectorised call.
-
-        Only single-pair ``score`` requests coalesce: two of them with the
-        same source node become rows of one ``score_batch`` call (PR 1
-        guarantees the batch path is bit-identical to scalar ``score``).
-        ``batch`` and ``topk`` requests are already vectorised and
-        dispatch as singleton groups.
-        """
-        if self.kind == KIND_SCORE:
-            return (KIND_SCORE, self.u)
-        return None
-
 
 @dataclass(slots=True)
 class DispatchGroup:
     """One engine call's worth of coalesced requests.
 
-    For a merged ``score`` group, ``requests[i]`` is answered by row *i*
-    of one ``score_batch(u, [r.v ...])`` call; other kinds are singleton
-    groups executed as-is.  Groups preserve admission order: requests
-    within a group are sorted by *seq*, and groups are dispatched in
-    order of their earliest member.
+    For the ``score`` group, ``requests[i]`` is answered by pair *i* of
+    one ``score_pairs([r.u ...], [r.v ...])`` call; other kinds are
+    singleton groups executed as-is.  Groups preserve admission order:
+    requests within a group are sorted by *seq*, and groups are
+    dispatched in order of their earliest member.
     """
 
     kind: str
-    u: Node
     requests: list[ScheduledRequest]
 
     @property
@@ -94,25 +79,23 @@ class DispatchGroup:
 def plan_groups(requests: Sequence[ScheduledRequest]) -> list[DispatchGroup]:
     """Partition one micro-batch into dispatch groups, deterministically.
 
-    Same-source single-pair requests merge (whatever their interleaving
-    in the batch — the merge is by key, not adjacency); everything else
-    stays a singleton group.  The output order is by each group's first
-    admission *seq*, so the same set of requests always produces the same
-    dispatch plan regardless of which worker picked them up.
+    Every single-pair request merges into one ``score`` group, whatever
+    its source and its place in the batch: each pair's score reads only
+    its own walk rows, so one ``score_pairs`` call answers them all
+    bit-identically to scalar ``score``.  ``batch`` and ``topk`` requests
+    are already vectorised and stay singleton groups.  The output order
+    is by each group's first admission *seq*, so the same set of requests
+    always produces the same dispatch plan regardless of which worker
+    picked them up.
     """
-    merged: dict[tuple[str, Node], DispatchGroup] = {}
+    pairs: DispatchGroup | None = None
     groups: list[DispatchGroup] = []
     for request in sorted(requests, key=lambda r: r.seq):
-        key = request.coalesce_key
-        if key is None:
-            groups.append(DispatchGroup(request.kind, request.u, [request]))
-            continue
-        group = merged.get(key)
-        if group is None:
-            group = DispatchGroup(request.kind, request.u, [request])
-            merged[key] = group
-            groups.append(group)
+        if request.kind != KIND_SCORE:
+            groups.append(DispatchGroup(request.kind, [request]))
+        elif pairs is None:
+            pairs = DispatchGroup(KIND_SCORE, [request])
+            groups.append(pairs)
         else:
-            group.requests.append(request)
-    groups.sort(key=lambda g: g.first_seq)
+            pairs.requests.append(request)
     return groups

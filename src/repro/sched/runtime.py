@@ -11,16 +11,16 @@ the resilient :class:`~repro.serve.QueryService` stack:
   :class:`~repro.serve.DeadlineExceeded` at dispatch — every admitted
   request gets exactly one answer, never a silent drop;
 * **dynamic micro-batching** — a worker popping the queue lingers up to
-  ``max_wait_us`` for the batch to fill to ``max_batch``; same-source
-  single-pair requests in the batch are merged into **one**
-  ``score_batch`` call (bit-identical to scalar ``score`` — the PR 1
-  guarantee this scheduler is built on), and cross-source requests ride
-  the same micro-batch through the vectorised paths back to back;
+  ``max_wait_us`` for the batch to fill to ``max_batch``; every
+  single-pair request in the batch, whatever its source, is merged into
+  **one** ``score_pairs`` call (bit-identical to scalar ``score`` — the
+  guarantee this scheduler is built on), and ``BATCH``/``TOPK`` requests
+  ride the same micro-batch through the vectorised paths back to back;
 * **workers** — plain threads by default (the numpy gathers under
   ``score_batch`` release the GIL) behind the
   :class:`~repro.sched.pool.WorkerPool` factory seam.
 
-Resilience still comes from PR 4: every micro-batch group goes through
+Resilience still comes from PR 4: every dispatch group goes through
 ``manager.acquire()`` (retries, circuit breaker, degraded fallback), and
 every logical response carries the ``degraded`` flag and retry count of
 the acquisition that answered it.
@@ -396,38 +396,37 @@ class ServingRuntime:
         acquisition = self.service.manager.acquire()
         engine = acquisition.engine
         graph = engine.graph
-        if group.u not in graph:
-            exc = NodeNotFoundError(group.u)
-            for request in group.requests:
-                self._finish_error(request, exc)
-            return
         if group.kind == KIND_SCORE:
             self._execute_score_group(group, acquisition, engine, graph)
+            return
+        request = group.requests[0]
+        if request.u not in graph:
+            self._finish_error(request, NodeNotFoundError(request.u))
         elif group.kind == KIND_BATCH:
-            self._execute_batch(group.requests[0], acquisition, engine, graph)
+            self._execute_batch(request, acquisition, engine, graph)
         elif group.kind == KIND_TOPK:
-            self._execute_topk(group.requests[0], acquisition, engine)
+            self._execute_topk(request, acquisition, engine)
         else:  # pragma: no cover — submission API cannot build other kinds
             raise ValueError(f"unknown request kind {group.kind!r}")
 
     def _execute_score_group(self, group, acquisition, engine, graph) -> None:
         live: list[ScheduledRequest] = []
         for request in group.requests:
-            if request.v not in graph:
+            # an unknown node fails only its own request
+            if request.u not in graph:
+                self._finish_error(request, NodeNotFoundError(request.u))
+            elif request.v not in graph:
                 self._finish_error(request, NodeNotFoundError(request.v))
             else:
                 live.append(request)
         if not live:
             return
         kernel_started = self._clock() if self.timings else 0.0
-        if len(live) == 1:
-            values = (engine.score(live[0].u, live[0].v),)
-        else:
-            # the coalesced path: one vectorised call answers every row,
-            # bit-identical to per-pair score() (the PR 1 guarantee)
-            values = engine.score_batch(group.u, [r.v for r in live])
-            if is_enabled():
-                COALESCED.inc(len(live))
+        # one vectorised call answers every pair of the micro-batch,
+        # bit-identical to per-pair score()
+        values = engine.score_pairs([r.u for r in live], [r.v for r in live])
+        if len(live) > 1 and is_enabled():
+            COALESCED.inc(len(live))
         end = self._clock()
         kernel_us = (end - kernel_started) * 1e6 if self.timings else 0.0
         trace_id = group.requests[0].trace_id

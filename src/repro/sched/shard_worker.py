@@ -2,7 +2,8 @@
 
 A shard worker serves one contiguous node range ``[lo, hi)`` of the
 index (see :mod:`repro.store.sharding`) and answers four operations over
-a duplex pipe: ``batch`` (scores for candidate positions it owns),
+a duplex pipe: ``batch`` (scores for candidate positions it owns, from
+one source or one source per candidate),
 ``topk`` (its range's exact local top-k), ``health`` and ``stats`` (a
 mergeable snapshot of the worker process's metrics registry — see
 :mod:`repro.obs.aggregate` — which the router folds under a ``shard``
@@ -25,9 +26,9 @@ the unsharded server runs — and :class:`ShardEngine` only translates
 global node positions to nodes and back.  The arrays are memory-mapped
 read-only, so the router and all workers share the index's pages, and
 every worker holds every walk row: a request carries node positions
-only, whichever shard owns the source.  Per-candidate scores never
-depend on which other candidates share the batch (each row's factor
-chain and reduction read only that row), so scattering a batch across
+only, whichever shard owns the source.  A pair's score never depends
+on which other pairs share the call (each row's factor chain and
+reduction read only that pair's walks), so scattering pairs across
 shards and gathering the pieces reproduces the unsharded floats exactly
 — the property suite in ``tests/properties/test_shard_identity.py``
 holds this to ``==``.
@@ -60,6 +61,19 @@ OP_SHUTDOWN = "shutdown"
 _SPAN_OPS = frozenset({OP_BATCH, OP_TOPK, OP_HEALTH, OP_STATS})
 
 
+def score_positions(engine, nodes, pos_u, positions) -> np.ndarray:
+    """Scores of the pairs ``(pos_u[i], positions[i])``, by node position.
+
+    *pos_u* is one source position shared by every pair — one
+    ``score_batch`` call — or one per pair — one ``score_pairs`` call.
+    *nodes* maps positions to the nodes *engine* is queried with.
+    """
+    candidates = [nodes[int(position)] for position in positions]
+    if np.ndim(pos_u) == 0:
+        return engine.score_batch(nodes[int(pos_u)], candidates)
+    return engine.score_pairs([nodes[int(p)] for p in pos_u], candidates)
+
+
 class ShardEngine:
     """One node range ``[lo, hi)`` of the index, scored by its engine.
 
@@ -90,12 +104,13 @@ class ShardEngine:
             self.nodes[pos_u], positions
         )
 
-    def score_positions(self, pos_u: int, positions) -> np.ndarray:
-        """Scores for global candidate *positions*, all within this range."""
-        nodes = self.nodes
-        return self.engine.score_batch(
-            nodes[pos_u], [nodes[int(position)] for position in positions]
-        )
+    def score_positions(self, pos_u, positions) -> np.ndarray:
+        """Scores for global candidate *positions*, all within this range.
+
+        *pos_u* is one source position, or one per candidate (see
+        :func:`score_positions`).
+        """
+        return score_positions(self.engine, self.nodes, pos_u, positions)
 
     def top_k_positions(
         self,

@@ -6,8 +6,9 @@ future-based API — but the dispatch step routes through one worker
 **process** per shard instead of one in-process engine:
 
 * a single-pair request goes to the shard owning the *candidate*'s node
-  range (coalesced same-source groups scatter their candidate set, so
-  the PR 5 micro-batching win and the multi-process win compose);
+  range (a micro-batch's coalesced pairs, whatever their sources, scatter
+  as ``(source, candidate)`` pairs, so the micro-batching win and the
+  multi-process win compose);
 * ``BATCH`` scatters candidates by owning range and gathers the pieces
   back into submission order — bit-identical to the unsharded call
   because per-candidate scores never depend on their batch-mates;
@@ -80,6 +81,7 @@ from repro.sched.shard_worker import (
     OP_SHUTDOWN,
     OP_STATS,
     OP_TOPK,
+    score_positions,
     shard_worker_main,
 )
 from repro.serve.breaker import CircuitBreaker, CircuitState
@@ -306,6 +308,11 @@ class ShardClient:
             self._fail_pending(ShardFailure(f"shard {self.index} closed"))
         if worker is not None:
             worker.shutdown(timeout)
+
+
+def _members(pos_u: int | np.ndarray, member_idx: np.ndarray):
+    """The sources of pairs *member_idx*: a shared source stays one int."""
+    return pos_u if np.ndim(pos_u) == 0 else pos_u[member_idx]
 
 
 # ---------------------------------------------------------------------------
@@ -754,18 +761,17 @@ class ShardedRuntime(ServingRuntime):
     # Dispatch overrides — scatter, gather, merge
     # ------------------------------------------------------------------
     def _execute_group(self, group: DispatchGroup) -> None:
-        pos_u = self._node_position.get(group.u)
-        if pos_u is None:
-            exc = NodeNotFoundError(group.u)
-            for request in group.requests:
-                self._finish_error(request, exc)
-            return
         if group.kind == KIND_SCORE:
-            self._execute_score_group_sharded(group, pos_u)
+            self._execute_score_group_sharded(group)
+            return
+        request = group.requests[0]
+        pos_u = self._node_position.get(request.u)
+        if pos_u is None:
+            self._finish_error(request, NodeNotFoundError(request.u))
         elif group.kind == KIND_BATCH:
-            self._execute_batch_sharded(group.requests[0], pos_u)
+            self._execute_batch_sharded(request, pos_u)
         elif group.kind == KIND_TOPK:
-            self._execute_topk_sharded(group.requests[0], pos_u)
+            self._execute_topk_sharded(request, pos_u)
         else:  # pragma: no cover — submission API cannot build other kinds
             raise ValueError(f"unknown request kind {group.kind!r}")
 
@@ -787,14 +793,20 @@ class ShardedRuntime(ServingRuntime):
         return extras
 
     def _scatter_scores(
-        self, pos_u: int, positions: np.ndarray, deadline: float | None
+        self,
+        pos_u: int | np.ndarray,
+        positions: np.ndarray,
+        deadline: float | None,
     ):
-        """Scores for *positions*, routed by owner, fallback for failures.
+        """Scores of the pairs ``(pos_u[i], positions[i])``, routed by owner.
 
-        Returns ``(values, degraded_mask, fallback_acquisition, timing)``
-        where the mask marks candidates answered by the fallback stack
-        and *timing* is the ``--timings`` latency breakdown (``None``
-        when timings are off).
+        *pos_u* is one source position shared by every pair (a ``BATCH``)
+        or one per pair (a micro-batch's single-pair group).  Each pair
+        goes to the shard owning its candidate; pairs of failed shards
+        are answered by the fallback stack.  Returns ``(values,
+        degraded_mask, fallback_acquisition, timing)`` where the mask
+        marks pairs answered by the fallback and *timing* is the
+        ``--timings`` latency breakdown (``None`` when timings are off).
         """
         owners = np.searchsorted(self._range_starts, positions, side="right") - 1
         values = np.empty(positions.size, dtype=np.float64)
@@ -814,7 +826,7 @@ class ShardedRuntime(ServingRuntime):
                 continue
             try:
                 future = self._clients[shard_id].submit(
-                    OP_BATCH, pos_u=pos_u,
+                    OP_BATCH, pos_u=_members(pos_u, member_idx),
                     positions=positions[member_idx], **extras,
                 )
             except ShardFailure as exc:
@@ -837,9 +849,9 @@ class ShardedRuntime(ServingRuntime):
             acquisition = self.service.manager.acquire(deadline=deadline)
             engine = acquisition.engine
             for shard_id, member_idx in failed:
-                nodes = [self._nodes[int(p)] for p in positions[member_idx]]
-                values[member_idx] = engine.score_batch(
-                    self._nodes[pos_u], nodes
+                values[member_idx] = score_positions(
+                    engine, self._nodes,
+                    _members(pos_u, member_idx), positions[member_idx],
                 )
                 degraded[member_idx] = True
         if is_enabled():
@@ -853,15 +865,22 @@ class ShardedRuntime(ServingRuntime):
             }
         return values, degraded, acquisition, timing
 
-    def _execute_score_group_sharded(self, group: DispatchGroup, pos_u: int) -> None:
+    def _execute_score_group_sharded(self, group: DispatchGroup) -> None:
         live = []
+        sources = []
         positions = []
+        position = self._node_position
         for request in group.requests:
-            pos_v = self._node_position.get(request.v)
-            if pos_v is None:
+            # an unknown node fails only its own request
+            pos_u = position.get(request.u)
+            pos_v = position.get(request.v)
+            if pos_u is None:
+                self._finish_error(request, NodeNotFoundError(request.u))
+            elif pos_v is None:
                 self._finish_error(request, NodeNotFoundError(request.v))
             else:
                 live.append(request)
+                sources.append(pos_u)
                 positions.append(pos_v)
         if not live:
             return
@@ -871,7 +890,9 @@ class ShardedRuntime(ServingRuntime):
             (r.deadline for r in live if r.deadline is not None), default=None
         )
         values, degraded, acquisition, timing = self._scatter_scores(
-            pos_u, np.asarray(positions, dtype=np.int64), deadline
+            np.asarray(sources, dtype=np.int64),
+            np.asarray(positions, dtype=np.int64),
+            deadline,
         )
         end = self._clock()
         trace_id = group.requests[0].trace_id

@@ -90,7 +90,7 @@ class CircuitBreaker:
         if is_enabled():
             CIRCUIT_STATE.labels(name=self.name).set(_GAUGE_VALUE[to])
             CIRCUIT_TRANSITIONS.labels(name=self.name, to=to.value).inc()
-        log_event(_LOG, "circuit.transition", name=self.name, to=to.value)
+        log_event(_LOG, "circuit.transition", breaker=self.name, to=to.value)
 
     def allow(self) -> bool:
         """May the caller attempt the guarded operation right now?

@@ -93,6 +93,31 @@ class TestExactEquivalence:
             assert estimator.similarity(u, v) == float(value)
 
     @pytest.mark.parametrize("backend", EXACT_BACKENDS)
+    @pytest.mark.parametrize("theta", [None, 0.05])
+    @pytest.mark.parametrize("sling", [False, True])
+    def test_mixed_source_pairs_match_scalar(
+        self, model, index, matrix_measure, backend, theta, sling
+    ):
+        """One kernel call over pairs from many sources — identity and
+        θ-gated pairs included — equals the per-walk loop pair by pair,
+        on the dense SO path and the pair_index path alike."""
+        graph, measure = model
+        pair_index = SlingIndex(graph, measure, theta=0.05) if sling else None
+        estimator = MonteCarloSemSim(
+            index, matrix_measure, theta=theta, pair_index=pair_index,
+            backend=backend,
+        )
+        nodes = sorted(graph.nodes(), key=str)
+        rng = np.random.default_rng(3)
+        us = [nodes[int(i)] for i in rng.integers(len(nodes), size=40)]
+        vs = [nodes[int(i)] for i in rng.integers(len(nodes), size=40)]
+        us, vs = us + nodes[:3], vs + nodes[:3]
+        batch = estimator.similarity_pairs(us, vs)
+        assert [estimator.similarity(u, v) for u, v in zip(us, vs)] == (
+            batch.tolist()
+        )
+
+    @pytest.mark.parametrize("backend", EXACT_BACKENDS)
     def test_simrank_scores_identical(self, model, index, backend):
         graph, _ = model
         reference = MonteCarloSimRank(index, backend="numpy")

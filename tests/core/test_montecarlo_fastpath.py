@@ -54,3 +54,36 @@ class TestMatrixFastPath:
             assert fast.similarity(*pair) == pytest.approx(
                 slow.similarity(*pair), abs=1e-12
             )
+
+
+class TestLazyTables:
+    def test_so_matrix_is_c_contiguous_cold_mutated_and_opened(
+        self, model, tmp_path
+    ):
+        """The blocked kernel's flat ``take`` reads SO without a per-call
+        copy only in C order — whichever way the engine got its SO."""
+        from repro.api import QueryEngine
+
+        graph, measure = model
+        engine = QueryEngine(graph, measure, num_walks=20, length=6, seed=4)
+        nodes = list(graph.nodes())
+        engine.score_batch(nodes[0], nodes)  # builds SO cold
+        source, target, weight, _label = next(iter(graph.edges()))
+        mutated = engine.with_mutations(
+            [("set_weight", source, target, weight + 1.0)]
+        )
+        opened = QueryEngine.open(engine.save(tmp_path / "idx"))
+        for built in (engine, mutated, opened):
+            assert built.estimator._so_matrix.flags.c_contiguous
+
+    def test_weight_lookup_waits_for_the_per_walk_loop(self, model):
+        from repro.api import QueryEngine
+
+        graph, measure = model
+        engine = QueryEngine(graph, measure, num_walks=20, length=6, seed=4)
+        nodes = list(graph.nodes())
+        engine.score_batch(nodes[0], nodes)
+        assert engine.estimator._weight_to is None  # the batch path never reads it
+        for v in nodes:
+            engine.score(nodes[0], v)
+        assert engine.estimator._weight_to is not None

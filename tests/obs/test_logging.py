@@ -87,6 +87,36 @@ class TestConfigureLogging:
         assert json.loads(stream.getvalue())["level"] == "WARNING"
 
 
+class TestReservedFields:
+    """``logging`` refuses ``extra`` keys that overwrite LogRecord
+    attributes, but only when a handler listens; log_event refuses them
+    at every level, so the configured state of logging (and hence test
+    order) cannot hide the mistake."""
+
+    @pytest.mark.parametrize("configured", [False, True])
+    @pytest.mark.parametrize("key", ["name", "msg", "module", "message"])
+    def test_reserved_keys_rejected_at_every_level(self, configured, key):
+        if configured:
+            configure_logging(stream=io.StringIO())
+        with pytest.raises(ValueError, match=key):
+            log_event(get_logger("tests"), "unit.event", **{key: "x"})
+
+    def test_breaker_transitions_log_under_info(self):
+        from repro.serve import CircuitBreaker
+
+        stream = io.StringIO()
+        configure_logging(stream=stream)
+        breaker = CircuitBreaker(name="unit-breaker", failure_threshold=1)
+        breaker.record_failure()
+        records = [json.loads(line) for line in stream.getvalue().splitlines()]
+        transition = next(
+            r for r in records if r["event"] == "circuit.transition"
+        )
+        assert transition["breaker"] == "unit-breaker"
+        assert transition["to"] == "open"
+        assert transition["logger"] == "repro.serve.breaker"
+
+
 class TestJsonLogFormatter:
     def _record(self, **extra):
         record = logging.LogRecord(

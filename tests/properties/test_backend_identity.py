@@ -81,6 +81,37 @@ def test_batch_scores_honour_equivalence_contract(
 @COMMON
 @given(
     seed=st.integers(0, 10_000),
+    num_entities=st.integers(4, 10),
+    extra_edges=st.integers(4, 16),
+    theta=st.sampled_from([None, 0.05, 0.3]),
+    workload_seed=st.integers(0, 1_000),
+)
+def test_mixed_source_pairs_honour_equivalence_contract(
+    backend, seed, num_entities, extra_edges, theta, workload_seed
+):
+    """One ``score_pairs`` call over pairs from many sources — identity
+    pairs and θ-gated pairs (``root`` has ``sem`` 0 with every node)
+    included — equals the backend's own per-walk loop bit for bit and
+    honours its contract against the numpy reference."""
+    reference, candidate, nodes = _engines(
+        seed, num_entities, extra_edges, backend, theta=theta
+    )
+    rng = np.random.default_rng(workload_seed)
+    pick = lambda: nodes[int(rng.integers(len(nodes)))]  # noqa: E731
+    pairs = [(pick(), pick()) for _ in range(30)]
+    pairs += [(v, v) for v in nodes[:2]] + [("root", pick()), (pick(), "root")]
+    us, vs = zip(*pairs)
+    served = candidate.score_pairs(us, vs)
+    assert served.tolist() == [candidate.score(u, v) for u, v in pairs]
+    _assert_contract(
+        backend, [reference.score(u, v) for u, v in pairs], served
+    )
+
+
+@pytest.mark.parametrize("backend", RUNNABLE)
+@COMMON
+@given(
+    seed=st.integers(0, 10_000),
     num_entities=st.integers(4, 9),
     extra_edges=st.integers(4, 12),
     max_batch=st.sampled_from([1, 3, 8]),

@@ -6,7 +6,8 @@ seed, or the mix of sources — every response carries **exactly** the
 value a sequential ``score()`` call returns.  This extends the PR 1
 batch-vs-scalar guarantee (``tests/properties/test_batch_vs_scalar.py``)
 up through the scheduling layer: grouping, group ordering, and the
-merged ``score_batch`` dispatch must never perturb a single bit.
+merged ``score_pairs`` dispatch — one call over every single-pair request
+of a micro-batch, whatever its source — must never perturb a single bit.
 
 Dispatch here is inline (``autostart=False`` + ``close(drain=True)``),
 so hypothesis explores the coalescer's full decision space with no
@@ -15,8 +16,10 @@ thread-interleaving noise; the thread-level version of the same claim is
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.errors import NodeNotFoundError
 from repro.sched import ServingRuntime
 from repro.serve import IndexManager, QueryService
 
@@ -27,13 +30,15 @@ COMMON = settings(
 )
 
 
-def _runtime(seed, num_entities, extra_edges, method, max_batch):
+def _runtime(seed, num_entities, extra_edges, method, max_batch, theta=0.05):
     graph, measure = random_hin_with_measure(
         seed, num_entities=num_entities, extra_edges=extra_edges
     )
     manager = IndexManager(
         graph, measure,
-        engine_kwargs=dict(method=method, num_walks=20, length=5, seed=seed),
+        engine_kwargs=dict(
+            method=method, num_walks=20, length=5, seed=seed, theta=theta
+        ),
         background_rebuild=False,
     )
     service = QueryService(manager)
@@ -75,6 +80,43 @@ def test_coalesced_scores_bit_identical_to_sequential(
     runtime.close(drain=True)
     for (u, v), future in zip(pairs, futures):
         assert future.result(timeout=1).value == engine.score(u, v)
+
+
+@COMMON
+@given(
+    seed=st.integers(0, 10_000),
+    num_entities=st.integers(4, 10),
+    extra_edges=st.integers(4, 16),
+    method=st.sampled_from(["iterative", "mc"]),
+    theta=st.sampled_from([None, 0.05, 0.3]),
+    max_batch=st.sampled_from([1, 5, 32]),
+    workload_seed=st.integers(0, 1_000),
+)
+def test_mixed_source_pairs_bit_identical_with_gates_and_unknowns(
+    seed, num_entities, extra_edges, method, theta, max_batch, workload_seed
+):
+    """Pairs from every source share micro-batches with identity pairs,
+    θ-gated pairs (``root`` has ``sem`` 0 with every node) and unknown
+    nodes; each known pair equals its scalar score, each unknown one
+    fails alone."""
+    runtime, engine, nodes = _runtime(
+        seed, num_entities, extra_edges, method, max_batch, theta=theta
+    )
+    rng = np.random.default_rng(workload_seed)
+    pick = lambda: nodes[int(rng.integers(len(nodes)))]  # noqa: E731
+    pairs = [(pick(), pick()) for _ in range(24)]
+    pairs += [(v, v) for v in nodes[:3]]
+    pairs += [("root", pick()), (pick(), "root")]
+    pairs += [("ghost", pick()), (pick(), "ghost")]
+    pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+    futures = [runtime.submit_score(u, v) for u, v in pairs]
+    runtime.close(drain=True)
+    for (u, v), future in zip(pairs, futures):
+        if "ghost" in (u, v):
+            with pytest.raises(NodeNotFoundError, match="ghost"):
+                future.result(timeout=1)
+        else:
+            assert future.result(timeout=1).value == engine.score(u, v)
 
 
 @COMMON

@@ -26,7 +26,9 @@ from repro.core import DynamicWalkIndex, MonteCarloSimRank, WalkIndex
 from repro.core.metrics import ESTIMATOR_TABLES_BUILT
 from repro.core.walk_index import WalkPolicy
 from repro.hin import HIN
+from repro.sched import ServingRuntime
 from repro.semantics.cache import MatrixMeasure
+from repro.serve import IndexManager, QueryService
 
 COMMON = settings(
     max_examples=12, deadline=None,
@@ -326,6 +328,50 @@ def test_carried_estimator_tables_bit_identical_to_cold_engine(
         assert np.array_equal(
             engine.score_batch(u, nodes), cold.score_batch(u, nodes)
         )
+
+
+@COMMON
+@given(
+    graph_seed=st.integers(0, 10_000),
+    schedule_seed=st.integers(0, 10_000),
+    policy=st.sampled_from(POLICIES),
+    generations=st.integers(1, 3),
+    max_batch=st.sampled_from([4, 32]),
+)
+def test_coalesced_mixed_source_scores_after_swaps_match_cold_rebuild(
+    graph_seed, schedule_seed, policy, generations, max_batch,
+):
+    """Generation swaps through the serving stack, then micro-batches of
+    pairs from many sources: the mutated generation's pairwise kernel
+    path (``first_meetings_pairs`` on the dynamic index) answers each
+    pair with a cold engine's floats on the mutated graph."""
+    graph = base_graph(graph_seed, 10, 24)
+    measure = dense_measure(graph, graph_seed)
+    kwargs = dict(num_walks=20, length=6, policy=policy, seed=graph_seed)
+    manager = IndexManager(
+        graph, measure, engine_kwargs=dict(kwargs), background_rebuild=False
+    )
+    runtime = ServingRuntime(
+        QueryService(manager), max_batch=max_batch, max_wait_us=0,
+        queue_depth=10_000, autostart=False,
+    )
+    rng = np.random.default_rng(schedule_seed)
+    replica = graph.copy()
+    kinds = ("insert", "reweight", "delete")
+    for _ in range(generations):
+        runtime.apply_mutations(
+            mutation_batch(replica, rng, kinds, int(rng.integers(1, 4)))
+        )
+    nodes = list(graph.nodes())
+    pairs = [
+        (nodes[int(a)], nodes[int(b)])
+        for a, b in rng.integers(len(nodes), size=(40, 2))
+    ] + [(v, v) for v in nodes[:2]]
+    futures = [runtime.submit_score(u, v) for u, v in pairs]
+    runtime.close(drain=True)
+    cold = QueryEngine(replica, measure, **kwargs)
+    for (u, v), future in zip(pairs, futures):
+        assert future.result(timeout=1).value == cold.score(u, v)
 
 
 def test_uniform_reweight_restamps_tables_without_restepping():

@@ -12,19 +12,18 @@ by owner cannot perturb them; the top-k merge re-selects the global k
 from exact per-shard top-k lists under the same ``(value, str(node))``
 total order the unsharded heap uses.  These tests hold both to ``==``.
 
-Single-pair requests ride the batch path (a one-candidate scatter), so
-their bit-exact reference is ``score_batch(u, [v])[0]`` — identical to
-scalar ``score`` for SemSim (the PR 1 guarantee), and within the repo's
-documented ``1e-12`` scalar-vs-batch envelope for plain SimRank (the
-batch kernel sums the full walk axis where the scalar path sums the
-compacted met-only array; see ``test_batch_vs_scalar.py``).
+Single-pair requests of one micro-batch, whatever their sources, scatter
+as ``(source, candidate)`` pairs to the shards owning the candidates and
+are answered by ``score_pairs`` there, whose every entry equals scalar
+``score`` — so their reference is ``score(u, v)`` itself, for SemSim and
+plain SimRank alike.  Identity pairs, θ-gated pairs and unknown nodes
+(which fail only their own request) ride the same micro-batch.
 
 Workers run on in-process threads (the same ``shard_worker_main`` the
 forked workers execute) and dispatch is inline, so hypothesis explores
 plans and estimators with zero interleaving noise.  The shard workers'
 compute backend is drawn too — every ``exact`` backend must uphold the
-guarantee, and the blocked backend's source-row caching interacts with
-the sharded worker's in-place slot-row rewrites.
+guarantee, with one source per pair.
 """
 
 import shutil
@@ -32,9 +31,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import QueryEngine
+from repro.errors import NodeNotFoundError
 from repro.sched import ShardedRuntime, ThreadShardWorker
 from repro.serve import IndexManager, QueryService
 from repro.store import ShardPlan
@@ -76,8 +77,7 @@ def _plan_from_spec(spec, num_nodes) -> ShardPlan:
     semantic=st.booleans(),
     spec=SHARD_SPECS,
     workload_seed=st.integers(0, 1_000),
-    # every exact backend must uphold the guarantee — the blocked
-    # backend's source-row cache sees the sharded slot-row rewrites
+    # every exact backend must uphold the guarantee
     backend=st.sampled_from(["numpy", "blocked"]),
 )
 def test_sharded_results_bit_identical_to_unsharded(
@@ -110,11 +110,16 @@ def test_sharded_results_bit_identical_to_unsharded(
         rng = np.random.default_rng(workload_seed)
         sources = [nodes[int(rng.integers(len(nodes)))] for _ in range(3)]
 
-        score_futures = [
-            (u, v, runtime.submit_score(u, v))
+        # one mixed-source micro-batch of pairs (max_batch=16), with an
+        # identity pair and unknown nodes on either side mixed in
+        pairs = [
+            (u, nodes[int(rng.integers(len(nodes)))])
             for u in sources
-            for v in (nodes[int(rng.integers(len(nodes)))] for _ in range(4))
-        ]
+            for _ in range(4)
+        ] + [(sources[0], sources[0]), ("ghost", sources[1]),
+             (sources[2], "ghost")]
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        score_futures = [(u, v, runtime.submit_score(u, v)) for u, v in pairs]
         batch_futures = [(u, runtime.submit_batch(u, nodes)) for u in sources]
         ks = [1, 3, len(nodes)]
         topk_futures = [
@@ -123,11 +128,12 @@ def test_sharded_results_bit_identical_to_unsharded(
         runtime.close(drain=True)
 
         for u, v, future in score_futures:
+            if "ghost" in (u, v):
+                with pytest.raises(NodeNotFoundError, match="ghost"):
+                    future.result(timeout=5)
+                continue
             response = future.result(timeout=5)
-            assert response.value == engine.score_batch(u, [v])[0]
-            np.testing.assert_allclose(
-                response.value, engine.score(u, v), rtol=0, atol=1e-12
-            )
+            assert response.value == engine.score(u, v)
             assert not response.degraded
         for u, future in batch_futures:
             np.testing.assert_array_equal(

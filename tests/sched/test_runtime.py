@@ -32,7 +32,7 @@ class TestDispatchParity:
         futures = [runtime.submit_score(u, v) for v in rest]
         runtime.close(drain=True)
         assert [f.result().value for f in futures] == expected
-        # all four rode one score_batch call
+        # all four rode one score_pairs call
         delta = metrics_delta()
         assert delta["counters"]["sched_coalesced_requests_total"] == 4
         assert delta["histograms"]["sched_batch_size_count"] == 1
@@ -199,28 +199,49 @@ class TestErrors:
             with pytest.raises(NodeNotFoundError):
                 future.result(timeout=1)
 
+    def test_unknown_node_fails_only_its_own_pair(
+        self, make_service, make_runtime, nodes
+    ):
+        # one micro-batch, one pair group: ghosts on either side fail
+        # alone while their group-mates from other sources are answered
+        service = make_service()
+        runtime = make_runtime(service, autostart=False)
+        pairs = [
+            (nodes[0], nodes[1]), ("ghost", nodes[1]), (nodes[2], nodes[0]),
+            (nodes[1], "ghost"), (nodes[1], nodes[1]),
+        ]
+        futures = [runtime.submit_score(u, v) for u, v in pairs]
+        runtime.close(drain=True)
+        engine = service.manager.acquire().engine
+        for (u, v), future in zip(pairs, futures):
+            if "ghost" in (u, v):
+                with pytest.raises(NodeNotFoundError, match="ghost"):
+                    future.result(timeout=1)
+            else:
+                assert future.result(timeout=1).value == engine.score(u, v)
+
     def test_worker_survives_engine_exceptions(
         self, make_service, make_runtime, nodes, monkeypatch
     ):
         service = make_service()
         runtime = make_runtime(service, workers=1, max_batch=1)
         engine = service.manager.acquire().engine
-        original = engine.score
+        original = engine.score_pairs
         calls = {"n": 0}
 
-        def flaky(u, v):
+        def flaky(us, vs):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("injected")
-            return original(u, v)
+            return original(us, vs)
 
-        monkeypatch.setattr(engine, "score", flaky)
+        monkeypatch.setattr(engine, "score_pairs", flaky)
         first = runtime.submit_score(nodes[0], nodes[1])
         with pytest.raises(RuntimeError, match="injected"):
             first.result(timeout=5)
         # the worker thread is still alive and serving
-        assert runtime.score(nodes[0], nodes[1]).value == pytest.approx(
-            original(nodes[0], nodes[1])
+        assert runtime.score(nodes[0], nodes[1]).value == engine.score(
+            nodes[0], nodes[1]
         )
 
 

@@ -193,6 +193,22 @@ class TestScatterGatherParity:
         assert delta["histograms"]["shard_scatter_fanout_count"] == 1
         assert delta["histograms"]["shard_merge_seconds_count"] == 1
 
+    def test_mixed_source_pairs_scatter_once(
+        self, make_sharded, sharded_model, nodes, metrics_delta
+    ):
+        _, _, engine, _, _ = sharded_model
+        runtime = make_sharded(3, max_batch=16)
+        pairs = [(nodes[i % 4], nodes[(3 * i + 1) % len(nodes)])
+                 for i in range(8)]
+        futures = [runtime.submit_score(u, v) for u, v in pairs]
+        runtime.close(drain=True)
+        for (u, v), future in zip(pairs, futures):
+            assert future.result(timeout=5).value == engine.score(u, v)
+        delta = metrics_delta()
+        assert delta["counters"]["sched_coalesced_requests_total"] == 8
+        # four sources, one scatter: each pair goes to its candidate's shard
+        assert delta["histograms"]["shard_scatter_fanout_count"] == 1
+
     def test_unknown_nodes_answered_with_not_found(self, make_sharded, nodes):
         runtime = make_sharded(2)
         f_bad_u = runtime.submit_score("ghost", nodes[0])
@@ -220,10 +236,9 @@ class TestScatterGatherParity:
 class TestBackendParity:
     """Sharded identity must hold for every exact backend, not just numpy.
 
-    Guards the blocked backend's per-source u-side key-plane cache: one
-    shard worker serves several *distinct* sources in turn, including
-    sources outside its own range, and must never reuse one source's
-    cached plane for another.
+    One shard worker serves several *distinct* sources in turn, including
+    sources outside its own range, and must score each from its own walk
+    rows.
     """
 
     @pytest.mark.parametrize("backend", ["numpy", "blocked"])

@@ -236,7 +236,7 @@ class TestProtocolLines:
 
         runtime = self._Runtime(outcome)
         entry = _serve_submit(runtime, line)
-        return runtime, _serve_render(entry, runtime)
+        return runtime, _serve_render(entry)
 
     def test_update_line_applies_one_add_edge(self):
         runtime, payload = self.submit("UPDATE a b 2.5")

@@ -395,6 +395,18 @@ class TestShardedServe:
         assert sharded[3]["results"] == plain[3]["results"]
         assert not any(r["degraded"] for r in sharded[1:])
 
+    def test_health_before_eof_reports_the_live_shards(
+        self, index_path, monkeypatch, capsys
+    ):
+        # HEALTH is the last line: its snapshot is taken when the line is
+        # read, before EOF starts the drain that closes the shard clients
+        _, _, health = self._serve(
+            "n3 n4\nHEALTH\n", monkeypatch, capsys,
+            "--index", str(index_path), "--shards", "2",
+        )
+        assert health["runtime_closed"] is False
+        assert [s["running"] for s in health["shards"]] == [True, True]
+
     def test_rebuilt_index_is_served_without_shard_artifacts(
         self, bundle_path, tmp_path, monkeypatch, capsys
     ):
