@@ -45,7 +45,6 @@ ORDER = [
     "clustering",
     "scaling_profile",
     "scaling_sparse_engine",
-    "lowrank_accuracy",
     "join",
     "serve_overhead",
     "serve_throughput",

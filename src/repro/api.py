@@ -76,7 +76,6 @@ from repro.core.walk_index import (
     save_walk_index,
 )
 from repro.errors import ConfigurationError
-from repro.linear import LinearSemSim, LowRankSemSim
 from repro.hin.graph import (
     DEFAULT_EDGE_LABEL,
     DEFAULT_NODE_LABEL,
@@ -163,15 +162,8 @@ class QueryEngine:
         The semantic measure ``sem``; ``None`` drops the semantic layer and
         the engine answers plain SimRank queries instead.
     method:
-        ``"mc"`` (scalable Monte-Carlo over a walk index, the default),
-        ``"iterative"`` (exact fixed point, table lookups), ``"linear"``
-        (per-query linearized solver — exact up to a declared residual
-        bound, never allocates an N×N table) or ``"lowrank"`` (offline
-        rank-r factorization, O(r) per pair online).
-    estimator:
-        Alias for *method* (matches the CLI's ``--estimator`` flag); when
-        given it takes precedence, and passing both with different values
-        is a :class:`ConfigurationError`.
+        ``"mc"`` (scalable Monte-Carlo over a walk index, the default) or
+        ``"iterative"`` (exact fixed point, table lookups).
     decay, num_walks, length, theta, seed:
         The five canonical knobs, validated identically to every
         underlying engine.  ``num_walks``/``length``/``seed`` only apply to
@@ -202,15 +194,7 @@ class QueryEngine:
         Optional SLING-style ``SO`` cache forwarded to the MC estimator.
     max_iterations, tolerance:
         Fixed-point controls for ``method="iterative"`` (defaults follow
-        :class:`~repro.core.semsim.SemSim`); for ``method="linear"`` and
-        ``method="lowrank"`` *tolerance* bounds the series truncation
-        instead.
-    rank:
-        Factorization rank for ``method="lowrank"`` (default 16).
-    max_states:
-        Memory guard of the ``method="linear"`` per-query solver: a solve
-        discovering more pair states raises
-        :class:`ConfigurationError` instead of exhausting memory.
+        :class:`~repro.core.semsim.SemSim`).
     cache_dir:
         Root of a content-addressed :class:`~repro.store.ArtifactStore`.
         When given, construction first looks up an artifact keyed by
@@ -234,7 +218,6 @@ class QueryEngine:
         measure: SemanticMeasure | None = None,
         *,
         method: str = "mc",
-        estimator: str | None = None,
         decay: float = 0.6,
         num_walks: int = 150,
         length: int = 15,
@@ -248,23 +231,13 @@ class QueryEngine:
         pair_index=None,
         max_iterations: int | None = None,
         tolerance: float | None = None,
-        rank: int | None = None,
-        max_states: int | None = None,
         cache_dir: str | Path | None = None,
         walks_path: str | Path | None = None,
         _artifact: StoredArtifact | None = None,
     ) -> None:
-        if estimator is not None:
-            if method != "mc" and method != estimator:
-                raise ConfigurationError(
-                    f"conflicting method={method!r} and estimator="
-                    f"{estimator!r}; pass one (they are aliases)"
-                )
-            method = estimator
-        if method not in ("mc", "iterative", "linear", "lowrank"):
+        if method not in ("mc", "iterative"):
             raise ConfigurationError(
-                "method must be one of 'mc', 'iterative', 'linear' or "
-                f"'lowrank', got {method!r}"
+                f"method must be 'mc' or 'iterative', got {method!r}"
             )
         self.graph = graph
         self.method = method
@@ -279,10 +252,6 @@ class QueryEngine:
         self.pair_index = pair_index
         self._max_iterations = max_iterations
         self._tolerance = tolerance
-        if rank is not None and int(rank) < 1:
-            raise ConfigurationError(f"rank must be >= 1, got {rank!r}")
-        self.rank = None if rank is None else int(rank)
-        self._max_states = None if max_states is None else int(max_states)
         seed_param = seed
         self._seed_key = (
             int(seed_param)
@@ -372,37 +341,6 @@ class QueryEngine:
                     backend=self.backend,
                 )
             self.stats = self.estimator.stats
-        elif self.method == "linear":
-            if walks_path is not None:
-                raise ConfigurationError(
-                    "walks_path only applies to method='mc'"
-                )
-            self.estimator = LinearSemSim(
-                self.graph,
-                self.measure,
-                decay=self.decay,
-                theta=self.theta,
-                tolerance=self._tolerance,
-                max_iterations=self._max_iterations,
-                max_states=self._max_states,
-            )
-            self.stats = self.estimator.stats
-        elif self.method == "lowrank":
-            if walks_path is not None:
-                raise ConfigurationError(
-                    "walks_path only applies to method='mc'"
-                )
-            self.estimator = LowRankSemSim.build(
-                self.graph,
-                self.measure,
-                decay=self.decay,
-                theta=self.theta,
-                rank=self.rank,
-                seed=self._seed_key,
-                tolerance=self._tolerance,
-            )
-            self.rank = self.estimator.rank
-            self.stats = self.estimator.stats
         else:
             if walks_path is not None:
                 raise ConfigurationError(
@@ -474,8 +412,6 @@ class QueryEngine:
             materialized=materialized,
             max_iterations=self._max_iterations,
             tolerance=self._tolerance,
-            rank=self.rank,
-            max_states=self._max_states,
         )
 
     def _cache_lookup(
@@ -587,50 +523,6 @@ class QueryEngine:
                     step_q=artifact.arrays.get("step_q"),
                 )
             self.stats = self.estimator.stats
-        elif self.method == "linear":
-            # No offline tables: restoring is just rebuilding the solver
-            # against the embedded graph and mapped semantic matrix.
-            self.estimator = LinearSemSim(
-                self.graph,
-                self.measure,
-                decay=self.decay,
-                theta=self.theta,
-                tolerance=self._tolerance,
-                max_iterations=self._max_iterations,
-                max_states=self._max_states,
-            )
-            self.stats = self.estimator.stats
-        elif self.method == "lowrank":
-            factors = artifact.arrays.get("lowrank_factors")
-            eigenvalues = artifact.arrays.get("lowrank_eigenvalues")
-            diag = artifact.arrays.get("lowrank_diag")
-            if factors is None or eigenvalues is None or diag is None:
-                raise StoreError(
-                    f"artifact at {artifact.path} stores no low-rank "
-                    f"factors (was it built with method='lowrank'?)"
-                )
-            n = self.graph.num_nodes
-            if factors.shape[0] != n:
-                raise StoreError(
-                    f"stored factor matrix shape {factors.shape} does not "
-                    f"match {n} graph nodes"
-                )
-            terms = artifact.meta.get("terms")
-            self.estimator = LowRankSemSim(
-                self.graph,
-                self.measure,
-                factors,
-                eigenvalues,
-                diag,
-                decay=self.decay,
-                theta=self.theta,
-                terms=None if terms is None else int(terms),
-                exact_diagonal=bool(
-                    artifact.meta.get("exact_diagonal", False)
-                ),
-            )
-            self.rank = self.estimator.rank
-            self.stats = self.estimator.stats
         else:
             scores = artifact.arrays.get("scores")
             if scores is None:
@@ -715,6 +607,12 @@ class QueryEngine:
                 f"artifact at {artifact.path} records no engine parameters"
             )
         method = params["method"]
+        if method not in ("mc", "iterative"):
+            raise StoreError(
+                f"artifact at {artifact.path} holds a {method!r} engine, "
+                "which this version no longer serves; rebuild it with "
+                "'repro index build --method mc' (or iterative)"
+            )
         kwargs: dict[str, object] = {
             "method": method,
             "decay": params.get("decay", 0.6),
@@ -734,14 +632,6 @@ class QueryEngine:
             kwargs["num_walks"] = params.get("num_walks", 150)
             kwargs["length"] = params.get("length", 15)
             kwargs["seed"] = params.get("seed")
-        elif method == "lowrank":
-            kwargs["rank"] = params.get("rank")
-            kwargs["seed"] = params.get("seed")
-            kwargs["tolerance"] = params.get("tolerance")
-        elif method == "linear":
-            kwargs["max_iterations"] = params.get("max_iterations")
-            kwargs["tolerance"] = params.get("tolerance")
-            kwargs["max_states"] = params.get("max_states")
         else:
             kwargs["max_iterations"] = params.get("max_iterations")
             kwargs["tolerance"] = params.get("tolerance")
@@ -1023,8 +913,8 @@ class QueryEngine:
         Every entry equals :meth:`score` of its pair.  The MC SemSim
         engine scores all pairs in one vectorised pass
         (:meth:`~repro.core.montecarlo.MonteCarloSemSim.similarity_pairs`),
-        the iterative engine with one table gather, and every other
-        engine pair by pair.
+        the iterative engine with one table gather, and the MC SimRank
+        engine (no measure) pair by pair.
         """
         start = time.perf_counter()
         us, vs = list(us), list(vs)
@@ -1120,12 +1010,6 @@ class QueryEngine:
         """Return all unordered pairs scoring above *min_score*, best first."""
         if self._table is not None:
             return self._join_from_table(min_score, restrict_to)
-        if self.method in ("linear", "lowrank"):
-            raise ConfigurationError(
-                f"join() is not supported for method={self.method!r} — the "
-                "walk index drives candidate generation; use method='mc' "
-                "or method='iterative'"
-            )
         return similarity_join(self.estimator, min_score, restrict_to=restrict_to)
 
     def _join_from_table(
@@ -1166,12 +1050,9 @@ class QueryEngine:
         self.stats.reset()
 
     def __repr__(self) -> str:
-        if self.walk_index is not None:
-            index = repr(self.walk_index)
-        elif self._table is not None:
-            index = repr(self._table)
-        else:
-            index = type(self.estimator).__name__
+        index = repr(
+            self.walk_index if self.walk_index is not None else self._table
+        )
         return (
             f"QueryEngine(method={self.method!r}, decay={self.decay}, "
             f"theta={self.theta}, backend={self.backend_name!r}, index={index})"

@@ -129,16 +129,6 @@ def _load_bundle_or_fail(path: str):
         raise SystemExit(2) from None
 
 
-def _resolved_method(args: argparse.Namespace) -> str:
-    """``--estimator`` supersedes ``--method`` when given.
-
-    ``--method`` predates the linear/lowrank families and keeps its
-    narrow choice list for compatibility; ``--estimator`` names any of
-    the four engine families and wins outright when present.
-    """
-    return args.estimator if args.estimator is not None else args.method
-
-
 def _make_engine(args: argparse.Namespace, bundle=None) -> QueryEngine:
     """Build (or warm-start) the engine a query/topk invocation asked for.
 
@@ -152,7 +142,7 @@ def _make_engine(args: argparse.Namespace, bundle=None) -> QueryEngine:
     return QueryEngine(
         bundle.graph,
         bundle.measure,
-        method=_resolved_method(args),
+        method=args.method,
         decay=args.decay,
         num_walks=args.walks,
         length=args.length,
@@ -162,7 +152,6 @@ def _make_engine(args: argparse.Namespace, bundle=None) -> QueryEngine:
         backend=args.backend,
         cache_dir=args.cache,
         walks_path=args.walks_file,
-        rank=args.rank,
     )
 
 
@@ -230,7 +219,7 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     engine = QueryEngine(
         bundle.graph,
         bundle.measure,
-        method=_resolved_method(args),
+        method=args.method,
         decay=args.decay,
         num_walks=args.walks,
         length=args.length,
@@ -238,7 +227,6 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
         seed=args.seed,
         workers=args.workers,
         backend=args.backend,
-        rank=args.rank,
         materialize_semantics=True,
     )
     path = engine.save(args.out)
@@ -287,7 +275,7 @@ def _make_service(args: argparse.Namespace) -> QueryService:
             walks_path=args.walks_file,
             cache_dir=args.cache,
             engine_kwargs=dict(
-                method=_resolved_method(args),
+                method=args.method,
                 decay=args.decay,
                 num_walks=args.walks,
                 length=args.length,
@@ -295,7 +283,6 @@ def _make_service(args: argparse.Namespace) -> QueryService:
                 seed=args.seed,
                 workers=args.workers,
                 backend=args.backend,
-                rank=args.rank,
             ),
             retry=retry,
         )
@@ -662,7 +649,7 @@ def _cmd_backends_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-#: The four engine families, in docs order.  Kept as data so the CLI
+#: The two engine families, in docs order.  Kept as data so the CLI
 #: listing and any future capability gating read from one place.
 _ESTIMATOR_FAMILIES = (
     {
@@ -681,29 +668,12 @@ _ESTIMATOR_FAMILIES = (
         "shards": "yes (node-range shard workers over the one index)",
         "note": "default serving family; supports walk reuse and sharding",
     },
-    {
-        "name": "linear",
-        "exactness": "exact within declared residual bound",
-        "memory": "O(touched states) per query, no offline tables",
-        "mutations": "no (stateless per query)",
-        "shards": "no",
-        "note": "per-query sparse linear solve; graphs too large for N^2",
-    },
-    {
-        "name": "lowrank",
-        "exactness": "rank-r approximation (error shrinks with --rank)",
-        "memory": "O(N * r) factors",
-        "mutations": "no (refactorize)",
-        "shards": "no",
-        "note": "offline factorization, O(r) per pair; middle serving tier",
-    },
 )
 
 
 def _cmd_estimators_list(_args: argparse.Namespace) -> int:
     """Enumerate engine families and their capability envelopes."""
-    print("engine families (select with --estimator; "
-          "--method remains for iterative/mc):")
+    print("engine families (select with --method):")
     for family in _ESTIMATOR_FAMILIES:
         print(f"  {family['name']:<10} {family['note']}")
         print(f"      exactness: {family['exactness']}")
@@ -751,18 +721,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     ) -> None:
         command.add_argument(
-            "--method", choices=["iterative", "mc"], default="iterative"
-        )
-        command.add_argument(
-            "--estimator", default=None,
-            choices=["iterative", "mc", "linear", "lowrank"],
-            help="engine family (supersedes --method; see "
-                 "'repro estimators list')",
-        )
-        command.add_argument(
-            "--rank", type=int, default=None, metavar="R",
-            help="factorization rank for --estimator lowrank "
-                 "(default: engine-chosen)",
+            "--method", "--estimator", choices=["iterative", "mc"],
+            default="iterative",
+            help="engine family (see 'repro estimators list')",
         )
         command.add_argument("--decay", type=float, default=0.6)
         command.add_argument("--walks", type=int, default=150)

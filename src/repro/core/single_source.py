@@ -8,9 +8,9 @@ top-k search, link prediction and entity resolution.  Three strategies:
   path: one stacked-array pass detects every meeting, the IS correction
   runs vectorised over the met walks only, and the Prop. 2.5 semantic gate
   skips candidates outright.
-* :func:`single_source_exact` — one linear solve over the pair graph
-  restricted to states reachable from ``{u} × V`` (exact to a declared
-  residual bound; memory scales with the touched state set, never N²).
+* :func:`single_source_exact` — one row of the exact fixed point of
+  Eq. 2, read from the all-pairs :class:`~repro.core.semsim.SemSim` table
+  (O(N²) memory, the iterative engine's table).
 * batching helper :func:`batch_similarity` for evaluating many explicit
   pairs against one estimator.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.core.montecarlo import MonteCarloSemSim
+from repro.core.semsim import SemSim
 from repro.errors import ConfigurationError
 from repro.hin.graph import HIN, Node
 from repro.semantics.base import SemanticMeasure
@@ -54,31 +55,18 @@ def single_source_exact(
     decay: float = 0.6,
     *,
     tolerance: float = 1e-10,
-    max_states: int | None = None,
 ) -> dict[Node, float]:
-    """Exact single-source SemSim via the linearized per-query solve.
+    """Exact single-source SemSim: row *query* of the Eq. 2 fixed point.
 
-    Delegates to :class:`~repro.linear.LinearSemSim`: one sparse linear
-    system over the pair states reachable from ``{query} × V``, solved to
-    *tolerance* — never the all-pairs table, never quadratic memory.
-
-    *max_states* bounds the reachable pair-state set (default: the
-    solver's guard).  Exceeding it raises
-    :class:`~repro.errors.ConfigurationError`; construct a
-    ``QueryEngine(estimator="linear")`` directly to tune the budget, or
-    ``estimator="lowrank"`` for an approximate answer in O(N·r) memory.
+    Iterates the all-pairs :class:`~repro.core.semsim.SemSim` table until
+    no score moves by *tolerance* and returns its *query* row — the same
+    numbers ``QueryEngine(method="iterative")`` serves.
     """
-    from repro.linear import LinearSemSim  # local: core must not cycle
-
     if query not in graph:
         raise ConfigurationError(f"query node {query!r} is not in the graph")
-    solver = LinearSemSim(
-        graph, measure, decay=decay, tolerance=tolerance,
-        max_states=max_states,
-    )
-    candidates = list(graph.nodes())
-    scores = solver.similarity_batch(query, candidates)
-    return {v: float(s) for v, s in zip(candidates, scores)}
+    table = SemSim(graph, measure, decay=decay, tolerance=tolerance)
+    row = table.result.matrix[table._position[query]]
+    return {v: float(s) for v, s in zip(table.result.nodes, row)}
 
 
 def batch_similarity(

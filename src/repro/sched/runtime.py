@@ -443,7 +443,6 @@ class ServingRuntime:
             _deliver(request.future, self._annotate(QueryResponse(
                 request.u, request.v, float(value), degraded,
                 acquisition.retries, method, elapsed_ms,
-                tier=acquisition.tier if degraded else None,
             ), request, trace_id, kernel_us=kernel_us))
         if answered and is_enabled():
             if degraded:
@@ -469,7 +468,6 @@ class ServingRuntime:
             u=request.u, candidates=request.candidates, values=values,
             degraded=acquisition.degraded, retries=acquisition.retries,
             method=engine.method, elapsed_ms=elapsed_ms,
-            tier=acquisition.tier if acquisition.degraded else None,
         ), request, kernel_us=(end - kernel_started) * 1e6 if self.timings else 0.0))
 
     def _execute_topk(self, request, acquisition, engine) -> None:
@@ -490,7 +488,6 @@ class ServingRuntime:
             u=request.u, k=request.k, results=tuple(results),
             degraded=acquisition.degraded, retries=acquisition.retries,
             method=engine.method, elapsed_ms=elapsed_ms,
-            tier=acquisition.tier if acquisition.degraded else None,
         ), request, kernel_us=(end - kernel_started) * 1e6 if self.timings else 0.0))
 
     def _annotate(

@@ -906,8 +906,6 @@ class ShardedRuntime(ServingRuntime):
                 acquisition.engine.method if degraded[i] and acquisition
                 else "mc",
                 elapsed_ms,
-                tier=acquisition.tier if degraded[i] and acquisition
-                else None,
             ), request, trace_id, **(timing or {})))
 
     def _execute_batch_sharded(self, request, pos_u: int) -> None:
@@ -933,7 +931,6 @@ class ShardedRuntime(ServingRuntime):
             method=acquisition.engine.method
             if acquisition and any_degraded else "mc",
             elapsed_ms=elapsed_ms,
-            tier=acquisition.tier if acquisition and any_degraded else None,
         ), request, **(timing or {})))
 
     def _execute_topk_sharded(self, request, pos_u: int) -> None:
@@ -1041,7 +1038,6 @@ class ShardedRuntime(ServingRuntime):
             method=acquisition.engine.method
             if acquisition and any_degraded else "mc",
             elapsed_ms=elapsed_ms,
-            tier=acquisition.tier if acquisition and any_degraded else None,
         ), request, **(timing or {})))
 
     def __repr__(self) -> str:

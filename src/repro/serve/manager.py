@@ -60,7 +60,6 @@ class _EngineState:
     engine: QueryEngine
     degraded: bool
     generation: int
-    tier: str = "primary"
 
 
 @dataclass(slots=True)
@@ -70,7 +69,6 @@ class Acquisition:
     engine: QueryEngine
     degraded: bool
     retries: int
-    tier: str = "primary"
 
 
 class IndexManager:
@@ -79,9 +77,9 @@ class IndexManager:
     Parameters
     ----------
     graph, measure:
-        The model to serve.  Required for the degraded fallback ladder
-        (lowrank, then iterative — both build from them); may be omitted
-        when *index_path* names a self-contained artifact — but then no
+        The model to serve.  Required for the degraded fallback, the
+        exact iterative engine built from them; may be omitted when
+        *index_path* names a self-contained artifact — but then no
         degradation is possible and persistent index loss raises
         :class:`~repro.serve.errors.IndexUnavailableError`.
     index_path:
@@ -172,7 +170,7 @@ class IndexManager:
             else:
                 retries = 0
             state = self._state
-        return Acquisition(state.engine, state.degraded, retries, state.tier)
+        return Acquisition(state.engine, state.degraded, retries)
 
     def engine(self) -> QueryEngine:
         """The current engine (mostly for benchmarks and tests)."""
@@ -202,9 +200,6 @@ class IndexManager:
                 if state is not None else 0
             ),
             "mutations_applied": self._mutations_applied,
-            "degraded_tier": (
-                state.tier if state is not None and state.degraded else None
-            ),
             "circuit": self.breaker.state.value,
             "rebuild_in_flight": self._rebuild_in_flight,
             "last_error": str(self._last_error) if self._last_error else None,
@@ -341,55 +336,32 @@ class IndexManager:
             if key in ("backend", "backend_config") and value is not None
         }
 
-    def _fallback_engine(self) -> tuple[QueryEngine, str]:
-        """The disk-free degraded engine and its tier name.
+    def _fallback_engine(self) -> QueryEngine:
+        """The disk-free degraded engine: the exact iterative solver.
 
-        Two-rung ladder below the primary: a rank-r low-rank
-        factorization first (O(n·r) memory, approximate but fast), the
-        dense iterative solver as the floor (exact, O(N²)).  The low-rank
-        rung is skipped when the primary *is* one of the fallback
-        families (degrading lowrank to lowrank hides nothing) and on any
-        build failure — the floor must always answer.
+        Every degraded answer is the paper's exact measure (the Eq. 2
+        fixed point), built from the graph in O(N²) memory.
         """
         if self.graph is None:
             raise IndexUnavailableError(
                 f"primary index is unavailable ({self._last_error}) and no "
                 f"graph was provided for a degraded fallback"
             )
-        primary_method = self.engine_kwargs.get("method", "mc")
-        if primary_method not in ("lowrank", "iterative"):
-            kwargs = {
-                key: value
-                for key, value in self.engine_kwargs.items()
-                if key in ("decay", "theta", "seed", "rank", "tolerance")
-            }
-            try:
-                engine = QueryEngine(
-                    self.graph, self.measure, method="lowrank", **kwargs
-                )
-                return engine, "lowrank"
-            except Exception as exc:  # noqa: BLE001 — floor must answer
-                log_event(
-                    _LOG, "serve.lowrank_tier_failed", error=str(exc)
-                )
         kwargs = {
             key: value
             for key, value in self.engine_kwargs.items()
             if key in ("decay", "max_iterations", "tolerance")
         }
-        engine = QueryEngine(
+        return QueryEngine(
             self.graph, self.measure, method="iterative", **kwargs
         )
-        return engine, "iterative"
 
-    def _publish(
-        self, engine: QueryEngine, degraded: bool, tier: str = "primary"
-    ) -> None:
+    def _publish(self, engine: QueryEngine, degraded: bool) -> None:
         self._generation += 1
-        self._state = _EngineState(engine, degraded, self._generation, tier)
+        self._state = _EngineState(engine, degraded, self._generation)
         # the cached handout every post-activation acquire() returns;
         # retries are a per-activation detail, so the steady state is 0
-        self._acquisition = Acquisition(engine, degraded, 0, tier)
+        self._acquisition = Acquisition(engine, degraded, 0)
         if is_enabled():
             INDEX_GENERATION.set(float(self._generation))
 
@@ -424,11 +396,8 @@ class IndexManager:
                     _LOG, "serve.primary_failed",
                     error=str(exc), retries=retries,
                 )
-        fallback, tier = self._fallback_engine()
-        self._publish(fallback, degraded=True, tier=tier)
-        log_event(
-            _LOG, "serve.degraded", error=str(self._last_error), tier=tier
-        )
+        self._publish(self._fallback_engine(), degraded=True)
+        log_event(_LOG, "serve.degraded", error=str(self._last_error))
         if self.background_rebuild:
             self._spawn_rebuild()
         return retries

@@ -50,8 +50,6 @@ def _annotations(response) -> dict:
     latency breakdown in microseconds.
     """
     extra: dict = {}
-    if response.tier is not None:
-        extra["tier"] = response.tier
     if response.trace_id is not None:
         extra["trace_id"] = response.trace_id
     if response.timings is not None:
@@ -73,7 +71,6 @@ class QueryResponse:
     retries: int
     method: str
     elapsed_ms: float
-    tier: str | None = None
     trace_id: str | None = None
     timings: dict | None = None
 
@@ -103,7 +100,6 @@ class BatchResponse:
     retries: int
     method: str
     elapsed_ms: float
-    tier: str | None = None
     trace_id: str | None = None
     timings: dict | None = None
 
@@ -130,7 +126,6 @@ class TopKResponse:
     retries: int
     method: str
     elapsed_ms: float
-    tier: str | None = None
     trace_id: str | None = None
     timings: dict | None = None
 
@@ -256,7 +251,6 @@ class QueryService:
         return QueryResponse(
             u, v, float(value), degraded, acquisition.retries,
             engine.method, elapsed_ms,
-            tier=acquisition.tier if degraded else None,
         )
 
     def batch(
@@ -273,7 +267,6 @@ class QueryService:
             u=u, candidates=candidates, values=values,
             degraded=acquisition.degraded, retries=acquisition.retries,
             method=acquisition.engine.method, elapsed_ms=elapsed_ms,
-            tier=acquisition.tier if acquisition.degraded else None,
         )
 
     def top_k(
@@ -300,7 +293,6 @@ class QueryService:
             u=u, k=k, results=tuple(results),
             degraded=acquisition.degraded, retries=acquisition.retries,
             method=acquisition.engine.method, elapsed_ms=elapsed_ms,
-            tier=acquisition.tier if acquisition.degraded else None,
         )
 
     def backend_name(self) -> str | None:

@@ -9,14 +9,7 @@ recompute — exactly the preprocess-once half of the paper's Fig. 4 split:
     ``W``/``Q`` gather tables of the batch path;
 ``method="iterative"``
     the converged all-pairs score table (plus the semantic matrix when one
-    was materialised);
-``method="lowrank"``
-    the rank-r factor matrix, its eigenvalues and the diagonal correction
-    (plus the semantic matrix) — the O(n·r) state that replaces the N×N
-    table;
-``method="linear"``
-    just the graph and the semantic matrix — the per-query solver owns no
-    offline tables.
+    was materialised).
 
 The serialised graph rides along as a JSON document, so an artifact is
 self-contained: :meth:`repro.api.QueryEngine.open` needs nothing but the
@@ -68,8 +61,6 @@ def canonical_params(
     materialized: bool,
     max_iterations: int | None,
     tolerance: float | None,
-    rank: int | None = None,
-    max_states: int | None = None,
 ) -> dict:
     """The parameter set that identifies one engine configuration.
 
@@ -86,18 +77,6 @@ def canonical_params(
         params.update(
             num_walks=num_walks, length=length, policy=policy,
             seed="none" if seed is None else int(seed),
-        )
-    elif method == "lowrank":
-        params.update(
-            rank="default" if rank is None else int(rank),
-            seed="none" if seed is None else int(seed),
-            tolerance="default" if tolerance is None else float(tolerance),
-        )
-    elif method == "linear":
-        params.update(
-            max_iterations="default" if max_iterations is None else int(max_iterations),
-            tolerance="default" if tolerance is None else float(tolerance),
-            max_states="default" if max_states is None else int(max_states),
         )
     else:
         params.update(
@@ -171,21 +150,6 @@ def snapshot_engine(engine, identity: dict) -> tuple[dict, dict, dict]:
             arrays["so_matrix"] = estimator._so_matrix
             arrays["step_weights"] = estimator._step_weights
             arrays["step_q"] = estimator._step_q
-    elif engine.method == "lowrank":
-        estimator = engine.estimator
-        arrays["lowrank_factors"] = estimator.factors
-        arrays["lowrank_eigenvalues"] = estimator.eigenvalues
-        arrays["lowrank_diag"] = estimator.diag
-        if engine.measure is not None:
-            arrays["sem_matrix"] = engine.measure.matrix
-        meta["rank"] = estimator.rank
-        meta["terms"] = estimator.terms
-        meta["exact_diagonal"] = bool(estimator.exact_diagonal)
-    elif engine.method == "linear":
-        # The per-query solver has no offline tables: the embedded graph
-        # (plus the semantic matrix) is the whole warm-start state.
-        if engine.measure is not None:
-            arrays["sem_matrix"] = engine.measure.matrix
     else:
         result = engine._table.result
         arrays["scores"] = result.matrix
@@ -225,18 +189,6 @@ def _json_params(engine, identity: dict) -> dict:
             length=engine.length,
             policy=engine.policy.value,
             seed=engine._seed_key,
-        )
-    elif engine.method == "lowrank":
-        params.update(
-            rank=engine.rank,
-            seed=engine._seed_key,
-            tolerance=engine._tolerance,
-        )
-    elif engine.method == "linear":
-        params.update(
-            max_iterations=engine._max_iterations,
-            tolerance=engine._tolerance,
-            max_states=engine._max_states,
         )
     else:
         params.update(

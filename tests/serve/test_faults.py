@@ -28,28 +28,21 @@ from tests.serve.conftest import ENGINE_KWARGS
 def oracle(model):
     """Direct engines: every served value must equal one of these, exactly.
 
-    The degraded tiers are rebuilt with exactly the kwargs subset the
-    manager's fallback ladder forwards (``seed`` from ENGINE_KWARGS for
-    lowrank), so degraded responses must match bit for bit too.
+    The degraded fallback is the iterative engine built with exactly the
+    kwargs the manager forwards (none of ENGINE_KWARGS applies to it), so
+    degraded responses must match bit for bit too.
     """
     graph, measure = model
     mc = QueryEngine(graph, measure, **ENGINE_KWARGS)
-    lowrank = QueryEngine(
-        graph, measure, method="lowrank", seed=ENGINE_KWARGS["seed"]
-    )
     iterative = QueryEngine(graph, measure, method="iterative")
-    return {"mc": mc, "lowrank": lowrank, "iterative": iterative}
+    return {"mc": mc, "iterative": iterative}
 
 
 def assert_correct(response, oracle):
     """A response is never wrong: it matches the engine its method names."""
     expected = oracle[response.method].score(response.u, response.v)
     assert response.value == expected
-    assert response.degraded == (response.method in ("lowrank", "iterative"))
-    if response.degraded:
-        assert response.tier == response.method
-    else:
-        assert response.tier is None
+    assert response.degraded == (response.method == "iterative")
 
 
 class TestInjectedEIO:
@@ -78,7 +71,7 @@ class TestInjectedEIO:
             response = service.query("e0", "e1")
             assert_correct(response, oracle)
             assert response.degraded
-            assert response.method == "lowrank"  # the middle tier answers
+            assert response.method == "iterative"  # the exact floor answers
             # initial attempt + 2 retries all hit the seam
             assert faults.invocations("walks.load") == 3
         delta = metrics_delta()

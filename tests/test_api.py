@@ -4,7 +4,6 @@ Includes the tier-1 guard that every public name in ``repro.api.__all__``
 actually imports, so the facade can't silently lose surface area.
 """
 
-import numpy as np
 import pytest
 
 import repro
@@ -43,9 +42,11 @@ def test_all_public_names_importable():
 
 class TestConstruction:
     def test_invalid_method_rejected(self, taxonomy_graph):
+        # besides a typo, the names of deleted engine families
         graph, measure = taxonomy_graph
-        with pytest.raises(ConfigurationError, match="method"):
-            QueryEngine(graph, measure, method="exact")
+        for method in ("exact", "linear", "lowrank"):
+            with pytest.raises(ConfigurationError, match="method"):
+                QueryEngine(graph, measure, method=method)
 
     def test_invalid_materialize_flag_rejected(self, taxonomy_graph):
         graph, measure = taxonomy_graph
@@ -53,11 +54,28 @@ class TestConstruction:
             QueryEngine(graph, measure, materialize_semantics="maybe")
 
     def test_legacy_kwargs_rejected(self, taxonomy_graph):
-        # The PR-1 deprecation shims are gone: old spellings now TypeError.
+        # Old spellings and the knobs of removed engine families TypeError.
         graph, measure = taxonomy_graph
         with pytest.raises(TypeError):
             QueryEngine(graph, measure, c=0.4, walks=10,
                         walk_length=4, seed=0)
+        for legacy in (dict(rank=4), dict(max_states=100),
+                       dict(estimator="iterative")):
+            with pytest.raises(TypeError):
+                QueryEngine(graph, measure, method="iterative", **legacy)
+
+    def test_open_rejects_removed_engine_family(
+        self, iterative_engine, tmp_path
+    ):
+        import json
+
+        path = iterative_engine.save(tmp_path / "old.idx")
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["meta"]["params"]["method"] = "lowrank"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(repro.StoreError, match="'lowrank'"):
+            QueryEngine.open(path)
 
     def test_auto_materializes_measure(self, mc_engine):
         assert isinstance(mc_engine.measure, MatrixMeasure)
@@ -172,88 +190,6 @@ class TestQueries:
             iterative_engine.candidate_pairs()
         pairs = list(mc_engine.candidate_pairs())
         assert all(u != v for u, v in pairs)
-
-
-class TestLinearFamilies:
-    """The linear/lowrank engine families through the facade."""
-
-    def test_estimator_alias_selects_method(self, taxonomy_graph):
-        graph, measure = taxonomy_graph
-        engine = QueryEngine(graph, measure, estimator="linear")
-        assert engine.method == "linear"
-        engine = QueryEngine(graph, measure, estimator="lowrank", rank=4)
-        assert engine.method == "lowrank"
-        assert engine.rank == 4
-
-    def test_estimator_conflicting_with_method_rejected(self, taxonomy_graph):
-        graph, measure = taxonomy_graph
-        with pytest.raises(ConfigurationError, match="estimator"):
-            QueryEngine(graph, measure, method="iterative",
-                        estimator="lowrank")
-
-    def test_linear_tracks_iterative_oracle(self, taxonomy_graph):
-        from repro.core import semsim_scores
-
-        graph, measure = taxonomy_graph
-        linear = QueryEngine(graph, measure, method="linear",
-                             tolerance=1e-9)
-        table = semsim_scores(graph, measure, decay=0.6, tolerance=1e-13,
-                              max_iterations=400)
-        for node in graph.nodes():
-            assert linear.score("mid1", node) == pytest.approx(
-                table.score("mid1", node), abs=1e-7
-            )
-
-    def test_lowrank_full_rank_reproduces_iterative(self, taxonomy_graph):
-        # the dense-exact path factors the sem-embedded kernel, so a
-        # full-rank build reproduces the iterative fixed point outright
-        graph, measure = taxonomy_graph
-        n = graph.num_nodes
-        lowrank = QueryEngine(graph, measure, method="lowrank", rank=n,
-                              theta=None)
-        oracle = QueryEngine(graph, measure, method="iterative",
-                             tolerance=1e-12)
-        for node in graph.nodes():
-            assert lowrank.score("mid1", node) == pytest.approx(
-                oracle.score("mid1", node), abs=1e-9
-            )
-
-    def test_join_requires_candidate_generation(self, taxonomy_graph):
-        graph, measure = taxonomy_graph
-        for method in ("linear", "lowrank"):
-            engine = QueryEngine(graph, measure, method=method)
-            with pytest.raises(ConfigurationError, match="candidate"):
-                engine.join(0.1)
-
-    def test_rank_validated(self, taxonomy_graph):
-        graph, measure = taxonomy_graph
-        with pytest.raises(ConfigurationError, match="rank"):
-            QueryEngine(graph, measure, method="lowrank", rank=0)
-
-    def test_lowrank_save_open_roundtrip(self, taxonomy_graph, tmp_path):
-        graph, measure = taxonomy_graph
-        engine = QueryEngine(graph, measure, method="lowrank", rank=4,
-                             seed=2)
-        path = engine.save(tmp_path / "lowrank.idx")
-        reopened = QueryEngine.open(path)
-        assert reopened.method == "lowrank"
-        assert reopened.rank == 4
-        nodes = list(graph.nodes())
-        np.testing.assert_array_equal(
-            engine.score_batch("mid1", nodes),
-            reopened.score_batch("mid1", nodes),
-        )
-
-    def test_linear_save_open_roundtrip(self, taxonomy_graph, tmp_path):
-        graph, measure = taxonomy_graph
-        engine = QueryEngine(graph, measure, method="linear")
-        path = engine.save(tmp_path / "linear.idx")
-        reopened = QueryEngine.open(path)
-        assert reopened.method == "linear"
-        for node in graph.nodes():
-            assert reopened.score("mid1", node) == pytest.approx(
-                engine.score("mid1", node), abs=1e-7
-            )
 
 
 class TestStats:

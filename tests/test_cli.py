@@ -144,7 +144,7 @@ class TestIndexCommands:
 
 
 class TestEstimatorFamilies:
-    """The --estimator flag and the `estimators list` registry view."""
+    """The --method/--estimator option and the `estimators list` view."""
 
     @pytest.fixture(scope="class")
     def bundle_path(self, tmp_path_factory):
@@ -155,43 +155,32 @@ class TestEstimatorFamilies:
     def test_estimators_list_names_all_families(self, capsys):
         assert main(["estimators", "list"]) == 0
         out = capsys.readouterr().out
-        for family in ("iterative", "mc", "linear", "lowrank"):
-            assert family in out
+        families = [line.split()[0] for line in out.splitlines()
+                    if line.startswith("  ") and not line.startswith("    ")]
+        assert families == ["iterative", "mc"]
         assert "mutations" in out and "shardable" in out
 
-    def test_query_with_linear_estimator(self, bundle_path, capsys):
-        assert main([
-            "query", str(bundle_path), "n3", "n4", "--estimator", "linear",
-        ]) == 0
-        assert "[linear]" in capsys.readouterr().out
-
-    def test_estimator_supersedes_method(self, bundle_path, capsys):
-        assert main([
-            "query", str(bundle_path), "n3", "n4",
-            "--method", "mc", "--estimator", "iterative",
-        ]) == 0
-        assert "[iterative]" in capsys.readouterr().out
-
-    def test_lowrank_index_build_roundtrip(self, bundle_path, tmp_path, capsys):
-        out_path = tmp_path / "lowrank.idx"
-        assert main([
-            "index", "build", str(bundle_path), "--out", str(out_path),
-            "--estimator", "lowrank", "--rank", "8",
-        ]) == 0
-        assert "method=lowrank" in capsys.readouterr().out
-        assert main(["index", "info", str(out_path)]) == 0
-        info = capsys.readouterr().out
-        assert "method: lowrank" in info
-        assert "lowrank_factors" in info
-        assert main(["query", "--index", str(out_path), "n3", "n4"]) == 0
-        assert "[lowrank, from index]" in capsys.readouterr().out
+    def test_method_and_estimator_are_one_option(self, bundle_path, capsys):
+        parse = build_parser().parse_args
+        base = ["query", str(bundle_path), "n3", "n4"]
+        assert parse(base).method == "iterative"
+        assert parse([*base, "--method", "mc"]).method == "mc"
+        assert parse([*base, "--estimator", "mc"]).method == "mc"
+        # one option: the last spelling given wins
+        assert parse(
+            [*base, "--method", "mc", "--estimator", "iterative"]
+        ).method == "iterative"
+        assert not hasattr(parse(base), "estimator")
+        assert main([*base, "--estimator", "mc", "--walks", "20"]) == 0
+        assert "[mc]" in capsys.readouterr().out
 
     def test_unknown_estimator_rejected(self, bundle_path, capsys):
-        with pytest.raises(SystemExit):
-            main([
-                "query", str(bundle_path), "n3", "n4",
-                "--estimator", "exact",
-            ])
+        # besides a typo, deleted engine families and lowrank's --rank
+        base = ["query", str(bundle_path), "n3", "n4"]
+        for extra in (["--estimator", "exact"], ["--estimator", "lowrank"],
+                      ["--method", "linear"], ["--rank", "8"]):
+            with pytest.raises(SystemExit):
+                main([*base, *extra])
 
 
 class TestServe:
@@ -314,6 +303,43 @@ class TestServe:
                 answer["value"]
             )
         assert all(len(values) == 1 for values in by_pair.values())
+
+    def test_degraded_stack_answers_from_the_exact_table(
+        self, bundle_path, tmp_path, monkeypatch, capsys
+    ):
+        import threading
+
+        from repro.api import QueryEngine
+        from repro.datasets.io import load_bundle_json
+
+        # the walk tensor is missing and so is its directory, so the
+        # background rebuild's save fails too and the stack stays degraded
+        responses = self._serve(
+            bundle_path, "n3 n4\nBATCH n3 n4 n5\nTOPK n3 3\n",
+            monkeypatch, capsys,
+            "--estimator", "mc", "--max-retries", "0",
+            "--walks-file", str(tmp_path / "missing" / "w.npz"),
+        )
+        for thread in threading.enumerate():
+            if thread.name == "repro-serve-rebuild":
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        banner, pair, batch, topk = responses
+        assert banner["degraded"] and banner["method"] == "iterative"
+        for response in (pair, batch, topk):
+            assert response["degraded"] is True
+            assert response["method"] == "iterative"
+            assert "tier" not in response
+        bundle = load_bundle_json(bundle_path)
+        exact = QueryEngine(bundle.graph, bundle.measure, method="iterative")
+        assert pair["value"] == exact.score("n3", "n4")
+        assert batch["values"] == [
+            float(v) for v in exact.score_batch("n3", ["n4", "n5"])
+        ]
+        assert batch["values"][0] == pair["value"]
+        assert topk["results"] == [
+            [str(n), s] for n, s in exact.top_k("n3", 3)
+        ]
 
     def test_sigint_drains_and_exits_zero(self, bundle_path, monkeypatch, capsys):
         import json as _json
