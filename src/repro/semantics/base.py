@@ -19,6 +19,7 @@ from typing import Hashable, Iterable, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.errors import MeasureAxiomError
+from repro.obs.trace import span
 
 Node = Hashable
 
@@ -68,14 +69,26 @@ def validate_measure(
 def semantic_matrix(measure: SemanticMeasure, nodes: Sequence[Node]) -> np.ndarray:
     """Materialise the symmetric matrix ``S[i, j] = sem(nodes[i], nodes[j])``.
 
-    Used by the vectorised iterative engines; only the upper triangle is
-    evaluated, the rest is mirrored, and the diagonal is pinned to 1.
+    Used by every vectorised engine.  A measure with a ``block(rows, cols)``
+    method — :class:`~repro.semantics.lin.LinMeasure` and
+    :class:`~repro.semantics.cache.MatrixMeasure` — answers in one call;
+    any other measure is evaluated pair by pair over the upper triangle.
+    Either way the upper triangle is mirrored and the diagonal pinned to
+    1, so both paths return the same array.  Runs under the
+    ``semantics.materialize`` span (``semantics_materialize_seconds``).
     """
     n = len(nodes)
-    matrix = np.ones((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = measure.similarity(nodes[i], nodes[j])
-            matrix[i, j] = value
-            matrix[j, i] = value
-    return matrix
+    with span("semantics.materialize", nodes=n):
+        block = getattr(measure, "block", None)
+        if block is not None:
+            upper = np.triu(block(nodes, nodes), 1)
+            matrix = upper + upper.T
+            np.fill_diagonal(matrix, 1.0)
+            return matrix
+        matrix = np.ones((n, n), dtype=np.float64)
+        for i in range(n):
+            for j in range(i + 1, n):
+                value = measure.similarity(nodes[i], nodes[j])
+                matrix[i, j] = value
+                matrix[j, i] = value
+        return matrix

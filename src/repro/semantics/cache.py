@@ -3,9 +3,11 @@
 The paper assumes single-pair semantic scores cost O(1) "possibly after
 pre-processing, without materialising the n x n matrix of scores"
 (Section 2.3).  :class:`CachedMeasure` provides the lazy variant (memoise on
-first touch); :class:`MatrixMeasure` provides the eager variant for small
-node sets where a dense numpy matrix is the fastest representation — it is
-what the vectorised iterative engines consume.
+first touch, one pair at a time); :class:`MatrixMeasure` provides the eager
+variant for node sets where a dense numpy matrix is the fastest
+representation — it is what the vectorised engines consume, built by
+:func:`~repro.semantics.base.semantic_matrix` in one ``block`` call for
+measures that have one (Lin) and pair by pair for the rest.
 """
 
 from __future__ import annotations
@@ -69,9 +71,8 @@ class CachedMeasure:
 class MatrixMeasure:
     """A measure backed by a fully materialised similarity matrix.
 
-    Build one with :meth:`from_measure` (evaluates ``n*(n-1)/2`` pairs once)
-    or directly from a precomputed symmetric matrix.  Lookups are two dict
-    hits and one array read.
+    Build one with :meth:`from_measure` or directly from a precomputed
+    symmetric matrix.  Lookups are two dict hits and one array read.
     """
 
     def __init__(self, nodes: Sequence[Node], matrix: np.ndarray) -> None:
@@ -86,7 +87,12 @@ class MatrixMeasure:
 
     @classmethod
     def from_measure(cls, measure: SemanticMeasure, nodes: Sequence[Node]) -> "MatrixMeasure":
-        """Materialise *measure* over *nodes*."""
+        """Materialise *measure* over *nodes* with :func:`semantic_matrix`.
+
+        One ``measure.block(nodes, nodes)`` call when the measure has a
+        ``block`` method (Lin, or another :class:`MatrixMeasure`); otherwise
+        ``n*(n-1)/2`` single-pair evaluations.
+        """
         return cls(nodes, semantic_matrix(measure, nodes))
 
     def similarity(self, a: Node, b: Node) -> float:

@@ -13,10 +13,21 @@ O(1) per query.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.errors import NodeNotFoundError, TaxonomyError
 from repro.taxonomy.taxonomy import Concept, Taxonomy
+
+
+def informativeness_key(
+    taxonomy: Taxonomy, ic: Mapping[Concept, float]
+) -> Callable[[Concept], tuple]:
+    """Return the ranking :func:`most_informative_common_ancestor` maximises.
+
+    IC first; ties break by depth (deeper = more specific) and then by a
+    stable string key, so results do not depend on set iteration order.
+    """
+    return lambda c: (ic[c], taxonomy.depth(c), str(c))
 
 
 def most_informative_common_ancestor(
@@ -28,14 +39,12 @@ def most_informative_common_ancestor(
     """Return the common ancestor of *a* and *b* with maximum IC.
 
     Returns ``None`` when the concepts share no ancestor (disconnected
-    taxonomy fragments).  Ties break deterministically by insertion order.
+    taxonomy fragments).  Candidates rank by :func:`informativeness_key`.
     """
     shared = taxonomy.common_ancestors(a, b)
     if not shared:
         return None
-    # Ties break by depth (deeper = more specific) and then by a stable
-    # string key, so results do not depend on set iteration order.
-    return max(shared, key=lambda c: (ic[c], taxonomy.depth(c), str(c)))
+    return max(shared, key=informativeness_key(taxonomy, ic))
 
 
 class TreeLCA:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.semantics import LinMeasure, validate_measure
+from repro.semantics import LinMeasure, MatrixMeasure, validate_measure
 from repro.taxonomy import Taxonomy
 
 
@@ -61,6 +61,19 @@ class TestLin:
         ic["dog"] = 1.5
         with pytest.raises(ConfigurationError):
             LinMeasure(taxonomy, ic=ic)
+
+    def test_incomplete_ic_rejected(self, taxonomy):
+        ic = {c: 0.5 for c in taxonomy.concepts()}
+        del ic["dog"]
+        with pytest.raises(ConfigurationError, match="'dog'"):
+            LinMeasure(taxonomy, ic=ic)
+
+    def test_materialising_leaves_memo_empty(self, taxonomy):
+        lin = LinMeasure(taxonomy)
+        nodes = list(taxonomy.concepts()) + ["unknown-node"]
+        dense = MatrixMeasure.from_measure(lin, nodes)
+        assert lin._memo.cache_size == 0
+        assert dense.similarity("dog", "cat") == lin.similarity("dog", "cat")
 
     def test_lca_exposed(self, taxonomy):
         lin = LinMeasure(taxonomy)

@@ -80,6 +80,15 @@ class TestConstruction:
     def test_auto_materializes_measure(self, mc_engine):
         assert isinstance(mc_engine.measure, MatrixMeasure)
 
+    def test_cold_build_times_semantic_materialisation(self, taxonomy_graph):
+        from repro.obs.registry import get_registry, snapshot_delta
+
+        graph, measure = taxonomy_graph
+        before = get_registry().snapshot()
+        QueryEngine(graph, measure, method="mc", num_walks=20, length=5, seed=3)
+        delta = snapshot_delta(before, get_registry().snapshot())
+        assert delta["histograms"]["semantics_materialize_seconds_count"] == 1
+
     def test_materialize_false_keeps_measure(self, taxonomy_graph):
         graph, measure = taxonomy_graph
         engine = QueryEngine(graph, measure, materialize_semantics=False,

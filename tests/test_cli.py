@@ -526,6 +526,25 @@ class TestErrorPaths:
         assert main(["topk", str(path), "ghost"]) == 2
         assert "ghost" in capsys.readouterr().err
 
+    def test_bundle_with_incomplete_ic_rejected(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "wn.json"
+        assert main(["generate", "wordnet", "--out", str(path), "--seed", "1"]) == 0
+        payload = json.loads(path.read_text())
+        del payload["ic"]["n0"]
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        for argv in (
+            ["query", str(path), "n3", "n4", "--method", "mc"],
+            ["info", str(path)],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert "'n0'" in err
+            assert "Traceback" not in err
+
 
 class TestObservabilityFlags:
     """--log-json / --trace-out / --metrics-out and `metrics dump`."""
