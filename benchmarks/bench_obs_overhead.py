@@ -10,12 +10,18 @@ and with :func:`repro.obs.registry.set_enabled` paused.
 
 Both modes run the identical code path (the instrumentation stays in
 place; only the recording is gated), so the difference *is* the
-observability cost.  Medians over several alternating rounds keep the
-comparison robust to scheduler noise.
+observability cost.  Medians over alternating rounds of calls flipped on
+scheduler noise (a few percent either way between same-code runs), so
+both legs time every call in both modes back to back, alternate which
+mode goes first, and take the median of the paired differences — the
+design of ``bench_serve_overhead.py``.  GC stays off during the timed
+calls (a collection lands on whichever mode happens to allocate past the
+threshold).
 """
 
 from __future__ import annotations
 
+import gc
 import statistics
 import time
 
@@ -41,11 +47,44 @@ def bundle():
     return aminer_like(num_authors=300, num_terms=150, seed=11)
 
 
-def _run_batches(engine, query, candidates) -> float:
-    start = time.perf_counter()
-    for _ in range(BATCHES_PER_ROUND):
-        engine.score_batch(query, candidates)
-    return time.perf_counter() - start
+def _paired_samples(call, count: int) -> tuple[list[float], list[float]]:
+    """*count* timings of *call* with recording on and paused, paired.
+
+    Each call runs in both modes back to back, so drift and cache churn
+    hit the two halves of a paired difference equally; alternating which
+    mode goes first cancels the advantage of running second.
+    """
+    perf = time.perf_counter
+
+    def timed() -> float:
+        start = perf()
+        call()
+        return perf() - start
+
+    on_samples: list[float] = []
+    off_samples: list[float] = []
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(count):
+            if i % 2:
+                with disabled():
+                    off_samples.append(timed())
+                on_samples.append(timed())
+            else:
+                on_samples.append(timed())
+                with disabled():
+                    off_samples.append(timed())
+    finally:
+        gc.enable()
+    return on_samples, off_samples
+
+
+def _overhead(on_samples, off_samples) -> tuple[float, float, float]:
+    """``(median on, median paused, median paired difference / median paused)``."""
+    off_median = statistics.median(off_samples)
+    cost = statistics.median(on - off for on, off in zip(on_samples, off_samples))
+    return statistics.median(on_samples), off_median, cost / off_median
 
 
 def test_instrumentation_overhead_under_ceiling(bundle, show):
@@ -62,43 +101,36 @@ def test_instrumentation_overhead_under_ceiling(bundle, show):
     with disabled():
         engine.score_batch(query, candidates)
 
-    on_seconds: list[float] = []
-    off_seconds: list[float] = []
-    before = get_registry().snapshot()
-    for _ in range(ROUNDS):  # alternate so drift hits both modes equally
-        on_seconds.append(_run_batches(engine, query, candidates))
-        with disabled():
-            off_seconds.append(_run_batches(engine, query, candidates))
-    delta = snapshot_delta(before, get_registry().snapshot())
-
-    on_median = statistics.median(on_seconds)
-    off_median = statistics.median(off_seconds)
-    overhead = on_median / off_median - 1.0
-
     batches = ROUNDS * BATCHES_PER_ROUND
+    before = get_registry().snapshot()
+    on_samples, off_samples = _paired_samples(
+        lambda: engine.score_batch(query, candidates), batches
+    )
+    delta = snapshot_delta(before, get_registry().snapshot())
+    on_median, off_median, overhead = _overhead(on_samples, off_samples)
+
     recorded = delta["histograms"]["query_latency_seconds"
                                    '{method="mc",mode="batch"}_count']
     lines = [
         "Observability overhead — batch serving path, metrics on vs paused",
         f"graph: aminer-like, {bundle.graph.num_nodes} nodes "
         f"(n_w={NUM_WALKS}, t={LENGTH}, c={DECAY}, theta={THETA})",
-        f"workload: {ROUNDS} x {BATCHES_PER_ROUND} score_batch calls, "
-        f"{NUM_CANDIDATES} candidates each, modes alternated per round",
+        f"workload: {batches} score_batch calls per mode, "
+        f"{NUM_CANDIDATES} candidates each, each timed in both modes back "
+        "to back (order alternated)",
         "",
-        f"{'mode':<26} {'median s/round':>15} {'per batch (us)':>15}",
-        f"{'recording enabled':<26} {on_median:>15.4f} "
-        f"{1e6 * on_median / BATCHES_PER_ROUND:>15.1f}",
-        f"{'recording paused':<26} {off_median:>15.4f} "
-        f"{1e6 * off_median / BATCHES_PER_ROUND:>15.1f}",
+        f"{'mode':<26} {'median per batch (us)':>22}",
+        f"{'recording enabled':<26} {1e6 * on_median:>22.1f}",
+        f"{'recording paused':<26} {1e6 * off_median:>22.1f}",
         "",
-        f"overhead: {100 * overhead:+.2f}%   "
+        f"overhead (median paired diff / paused): {100 * overhead:+.2f}%   "
         f"(ceiling: {100 * OVERHEAD_CEILING:.0f}%)",
         f"queries recorded while enabled: {recorded:.0f} of {batches} "
-        "enabled calls (paused rounds are invisible, as intended)",
+        "enabled calls (paused calls are invisible, as intended)",
     ]
     show("obs_overhead", lines)
 
-    # exactly the enabled rounds recorded; the paused ones left no trace
+    # exactly the enabled calls recorded; the paused ones left no trace
     assert recorded == batches
     assert overhead <= OVERHEAD_CEILING
 
@@ -148,46 +180,34 @@ def test_sharded_instrumentation_overhead_under_ceiling(
         timings=True,
     )
 
-    def run_round() -> float:
-        start = time.perf_counter()
-        for _ in range(SHARDED_BATCHES_PER_ROUND):
-            runtime.submit_batch(query, candidates).result(timeout=60)
-        return time.perf_counter() - start
+    def request() -> None:
+        runtime.submit_batch(query, candidates).result(timeout=60)
 
+    requests = SHARDED_ROUNDS * SHARDED_BATCHES_PER_ROUND
     try:
         # warm-up both paths (shard engines, histogram children)
-        runtime.submit_batch(query, candidates).result(timeout=60)
+        request()
         with disabled():
-            runtime.submit_batch(query, candidates).result(timeout=60)
-
-        on_seconds: list[float] = []
-        off_seconds: list[float] = []
-        for _ in range(SHARDED_ROUNDS):
-            on_seconds.append(run_round())
-            with disabled():
-                off_seconds.append(run_round())
+            request()
+        on_samples, off_samples = _paired_samples(request, requests)
     finally:
         runtime.close(drain=True, timeout=30)
-
-    on_median = statistics.median(on_seconds)
-    off_median = statistics.median(off_seconds)
-    overhead = on_median / off_median - 1.0
+    on_median, off_median, overhead = _overhead(on_samples, off_samples)
 
     lines = [
         "Observability overhead — 2-shard scatter-gather, metrics on vs paused",
         f"graph: aminer-like, {bundle.graph.num_nodes} nodes "
         f"(n_w={NUM_WALKS}, t={LENGTH}, c={DECAY}, theta={THETA})",
-        f"workload: {SHARDED_ROUNDS} x {SHARDED_BATCHES_PER_ROUND} "
-        f"submit_batch round-trips, {NUM_CANDIDATES} candidates, "
-        "trace ids + timings annotations active in both modes",
+        f"workload: {requests} submit_batch round-trips per mode, "
+        f"{NUM_CANDIDATES} candidates, each timed in both modes back to "
+        "back (order alternated), trace ids + timings annotations active "
+        "in both modes",
         "",
-        f"{'mode':<26} {'median s/round':>15} {'per batch (us)':>15}",
-        f"{'recording enabled':<26} {on_median:>15.4f} "
-        f"{1e6 * on_median / SHARDED_BATCHES_PER_ROUND:>15.1f}",
-        f"{'recording paused':<26} {off_median:>15.4f} "
-        f"{1e6 * off_median / SHARDED_BATCHES_PER_ROUND:>15.1f}",
+        f"{'mode':<26} {'median per request (us)':>24}",
+        f"{'recording enabled':<26} {1e6 * on_median:>24.1f}",
+        f"{'recording paused':<26} {1e6 * off_median:>24.1f}",
         "",
-        f"overhead: {100 * overhead:+.2f}%   "
+        f"overhead (median paired diff / paused): {100 * overhead:+.2f}%   "
         f"(ceiling: {100 * OVERHEAD_CEILING:.0f}%)",
     ]
     show("obs_overhead_sharded", lines)

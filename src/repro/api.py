@@ -171,15 +171,14 @@ class QueryEngine:
         disables pruning).
     backend, backend_config:
         Compute backend for the MC scoring hot path: a registered backend
-        name (``"numpy"``, ``"blocked"``, or any third-party
+        name (the library's kernel ``"blocked"``, or any third-party
         registration), a ready :class:`~repro.backends.ComputeBackend`
         instance, or ``None`` for the default.  Selection precedence:
         explicit argument > the ``REPRO_BACKEND`` environment variable >
-        ``"numpy"``.  *backend_config* is a
+        ``"blocked"``.  *backend_config* is a
         :class:`~repro.backends.BackendConfig` of tuning knobs, only valid
         when *backend* is not already an instance.  Exact backends
-        (``numpy``, ``blocked``) return bit-identical scores; inexact
-        ones document a tolerance.
+        return bit-identical scores; inexact ones document a tolerance.
     policy:
         MC proposal distribution (:class:`WalkPolicy`).
     workers:

@@ -1,16 +1,16 @@
 """Pluggable compute backends for the Monte-Carlo scoring hot paths.
 
 See :mod:`repro.backends.base` for the protocol and the equivalence
-contract.  Importing this package registers the built-in backends:
+contract.  Importing this package registers the library's one kernel,
+``blocked`` (:mod:`repro.backends.blocked`): flat gathers and a
+row-blocked chain in per-thread scratch of ``block_rows`` rows.  The
+stacked-array reference it is held bit-identical to lives with the
+tests (``tests/backends/numpy_ref.py``), which register it as ``numpy``
+for their session.
 
-* ``numpy`` — the reference stacked-array kernels (the baseline every
-  other backend is verified against);
-* ``blocked`` — cache-blocked/preallocated kernels, bit-identical to the
-  reference and the guaranteed accelerated fallback.
-
-Select one with ``QueryEngine(backend=...)``, the CLI's ``--backend``, or
-the ``REPRO_BACKEND`` environment variable; inspect the registry with
-``repro backends list``.
+Select a registered backend with ``QueryEngine(backend=...)``, the CLI's
+``--backend``, or the ``REPRO_BACKEND`` environment variable; inspect the
+registry with ``repro backends list``.
 """
 
 from repro.backends.base import (
@@ -34,9 +34,8 @@ from repro.backends.base import (
     unregister_backend,
 )
 
-# Importing the modules registers the built-ins.
-from repro.backends import numpy_ref as _numpy_ref  # noqa: F401
-from repro.backends import blocked as _blocked      # noqa: F401
+# Importing the module registers the kernel.
+from repro.backends import blocked as _blocked  # noqa: F401
 
 __all__ = [
     "BACKEND_ENV_VAR",

@@ -6,9 +6,9 @@ step-mass products — are pure array kernels: every input they need is
 prepared by the estimator (walk tensors, per-step ``W``/``Q`` tables, the
 dense semantic matrix, meeting times) and every output is a plain array
 plus a handful of work counters.  :class:`ComputeBackend` pins that
-contract down so the kernels can be swapped — a different blocking
-strategy, eventually a compiled kernel — without touching the estimator,
-the serving stack or the CLI.
+contract down.  The library ships one implementation,
+:class:`~repro.backends.blocked.BlockedBackend` (``"blocked"``); the
+stacked-array reference it is held to lives with the tests as an oracle.
 
 Backends register themselves by name (:func:`register_backend`) and are
 discovered through :func:`available_backends` / ``repro backends list``.
@@ -24,10 +24,10 @@ Third-party packages can plug in the same way::
 Selection precedence is **kwarg > CLI > environment > default**: an
 explicit ``QueryEngine(backend=...)`` (the CLI's ``--backend`` is passed
 through as that kwarg) beats the ``REPRO_BACKEND`` environment variable,
-which beats the ``"numpy"`` default — see :func:`resolve_backend`.
+which beats the ``"blocked"`` default — see :func:`resolve_backend`.
 
 Equivalence contract: a backend with ``exact=True`` must be
-**bit-identical** to the ``numpy`` reference on every input (same floats,
+**bit-identical** to the stacked reference on every input (same floats,
 same operation order); a backend with ``exact=False`` must agree within
 its declared ``tolerance`` (an absolute per-score bound).  The
 cross-backend property suite (``tests/properties/test_backend_identity.py``)
@@ -49,7 +49,7 @@ from repro.errors import ConfigurationError
 from repro.obs.registry import get_registry, is_enabled
 
 #: Backend used when neither the caller nor the environment picks one.
-DEFAULT_BACKEND = "numpy"
+DEFAULT_BACKEND = "blocked"
 
 #: Environment variable consulted by :func:`resolve_backend` when the
 #: caller passes no explicit backend.
@@ -85,10 +85,11 @@ class BackendConfig:
     """Tuning knobs shared by every backend.
 
     block_rows:
-        Rows (met coupled walks) whose elementwise factor/cumprod chain is
-        processed per block by row-blocked kernels.  Smaller blocks keep
-        the chain's working set cache-resident; the value trades numpy
-        call overhead against memory traffic.
+        Rows (met coupled walks) the walk-score kernel gathers and scores
+        per block.  It also bounds the kernel's per-thread scratch, which
+        never holds more than one block.  Smaller blocks keep the working
+        set cache-resident; the value trades numpy call overhead against
+        memory traffic.
     step_memo_cap:
         Upper bound on the :class:`~repro.core.sarw.SemanticAwareWalker`
         step-distribution memo (entries, evicted least-recently-used).
@@ -157,7 +158,7 @@ class ComputeBackend(abc.ABC):
     """Swappable kernels for the Monte-Carlo scoring hot paths.
 
     Subclasses set three class attributes — ``name`` (the registry key),
-    ``exact`` (bit-identical to the ``numpy`` reference?) and
+    ``exact`` (bit-identical to the stacked reference?) and
     ``tolerance`` (absolute per-score bound when not exact; 0.0 when
     exact) — and implement the three kernels.  Instances are cheap and
     thread-safe: any scratch state must be per-thread (serving workers
@@ -204,7 +205,7 @@ class ComputeBackend(abc.ABC):
 
 
 # ---------------------------------------------------------------------------
-# SO-plane helper shared by the numpy-family backends (pair_index path).
+# SO-plane helper for the pair_index path (the kernel and its oracle).
 # ---------------------------------------------------------------------------
 
 def resolve_so_plane(

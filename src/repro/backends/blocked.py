@@ -1,7 +1,9 @@
-"""Flat-gather, preallocated, row-blocked backend — the guaranteed fast path.
+"""The walk-score kernel: flat gathers and a row-blocked chain in bounded scratch.
 
-Same arithmetic as the ``numpy`` reference, reorganised around three
-observations about where the reference kernel actually spends its time:
+This is the library's one implementation of the Monte-Carlo hot paths.
+It replays the arithmetic of the scalar Algorithm-1 loop (the stacked
+reference the identity suites keep as their oracle), organised around
+three observations about where a stacked-array kernel spends its time:
 
 * **Flat-index gathers.**  Two-array fancy indexing (``sem[nu, nv]``,
   ``walks[cr, rw]``) goes through numpy's general ``mapiter`` machinery —
@@ -12,28 +14,28 @@ observations about where the reference kernel actually spends its time:
   computed **once** and serves *both* element gathers: sliced ``[:, 1:]``
   it addresses the semantic numerators, sliced ``[:, :k]`` the SO
   denominators.
-* **Preallocated scratch.**  The factor/SO/q/cumprod planes *and* the
-  step-mask planes live in thread-local buffers reused across calls
-  (serving workers share one estimator, so scratch must be per-thread);
-  gathers land in them via ``np.take(..., out=...)``, the elementwise
-  chain runs in place, and the active/zero masks are fused into three
-  boolean planes written with ``np.copyto(..., where=...)`` — so the
-  steady-state kernel allocates almost nothing.
-* **Row-blocked chain.**  The multiply/divide/cumprod chain walks the
-  planes about a dozen times; processing ``config.block_rows`` rows at a
-  time keeps that working set cache-resident instead of streaming full
-  planes from memory on every pass.
+* **Everything per block.**  The met walks are processed
+  ``config.block_rows`` rows at a time, gathers included: walk rows,
+  ``W``/``Q`` rows, the key plane and the ``sem``/``SO`` cells of one
+  block land in thread-local scratch planes (serving workers share one
+  estimator, so scratch must be per-thread), the multiply/divide/cumprod
+  chain runs over them in place, and the next block reuses them.  The
+  working set stays cache-resident, and the scratch a thread keeps never
+  exceeds ``block_rows`` rows whatever the size of a request.
+* **Fused masks.**  The active/zero masks are three boolean planes
+  written in place with ``np.copyto(..., where=...)``, so the
+  steady-state block loop allocates almost nothing plane-sized.
 
 Bit-identity argument (``exact = True``): ``take`` fetches exactly the
-floats fancy indexing fetched; the key plane is integer arithmetic
-(``walk_u.astype(int64) * n + walk_v`` — exact, no rounding); every
-per-step value is a pure elementwise function of that row's inputs; the
-mask writes set exactly the cells the reference's boolean assignments
-set; and the cumprod runs per row — so neither the gather style nor the
-block boundaries can change a single intermediate float.  The only
-order-sensitive operation is the per-pair summation; rows are processed
-in their original order and reduced by a **single** global ``bincount``,
-the exact addition sequence of the reference.
+floats fancy indexing fetches, whichever rows a block holds; the key
+plane is integer arithmetic (``walk_u * n + walk_v`` in int64 — exact, no
+rounding); every per-step value is a pure elementwise function of its
+own row's inputs; the mask writes set exactly the cells the stacked
+form's boolean assignments set; and the cumprod runs per row — so
+neither the gather style nor the block boundaries can change a single
+intermediate float.  The only order-sensitive operation is the per-pair
+summation; blocks keep the rows in their original order and one global
+``bincount`` reduces them, the addition sequence of the scalar loop.
 """
 
 from __future__ import annotations
@@ -43,23 +45,34 @@ import threading
 import numpy as np
 
 from repro.backends.base import (
+    ComputeBackend,
     WalkScoreRequest,
     WalkScoreResult,
     register_backend,
     resolve_so_plane,
 )
-from repro.backends.numpy_ref import NumpyBackend
+
+# float64 planes: factor, SO, q_step, running product, two row gathers;
+# then the int64 key plane and three bool masks (active, bad, scratch).
+_FLOAT_PLANES = 6
+_BOOL_PLANES = 3
+
+
+def _carve(plane: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A C-contiguous ``(rows, cols)`` view over the front of *plane*."""
+    return plane.reshape(-1)[: rows * cols].reshape(rows, cols)
 
 
 @register_backend
-class BlockedBackend(NumpyBackend):
-    """Flat-gather walk-score kernel, bit-identical to the reference."""
+class BlockedBackend(ComputeBackend):
+    """Flat-gather, row-blocked Algorithm-1 kernel with bounded scratch."""
 
     name = "blocked"
     exact = True
     tolerance = 0.0
     description = (
-        "flat-gather/preallocated row-blocked kernels, bit-identical to numpy"
+        "flat-gather row-blocked kernels in per-thread scratch of "
+        "block_rows rows (the library kernel)"
     )
 
     def __init__(self, config=None) -> None:
@@ -67,17 +80,24 @@ class BlockedBackend(NumpyBackend):
         self._scratch = threading.local()
 
     def _buffers(self, rows: int, width: int) -> tuple[np.ndarray, ...]:
-        """Per-thread scratch planes, grown monotonically, never shared."""
+        """This thread's scratch planes, at least ``(rows, width)`` each.
+
+        Grown monotonically but never past the largest block seen, so a
+        thread holds at most ``block_rows`` rows of scratch.
+        """
         planes = getattr(self._scratch, "planes", None)
-        if planes is None or planes[0].shape[0] < rows or planes[0].shape[1] < width:
-            shape = (
-                max(rows, planes[0].shape[0] if planes else 0),
-                max(width, planes[0].shape[1] if planes else 0),
-            )
-            planes = tuple(np.empty(shape, dtype=np.float64) for _ in range(4)) + (
-                tuple(np.empty(shape, dtype=bool) for _ in range(3))
-            )
-            self._scratch.planes = planes
+        if planes is not None:
+            held_rows, held_width = planes[0].shape
+            if held_rows >= rows and held_width >= width:
+                return planes
+            rows, width = max(rows, held_rows), max(width, held_width)
+        shape = (rows, width)
+        planes = (
+            tuple(np.empty(shape, dtype=np.float64) for _ in range(_FLOAT_PLANES))
+            + (np.empty(shape, dtype=np.int64),)
+            + tuple(np.empty(shape, dtype=bool) for _ in range(_BOOL_PLANES))
+        )
+        self._scratch.planes = planes
         return planes
 
     def batch_walk_scores(self, request: WalkScoreRequest) -> WalkScoreResult:
@@ -92,6 +112,7 @@ class BlockedBackend(NumpyBackend):
         walks = request.walks
         decay = request.decay
         theta = request.theta
+        so_lookup = request.so_lookup
         met_at = meetings[rows_pair, rows_walk]                         # (R,)
         max_k = int(meetings.max())
         num_nodes = request.sem_matrix.shape[0]
@@ -99,82 +120,83 @@ class BlockedBackend(NumpyBackend):
         width1 = walks.shape[2]                                         # L + 1
         width = width1 - 1
 
-        # Flat-index row gathers: one take per table and side, each row
-        # addressed by its (node, walk) pair collapsed to one flat id.
+        # Each met walk's rows, addressed by its (node, walk) pair
+        # collapsed to one flat id, on the source and the candidate side.
         flat_u = request.pos_u[rows_pair] * n_w + rows_walk
         flat_v = request.positions[rows_pair] * n_w + rows_walk
         flat_walks = walks.reshape(-1, width1)
-        walk_u = flat_walks.take(flat_u, axis=0)[:, : max_k + 1]
-        walk_v = flat_walks.take(flat_v, axis=0)[:, : max_k + 1]
         flat_w = request.step_weights.reshape(-1, width)
-        w_u = flat_w.take(flat_u, axis=0)[:, :max_k]
-        w_v = flat_w.take(flat_v, axis=0)[:, :max_k]
         flat_q = request.step_q.reshape(-1, width)
-        q_u = flat_q.take(flat_u, axis=0)[:, :max_k]
-        q_v = flat_q.take(flat_v, axis=0)[:, :max_k]
+        # dense SO: one evaluation per step before each meeting
+        so_evaluations = int(met_at.sum()) if so_lookup is None else 0
 
-        # One key plane, two gathers: keys[:, 1:] addresses sem(nu, nv),
-        # keys[:, :max_k] addresses SO(cu, cv).  int64: walk_u * n
-        # overflows int32 past ~46k nodes.
-        keys = walk_u.astype(np.int64) * num_nodes + walk_v
-
-        f_s, so_s, q_s, run_s, act_s, bad_s, tmp_s = self._buffers(n_rows, max_k)
-        factor = f_s[:n_rows, :max_k]
-        so = so_s[:n_rows, :max_k]
-        q_step = q_s[:n_rows, :max_k]
-        running = run_s[:n_rows, :max_k]
-        act_plane = act_s[:n_rows, :max_k]
-        bad_plane = bad_s[:n_rows, :max_k]
-        tmp_plane = tmp_s[:n_rows, :max_k]
-
-        np.take(request.sem_matrix, keys[:, 1:], out=factor)
-        if request.so_lookup is None:
-            # active cells = one per step before each meeting
-            so_evaluations = int(met_at.sum())
-            np.take(request.so_matrix, keys[:, :max_k], out=so)
-        else:
-            so_evaluations = 0
-            step_ids_full = np.arange(max_k)
-            active_full = step_ids_full[None, :] < met_at[:, None]
-            so[...] = resolve_so_plane(
-                walk_u[:, :max_k], walk_v[:, :max_k], active_full,
-                num_nodes, request.so_lookup,
-            )
-
+        block = min(self.config.block_rows, n_rows)
+        f_s, so_s, q_s, run_s, ga_s, gb_s, key_s, act_s, bad_s, tmp_s = (
+            self._buffers(block, width1)
+        )
         totals_rows = np.empty(n_rows, dtype=np.float64)
         step_ids = np.arange(max_k)
+        row_ids_full = np.arange(block)
         walks_pruned = 0
-        block = self.config.block_rows
-        row_ids_full = np.arange(min(block, n_rows))
-        # The chain runs in place over row blocks (contiguous views — rows
-        # stay in original order), keeping ~a dozen passes cache-resident;
-        # the masks land in preallocated bool planes, so the loop body
-        # allocates nothing plane-sized.
+        # Every gather, the chain and the masks run over one block of rows
+        # at a time (rows stay in original order) in this thread's scratch.
+        # Cells at or past a walk's meeting hold garbage (a dead walk's -1
+        # step gives a negative key, which mode="wrap" reads like any other
+        # cell); every read of them is masked by the active plane below.
         with np.errstate(divide="ignore", invalid="ignore"):
             for s in range(0, n_rows, block):
                 e = min(s + block, n_rows)
                 b = e - s
-                fb = factor[s:e]
-                sob = so[s:e]
-                qb = q_step[s:e]
-                runb = running[s:e]
+                fu = flat_u[s:e]
+                fv = flat_v[s:e]
                 ma_b = met_at[s:e]
-                actb = act_plane[s:e]
-                badb = bad_plane[s:e]
-                tmpb = tmp_plane[s:e]
+                fb = _carve(f_s, b, max_k)
+                sob = _carve(so_s, b, max_k)
+                qb = _carve(q_s, b, max_k)
+                runb = _carve(run_s, b, max_k)
+                gab = _carve(ga_s, b, width)
+                gbb = _carve(gb_s, b, width)
+                keys = _carve(key_s, b, max_k + 1)
+                actb = _carve(act_s, b, max_k)
+                badb = _carve(bad_s, b, max_k)
+                tmpb = _carve(tmp_s, b, max_k)
 
-                # Same chain as the reference —
-                # ((sem * w_u) * w_v / so) * c / (q_u * q_v) — in place.
-                np.multiply(fb, w_u[s:e], out=fb)
-                np.multiply(fb, w_v[s:e], out=fb)
-                np.multiply(q_u[s:e], q_v[s:e], out=qb)
+                # One key plane, two gathers: keys[:, 1:] addresses
+                # sem(nu, nv), keys[:, :max_k] addresses SO(cu, cv).
+                # int64: walk_u * n overflows int32 past ~46k nodes.
+                walk_u = flat_walks.take(fu, axis=0)[:, : max_k + 1]
+                walk_v = flat_walks.take(fv, axis=0)[:, : max_k + 1]
+                np.multiply(walk_u, num_nodes, out=keys, dtype=np.int64)
+                np.add(keys, walk_v, out=keys)
+                np.take(request.sem_matrix, keys[:, 1:], out=fb, mode="wrap")
+
+                # active = step < met_at
+                np.greater.outer(ma_b, step_ids, out=actb)
+                if so_lookup is None:
+                    np.take(
+                        request.so_matrix, keys[:, :max_k], out=sob, mode="wrap"
+                    )
+                else:
+                    sob[...] = resolve_so_plane(
+                        walk_u[:, :max_k], walk_v[:, :max_k], actb,
+                        num_nodes, so_lookup,
+                    )
+
+                # The scalar chain — ((sem * w_u) * w_v / so) * c /
+                # (q_u * q_v) — in place, one row gather at a time.
+                np.take(flat_w, fu, axis=0, out=gab, mode="wrap")
+                np.multiply(fb, gab[:, :max_k], out=fb)
+                np.take(flat_w, fv, axis=0, out=gab, mode="wrap")
+                np.multiply(fb, gab[:, :max_k], out=fb)
+                np.take(flat_q, fu, axis=0, out=gab, mode="wrap")
+                np.take(flat_q, fv, axis=0, out=gbb, mode="wrap")
+                np.multiply(gab[:, :max_k], gbb[:, :max_k], out=qb)
                 np.divide(fb, sob, out=fb)
                 np.multiply(fb, decay, out=fb)
                 np.divide(fb, qb, out=fb)
 
-                # active = step < met_at; zero the active cells whose SO or
-                # q denominator collapsed, neutralise the inactive tail.
-                np.greater.outer(ma_b, step_ids, out=actb)
+                # Zero the active cells whose SO or q denominator collapsed
+                # (the scalar bail-out), neutralise the inactive tail.
                 np.less_equal(sob, 0.0, out=badb)
                 np.less_equal(qb, 0.0, out=tmpb)
                 np.logical_or(badb, tmpb, out=badb)
@@ -191,17 +213,20 @@ class BlockedBackend(NumpyBackend):
                 else:
                     np.less_equal(runb, theta, out=tmpb)
                     np.logical_and(tmpb, actb, out=tmpb)
-                    cut_anywhere = tmpb.any(axis=1)
+                    # argmax finds the first cut; a row with no cut
+                    # answers 0, whose cell is then False
                     first_cut = tmpb.argmax(axis=1)
+                    cut_anywhere = tmpb[row_ids, first_cut]
                     totals_rows[s:e] = np.where(
                         cut_anywhere, runb[row_ids, first_cut], last
                     )
-                    # badb already holds bad & active
+                    # A bail-out (badb holds bad & active) returns without
+                    # counting as pruned; a genuine θ freeze does.
                     bailed = badb[row_ids, first_cut]
                     walks_pruned += int((cut_anywhere & ~bailed).sum())
 
         # Rows never left their original order, so this single global
-        # bincount reproduces the reference's addition sequence exactly.
+        # bincount reproduces the scalar loop's addition sequence exactly.
         totals = np.bincount(
             rows_pair, weights=totals_rows, minlength=m
         ).astype(np.float64)
@@ -211,3 +236,21 @@ class BlockedBackend(NumpyBackend):
             so_evaluations=so_evaluations,
             walks_pruned=walks_pruned,
         )
+
+    def simrank_scores(
+        self,
+        meetings: np.ndarray,
+        met: np.ndarray,
+        decay: float,
+        num_walks: int,
+    ) -> np.ndarray:
+        contrib = np.where(met, decay ** np.maximum(meetings, 0), 0.0)
+        return contrib.sum(axis=1) / num_walks
+
+    def step_masses(
+        self,
+        weights_u: np.ndarray,
+        weights_v: np.ndarray,
+        sem_block: np.ndarray,
+    ) -> np.ndarray:
+        return (np.multiply.outer(weights_u, weights_v) * sem_block).ravel()

@@ -31,6 +31,7 @@ from repro.hin.graph import HIN, Node
 from repro.obs.registry import get_registry, is_enabled
 from repro.obs.trace import span
 from repro.semantics.base import SemanticMeasure, semantic_matrix
+from repro.semantics.cache import MatrixMeasure
 
 #: Convergence threshold the paper uses when it reports "converged after 5
 #: iterations" (average differences below 1e-3); we default tighter.
@@ -137,6 +138,26 @@ def _label_partitioned_adjacency(
     return list(by_label.values())
 
 
+def _dense_sem(measure: SemanticMeasure, nodes: list[Node]) -> np.ndarray:
+    """``semantic_matrix(measure, nodes)``, without a copy when one exists.
+
+    A :class:`MatrixMeasure` over *nodes* whose C-ordered matrix is
+    symmetric with a unit diagonal already holds exactly the array
+    ``semantic_matrix`` would build (its mirrored upper triangle, in the
+    same layout), so it is read in place and a cold engine materialises
+    ``sem`` once.  The solver never writes to it.
+    """
+    if isinstance(measure, MatrixMeasure) and measure.nodes == nodes:
+        matrix = measure.matrix
+        if (
+            matrix.flags.c_contiguous
+            and np.array_equal(matrix, matrix.T)
+            and (np.diagonal(matrix) == 1.0).all()
+        ):
+            return matrix
+    return semantic_matrix(measure, nodes)
+
+
 def iterate_fixed_point(
     graph: HIN,
     measure: SemanticMeasure | None,
@@ -195,7 +216,7 @@ def iterate_fixed_point(
                 f"sem_matrix shape {sem.shape} does not match {n} nodes"
             )
     elif measure is not None:
-        sem = semantic_matrix(measure, nodes)
+        sem = _dense_sem(measure, nodes)
     else:
         sem = np.ones((n, n))
 

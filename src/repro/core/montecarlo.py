@@ -362,8 +362,9 @@ class MonteCarloSemSim:
     backend:
         Compute backend for the batched kernels — a registered name, a
         ready :class:`~repro.backends.ComputeBackend`, or ``None`` for
-        the ``REPRO_BACKEND``/default resolution.  numpy-family backends
-        are bit-identical; others agree within their declared tolerance.
+        the ``REPRO_BACKEND``/default resolution.  Exact backends (the
+        library's ``blocked`` kernel) are bit-identical to the scalar
+        path; others agree within their declared tolerance.
     backend_config:
         Optional :class:`~repro.backends.BackendConfig` forwarded to a
         backend resolved by name.
@@ -837,16 +838,28 @@ class MonteCarloSemSim:
         past a walk's end are 0.  Every entry is an elementwise lookup, so
         the step tables of a subset of walks are the same floats as those
         rows of the full tables — and bit-identical to what the per-query
-        path computes.
+        path computes.  The tables are filled :data:`_STEP_BLOCK_WALKS`
+        walks at a time: the lookups' temporaries (int64 keys, search
+        positions, masks) then stay a few MB, where full-size ones would
+        stay resident in the allocator's heap after they are freed.
         """
-        current = walks[..., :-1].astype(np.int64)
-        nxt = walks[..., 1:].astype(np.int64)
-        valid = (current >= 0) & (nxt >= 0)
-        cur0 = np.where(valid, current, 0)
-        nxt0 = np.where(valid, nxt, 0)
-        weights = self._edge_weight_lookup(cur0, nxt0)
-        q = self._q_probability_lookup(cur0, weights)
-        return np.where(valid, weights, 0.0), np.where(valid, q, 0.0)
+        rows = walks.reshape(-1, walks.shape[-1])
+        weights = np.empty((rows.shape[0], rows.shape[1] - 1))
+        q = np.empty_like(weights)
+        for lo in range(0, rows.shape[0], _STEP_BLOCK_WALKS):
+            block = rows[lo:lo + _STEP_BLOCK_WALKS]
+            current = block[:, :-1].astype(np.int64)
+            nxt = block[:, 1:].astype(np.int64)
+            valid = (current >= 0) & (nxt >= 0)
+            cur0 = np.where(valid, current, 0)
+            nxt0 = np.where(valid, nxt, 0)
+            block_weights = self._edge_weight_lookup(cur0, nxt0)
+            block_q = self._q_probability_lookup(cur0, block_weights)
+            hi = lo + block.shape[0]
+            weights[lo:hi] = np.where(valid, block_weights, 0.0)
+            q[lo:hi] = np.where(valid, block_q, 0.0)
+        shape = walks.shape[:-1] + (weights.shape[1],)
+        return weights.reshape(shape), q.reshape(shape)
 
     def _ensure_edge_tables(self) -> None:
         """Build the sorted ``(current, next) -> W(next, current)`` table.
@@ -949,6 +962,10 @@ class MonteCarloSemSim:
             self.walk_index.num_walks, result.walks_met, int(positions.size)
         )
         return result.totals
+
+
+#: Walks per block of the step-table build (see ``_step_entries``).
+_STEP_BLOCK_WALKS = 8192
 
 
 def _count_tables_built(mode: str) -> None:

@@ -56,6 +56,9 @@ _WALKS_PER_SECOND = get_registry().gauge(
     help="Sampling throughput (walks/second) of the latest walk-index build.",
 )
 
+#: A step value no stored walk holds (steps are node ids or -1 padding).
+_NEVER_STEP = -2
+
 
 class WalkPolicy(enum.Enum):
     """How the proposal distribution ``Q`` picks the next in-neighbour."""
@@ -396,12 +399,15 @@ class WalkIndex:
         over the walk tensor.
         """
         walks_u = self.walks[pos_u]         # (n_w, t + 1) or (m, n_w, t + 1)
-        walks_v = self.walks[pos_v]         # (m, n_w, t + 1)
-        same = (walks_v == walks_u) & (walks_v >= 0) & (walks_u >= 0)
-        same[:, :, 0] = False
-        met_anywhere = same.any(axis=2)
-        first = same.argmax(axis=2)
-        return np.where(met_anywhere, first, -1).astype(np.int64)
+        # The source side's dead steps (-1) and start column become a value
+        # no stored step holds, so one equality finds exactly the live
+        # meetings at offsets >= 1.  argmax then returns the first one, and
+        # 0 (a column that can never match) means "never met".
+        marked = np.where(walks_u >= 0, walks_u, _NEVER_STEP)
+        marked[..., 0] = _NEVER_STEP
+        first = (self.walks[pos_v] == marked).argmax(axis=2)
+        first[first == 0] = -1
+        return first.astype(np.int64, copy=False)
 
     def q_step_probability(self, current: int, chosen: int) -> float:
         """Return ``Q[current -> chosen]`` for one step of one walk."""

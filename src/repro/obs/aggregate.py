@@ -16,7 +16,7 @@ A *snapshot* is a plain-dict, pickle/JSON-safe capture of one
                 "labelnames": ["backend", "kernel"],
                 "buckets": [0.0001, ...],          # upper bounds, no +Inf
                 "samples": [
-                    {"labels": {"backend": "numpy", "kernel": "batch_walk_scores"},
+                    {"labels": {"backend": "blocked", "kernel": "batch_walk_scores"},
                      "counts": [3, 1, ..., 0],     # RAW per-bucket, last = +Inf
                      "sum": 0.0123, "count": 4},
                 ],

@@ -78,6 +78,12 @@ __all__ = [
 
 _stack_local = threading.local()
 
+# (span name, label items) -> histogram child: a recorded span pays for
+# the family lookup and label validation once per series, not per span.
+# Families are never unregistered (clear_values zeroes them in place), so
+# a cached child stays the registry's own.
+_SPAN_CELLS: dict[tuple, object] = {}
+
 # (trace_id, span_id) of the active request context, or None.  A
 # ContextVar survives contextvars-aware executors; plain threads (the
 # worker pool, shard processes) re-activate it explicitly via
@@ -230,16 +236,19 @@ class Span:
         return False  # never swallow the exception
 
     def _observe(self) -> None:
-        histogram = get_registry().histogram(
-            histogram_name_for(self.name),
-            help=f"Wall-clock seconds of {self.name!r} spans.",
-            labelnames=sorted(self.labels) if self.labels else (),
-            buckets=DEFAULT_TIME_BUCKETS,
-        )
-        if self.labels:
-            histogram.labels(**self.labels).observe(self.wall_seconds)
-        else:
-            histogram.observe(self.wall_seconds)
+        labels = self.labels or {}
+        key = (self.name, tuple(labels.items()))
+        cell = _SPAN_CELLS.get(key)
+        if cell is None:
+            histogram = get_registry().histogram(
+                histogram_name_for(self.name),
+                help=f"Wall-clock seconds of {self.name!r} spans.",
+                labelnames=sorted(labels),
+                buckets=DEFAULT_TIME_BUCKETS,
+            )
+            cell = histogram.labels(**labels)
+            _SPAN_CELLS[key] = cell
+        cell.observe(self.wall_seconds)
 
     def _write_trace_line(self) -> None:
         writer = _writer

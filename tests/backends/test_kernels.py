@@ -146,6 +146,32 @@ class TestExactEquivalence:
             np.testing.assert_array_equal(expected, _batch(candidate, graph))
 
 
+class TestBoundedScratch:
+    @pytest.mark.parametrize("sling", [False, True])
+    def test_block_rows_bound_the_kernel_scratch(
+        self, model, index, matrix_measure, sling
+    ):
+        """A request of many blocks equals the oracle, totals and counters
+        alike, while the thread's scratch never holds more than one block."""
+        graph, measure = model
+        pair_index = SlingIndex(graph, measure, theta=0.05) if sling else None
+        reference = MonteCarloSemSim(
+            index, matrix_measure, theta=0.05, pair_index=pair_index,
+            backend="numpy",
+        )
+        backend = get_backend("blocked", BackendConfig(block_rows=7))
+        candidate = MonteCarloSemSim(
+            index, matrix_measure, theta=0.05, pair_index=pair_index,
+            backend=backend,
+        )
+        np.testing.assert_array_equal(
+            _batch(reference, graph), _batch(candidate, graph)
+        )
+        assert reference.stats.as_dict() == candidate.stats.as_dict()
+        assert candidate.stats.walks_met > 10 * 7  # many blocks, not one
+        assert max(plane.shape[0] for plane in backend._scratch.planes) <= 7
+
+
 class TestStepMemoCap:
     def test_memo_never_exceeds_cap(self, model):
         graph, measure = model

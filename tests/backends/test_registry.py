@@ -16,8 +16,9 @@ from repro.backends import (
     resolve_backend,
     unregister_backend,
 )
-from repro.backends.numpy_ref import NumpyBackend
 from repro.errors import ConfigurationError
+
+from tests.backends.numpy_ref import NumpyBackend
 
 
 class TestRegistry:
@@ -25,10 +26,10 @@ class TestRegistry:
         names = {info.name for info in available_backends()}
         assert {"numpy", "blocked"} <= names
 
-    def test_default_is_numpy(self, monkeypatch):
+    def test_default_is_blocked(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert DEFAULT_BACKEND == "numpy"
-        assert resolve_backend(None).name == "numpy"
+        assert DEFAULT_BACKEND == "blocked"
+        assert resolve_backend(None).name == "blocked"
 
     def test_get_backend_unknown_name(self):
         with pytest.raises(UnknownBackendError, match="nope"):

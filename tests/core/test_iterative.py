@@ -10,7 +10,7 @@ from repro.core.iterative import (
 )
 from repro.errors import ConfigurationError
 from repro.hin import HIN
-from repro.semantics import ConstantMeasure
+from repro.semantics import ConstantMeasure, MatrixMeasure, semantic_matrix
 
 from tests.conftest import build_taxonomy_graph
 
@@ -92,6 +92,40 @@ class TestAgainstReference:
         slow = reference_fixed_point(graph, measure, decay=0.6, iterations=iterations)
         for (u, v), value in slow.items():
             assert fast.score(u, v) == pytest.approx(value, abs=1e-12)
+
+
+class TestMatrixMeasureInPlace:
+    """A MatrixMeasure already in graph order is read without a copy."""
+
+    def test_in_place_read_equals_materialised_sem(self):
+        graph, measure = build_taxonomy_graph()
+        nodes = list(graph.nodes())
+        matrix = MatrixMeasure.from_measure(measure, nodes)
+        in_place = iterate_fixed_point(graph, matrix, decay=0.6)
+        materialised = iterate_fixed_point(
+            graph, None, decay=0.6, sem_matrix=semantic_matrix(matrix, nodes)
+        )
+        assert np.array_equal(in_place.matrix, materialised.matrix)
+
+    @pytest.mark.parametrize("defect", ["asymmetric", "diagonal"])
+    def test_non_canonical_matrix_is_still_materialised(self, defect):
+        # semantic_matrix mirrors the upper triangle and pins the diagonal,
+        # so a matrix that is not already in that form must not be read raw
+        graph, measure = build_taxonomy_graph()
+        nodes = list(graph.nodes())
+        raw = semantic_matrix(measure, nodes)
+        if defect == "asymmetric":
+            raw[np.tril_indices(len(nodes), -1)] *= 0.5
+        else:
+            np.fill_diagonal(raw, 0.9)
+        matrix = MatrixMeasure(nodes, raw)
+        got = iterate_fixed_point(graph, matrix, decay=0.6)
+        expected = iterate_fixed_point(
+            graph, None, decay=0.6, sem_matrix=semantic_matrix(matrix, nodes)
+        )
+        raw_read = iterate_fixed_point(graph, None, decay=0.6, sem_matrix=raw)
+        assert np.array_equal(got.matrix, expected.matrix)
+        assert not np.array_equal(got.matrix, raw_read.matrix)
 
 
 class TestEdgeLabelRestriction:

@@ -89,6 +89,17 @@ class TestConstruction:
         delta = snapshot_delta(before, get_registry().snapshot())
         assert delta["histograms"]["semantics_materialize_seconds_count"] == 1
 
+    def test_cold_iterative_build_materialises_sem_once(self, taxonomy_graph):
+        # the solver reads the engine's MatrixMeasure in place instead of
+        # gathering a second copy of it
+        from repro.obs.registry import get_registry, snapshot_delta
+
+        graph, measure = taxonomy_graph
+        before = get_registry().snapshot()
+        QueryEngine(graph, measure, method="iterative")
+        delta = snapshot_delta(before, get_registry().snapshot())
+        assert delta["histograms"]["semantics_materialize_seconds_count"] == 1
+
     def test_materialize_false_keeps_measure(self, taxonomy_graph):
         graph, measure = taxonomy_graph
         engine = QueryEngine(graph, measure, materialize_semantics=False,
