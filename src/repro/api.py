@@ -106,7 +106,7 @@ from repro.store.engine_io import (
     measure_from_artifact,
     snapshot_engine,
 )
-from repro.store.fingerprint import fingerprint_graph
+from repro.store.fingerprint import fingerprint_generation, fingerprint_graph
 
 __all__ = [
     "QueryEngine",
@@ -261,7 +261,11 @@ class QueryEngine:
         self.cache_key: str | None = None
         self._cache_identity: dict | None = None
         self._dynamic: DynamicWalkIndex | None = None
-        self._parent_graph: str | None = None
+        # Content id of the generation this engine's own mutations start
+        # from: its graph's fingerprint when built or opened (known from
+        # the store when there is one), its parent's id when it is a
+        # with_mutations clone.  None until first needed.
+        self._origin: str | None = None
 
         self.walk_index: WalkIndex | None = None
         self._table: SemSim | SimRank | None = None
@@ -453,6 +457,7 @@ class QueryEngine:
         )
         self.cache_key = key
         self._cache_identity = identity
+        self._origin = identity["graph"]
         if not self._store.contains(key):
             if is_enabled():
                 CACHE_MISS.inc()
@@ -634,7 +639,10 @@ class QueryEngine:
         else:
             kwargs["max_iterations"] = params.get("max_iterations")
             kwargs["tolerance"] = params.get("tolerance")
-        return cls(graph, None, **kwargs)
+        engine = cls(graph, None, **kwargs)
+        # graph_from_artifact checked this fingerprint against the graph.
+        engine._origin = artifact.manifest.get("graph")
+        return engine
 
     def save_walks(self, path: str | Path) -> None:
         """Persist just the walk tensor as a portable ``.npz``.
@@ -711,8 +719,8 @@ class QueryEngine:
         swap.
         """
         clone = copy.copy(self)
+        clone._origin = self._generation_id()
         clone._dynamic = None
-        clone._parent_graph = None
         clone._mutate(mutations)
         return clone
 
@@ -720,19 +728,36 @@ class QueryEngine:
         """Lineage of this index generation, or ``None`` if never mutated.
 
         Recorded into artifact manifests by
-        :func:`~repro.store.engine_io.snapshot_engine`: the fingerprint of
-        the parent generation's graph plus the hash of the mutation log
-        that produced this one — a content-addressable chain of index
-        generations.
+        :func:`~repro.store.engine_io.snapshot_engine`: the content id of
+        the parent generation plus the hash of the mutation log that
+        produced this one.  A never-mutated engine's id is its graph's
+        fingerprint; a mutated one's is
+        :func:`~repro.store.fingerprint.fingerprint_generation` over its
+        parent's id and its log hash.  So ``parent_graph`` is the parent
+        graph's fingerprint for the first generation and the parent's
+        chained id for deeper ones — both content-addressed by the base
+        graph and the mutation logs, and neither rehashes a graph on a swap.
         """
         if self._dynamic is None or not self._dynamic.mutation_log:
             return None
         return {
-            "parent_graph": self._parent_graph,
+            "parent_graph": self._origin,
             "mutation_log_sha256": self._dynamic.mutation_log_hash(),
             "mutations": len(self._dynamic.mutation_log),
             "epoch": int(self._dynamic.epoch),
         }
+
+    def _generation_id(self) -> str:
+        """Content id of this engine's index generation (see mutation_lineage)."""
+        if self._origin is None:
+            # a cold build without a store: fingerprint once, before the
+            # first mutation replaces the graph
+            self._origin = fingerprint_graph(self.graph)
+        if self._dynamic is None or not self._dynamic.mutation_log:
+            return self._origin
+        return fingerprint_generation(
+            self._origin, self._dynamic.mutation_log_hash()
+        )
 
     def persist_generation(self, store: ArtifactStore | None = None) -> str | None:
         """Strictly persist the engine's current state into *store*.
@@ -813,7 +838,7 @@ class QueryEngine:
                     "graph mutations require an integer seed: incremental "
                     "maintenance re-derives the walk draw schedule from it"
                 )
-            self._parent_graph = fingerprint_graph(self.graph)
+            self._generation_id()  # pins the origin before the graph moves
             self._dynamic = DynamicWalkIndex.from_walk_index(
                 self.walk_index, seed=self._seed_key
             )

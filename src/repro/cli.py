@@ -58,6 +58,7 @@ Prometheus text format, or scrapes a live server with ``--scrape``.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import signal
 import sys
@@ -292,6 +293,42 @@ def _make_service(args: argparse.Namespace) -> QueryService:
 #: Sentinel ending the serve printer thread's queue.
 _SERVE_DONE = object()
 
+#: glibc ``mallopt`` parameter numbers (``malloc.h``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: A server retires whole generations of multi-MiB arrays (the walk tensor,
+#: the step tables, ``sem``/``SO`` and every swap's copies of them).  glibc's
+#: dynamic mmap threshold rises each time such a mapped block is freed, so
+#: later generations land in the heap and stay there after retirement.
+#: Mapping every block of 4 MiB and up returns each one to the OS when it is
+#: freed.  Fixing the mmap threshold also pins the trim threshold at its
+#: 128 KiB default, which trims the heap after every burst of small
+#: temporaries and costs reads; 64 MiB keeps them reusing heap pages.
+_SERVE_MMAP_THRESHOLD = 4 << 20
+_SERVE_TRIM_THRESHOLD = 64 << 20
+
+
+def _release_retired_arrays_to_os() -> bool:
+    """Set ``repro serve``'s allocator policy for this process.
+
+    Returns whether libc accepted both settings; where libc has no
+    ``mallopt`` (not glibc) nothing is changed and the answer is False.
+    Forked shard workers inherit the policy.
+    """
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except OSError:
+        return False
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    accepted = [
+        mallopt(_M_MMAP_THRESHOLD, _SERVE_MMAP_THRESHOLD),
+        mallopt(_M_TRIM_THRESHOLD, _SERVE_TRIM_THRESHOLD),
+    ]
+    return all(accepted)
+
 
 def _serve_submit(runtime: ServingRuntime, line: str):
     """Turn one protocol line into a queue entry: a future or an error.
@@ -444,6 +481,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("error: --shards requires --index (shard a prebuilt artifact "
               "with 'repro index build' first)", file=sys.stderr)
         return 2
+    _release_retired_arrays_to_os()  # before any engine array exists
     service = _make_service(args)
     service.manager.acquire()  # activate eagerly so startup errors surface
     if args.shards:

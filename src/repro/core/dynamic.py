@@ -13,12 +13,12 @@ float per ``(node, walk, step)`` from a per-node child generator spawned
 off the seed, and dead walkers simply waste their draws — so each walk is
 a pure function of ``(draws, transition tables)``.  Child ``v`` of
 ``SeedSequence(seed)`` equals ``SeedSequence(entropy=seed,
-spawn_key=(v,))``, so any node's draw block can be regenerated on demand,
-including blocks for nodes appended after the initial build.  Repair after
-a mutation therefore recompiles the transition tables, finds every row
-whose compiled stepping data changed **bitwise**, and re-steps affected
-walk suffixes with the regenerated draws through the same vectorised
-``tables.step`` arithmetic.  The maintained tensor is *bit-identical* to
+spawn_key=(v,))``, so the draws of any walk suffix can be regenerated on
+demand (:func:`~repro.utils.rng.spawn_suffix_draws`), including for nodes
+appended after the initial build.  Repair after a mutation therefore
+recompiles the transition tables, finds every row whose compiled stepping
+data changed **bitwise**, and re-steps affected walk suffixes with the
+regenerated draws through the same vectorised ``tables.step`` arithmetic.  The maintained tensor is *bit-identical* to
 ``WalkIndex(mutated_graph, seed=seed)`` — the property
 ``tests/properties/test_dynamic_identity.py`` proves under randomized
 mutation schedules.
@@ -56,6 +56,7 @@ from repro.hin.graph import (
     HIN,
     Node,
 )
+from repro.utils.rng import spawn_suffix_draws
 
 #: One applied mutation: ``(kind, source, target, weight_repr, label)`` with
 #: every field a string so the log is JSON- and hash-stable.
@@ -372,46 +373,61 @@ class DynamicWalkIndex:
         ``length``, a row whose transition data changed or one of *rows*.
         A walk's step weights and proposal odds read only the rows it
         stands on, so no other walk's per-step data moved.
+
+        The visit scan reads only the tensor cells whose node lies between
+        the lowest and the highest flagged position (one node under the
+        uniform policy; under the weighted policy an ulp shift of the
+        global ``cumsum`` can flag rows far apart, and the range widens).
         """
         changed = _changed_rows(old_tables, new_tables)
         self._changed_in_rows[rows] = True
         # Bit 1: transition data changed (visitors are re-stepped); bit 2:
-        # in-edges changed.  The sentinel slot n stays 0 so dead (-1)
-        # steps never match.
-        flags = np.zeros(changed.size + 1, dtype=np.uint8)
-        flags[:-1][changed] = 1
+        # in-edges changed.
+        flags = np.zeros(changed.size, dtype=np.uint8)
+        flags[changed] = 1
         flags[rows] |= 2
+        flagged = np.flatnonzero(flags)
+        lo, hi = int(flagged[0]), int(flagged[-1])
+        # Dead steps (-1) fall below lo.  Hits ascend, so each walk's hits
+        # are contiguous and in offset order.
+        flat = self._inner.walks.reshape(-1)
+        cells = np.flatnonzero((flat >= lo) & (flat <= hi))
+        bits = flags[flat[cells]]
+        hit = bits != 0
+        walk_flat, offsets = np.divmod(cells[hit], self.length + 1)
+        bits = bits[hit]
         # A visit at the final offset has no outgoing step.
-        visits = flags[self._inner.walks[:, :, : self.length]]
-        touched = visits.any(axis=2)
-        self._changed_walks |= touched
-        node_ids, walk_ids = np.nonzero(touched)
-        restep = visits[node_ids, walk_ids] & 1
-        moved = restep.any(axis=1)
-        if not moved.any():
+        inner = offsets < self.length
+        walk_flat, offsets, bits = walk_flat[inner], offsets[inner], bits[inner]
+        self._changed_walks.reshape(-1)[walk_flat] = True
+        restep = (bits & 1) == 1
+        walk_flat, offsets = walk_flat[restep], offsets[restep]
+        if walk_flat.size == 0:
             return 0
-        starts = restep[moved].argmax(axis=1).astype(np.int64)
-        self._restep(node_ids[moved], walk_ids[moved], starts)
-        return int(moved.sum())
+        # Each walk re-steps from its first bit-1 visit.
+        first = np.ones(walk_flat.size, dtype=bool)
+        first[1:] = walk_flat[1:] != walk_flat[:-1]
+        node_ids, walk_ids = np.divmod(walk_flat[first], self.num_walks)
+        self._restep(node_ids, walk_ids, offsets[first])
+        return int(node_ids.size)
 
     def _restep(
         self, node_ids: np.ndarray, walk_ids: np.ndarray, starts: np.ndarray
     ) -> None:
         """Replay walk suffixes with the original draws on the new tables.
 
-        Mirrors :meth:`WalkIndex._sample_shard` step for step — same draw
-        tensor layout, same ``tables.step`` arithmetic — so the repaired
-        suffix is bitwise what a fresh build would sample.
+        Mirrors :meth:`WalkIndex._sample_shard` step for step — the same
+        per-node draw streams (drawn only for the re-stepped suffixes, by
+        :func:`~repro.utils.rng.spawn_suffix_draws`) and the same
+        ``tables.step`` arithmetic — so the repaired suffix is bitwise what
+        a fresh build would sample.
         """
         walks = self._inner.walks
         tables = self._inner.tables
         degrees = tables.degrees
-        uniq, inverse = np.unique(node_ids, return_inverse=True)
-        draws = np.empty(
-            (uniq.size, self.num_walks, self.length), dtype=np.float64
+        draws = spawn_suffix_draws(
+            self._entropy, node_ids, walk_ids, starts, self.length
         )
-        for slot, position in enumerate(uniq):
-            draws[slot] = self._node_draws(int(position))
         current = walks[node_ids, walk_ids, starts].astype(np.int64)
         for step in range(int(starts.min()), self.length):
             active = np.flatnonzero(starts <= step)
@@ -423,17 +439,11 @@ class DynamicWalkIndex:
                 live = degrees[nodes_here] > 0
                 movable = movable[live]
                 if movable.size:
-                    sel = active[movable]
-                    step_draws = draws[inverse[sel], walk_ids[sel], step]
-                    nxt[movable] = tables.step(nodes_here[live], step_draws)
+                    nxt[movable] = tables.step(
+                        nodes_here[live], draws[active[movable], step]
+                    )
             walks[node_ids[active], walk_ids[active], step + 1] = nxt
             current[active] = nxt
-
-    def _node_draws(self, position: int) -> np.ndarray:
-        # Child *position* of SeedSequence(entropy) is reachable directly via
-        # spawn_key — the same stream spawn_rngs() hands the shard builder.
-        seq = np.random.SeedSequence(entropy=self._entropy, spawn_key=(position,))
-        return np.random.default_rng(seq).random((self.num_walks, self.length))
 
     def __repr__(self) -> str:
         return (

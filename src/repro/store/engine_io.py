@@ -169,9 +169,9 @@ def snapshot_engine(engine, identity: dict) -> tuple[dict, dict, dict]:
     if callable(lineage):
         lineage = lineage()
     if lineage:
-        # Versioned generations: the parent graph's fingerprint plus the
-        # hash of the mutation log that produced this one make the chain of
-        # index generations content-addressable.
+        # Versioned generations: the parent generation's content id plus
+        # the hash of the mutation log that produced this one make the
+        # chain of index generations content-addressable.
         manifest["lineage"] = lineage
     return manifest, arrays, documents
 

@@ -53,6 +53,17 @@ def fingerprint_graph(graph: HIN) -> str:
     return _digest(["hin", nodes, edges])
 
 
+def fingerprint_generation(parent: str, mutation_log_sha256: str) -> str:
+    """Content id of an index generation made by mutating *parent*.
+
+    *parent* is the parent generation's id (its graph fingerprint when it
+    was never mutated) and *mutation_log_sha256* the hash of the mutation
+    log applied to it, so ids chain from a base graph through every
+    generation without hashing a graph again.
+    """
+    return _digest(["generation", parent, mutation_log_sha256])
+
+
 def fingerprint_measure(measure: object | None) -> str:
     """Return a content hash identifying a semantic measure.
 

@@ -1,5 +1,11 @@
 """Unit tests for the command-line interface."""
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -505,6 +511,37 @@ class TestShardedServe:
             if proc.poll() is None:
                 proc.kill()
             proc.wait(timeout=30)
+
+
+class TestServeAllocatorPolicy:
+    """`repro serve` maps large arrays, so retired generations return to the OS."""
+
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's"
+    )
+    def test_glibc_accepts_both_thresholds(self):
+        import repro
+
+        # a child process: the policy is process-wide and would outlive
+        # the test
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.cli import _release_retired_arrays_to_os as policy; "
+             "print(policy())"],
+            capture_output=True, text=True, timeout=60, check=True,
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        )
+        assert probe.stdout.strip() == "True"
+
+    def test_missing_mallopt_is_a_no_op(self, monkeypatch):
+        import repro.cli as cli
+
+        class NoMallopt:
+            pass
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: NoMallopt())
+        assert cli._release_retired_arrays_to_os() is False
 
 
 class TestErrorPaths:
