@@ -16,13 +16,11 @@ Also reports parallel walk-index construction: sharded building across a
 thread pool, bit-identical to the serial build for the same seed (per-node
 seed spawning makes the walk tensor partition-invariant).
 
-``--backend`` adds the compute-backend axis: the backend-kernel bench
-compares the selected backend (default: the session's resolved backend,
-the library kernel ``blocked``) against the stacked-array oracle on the
-same shared walk index, asserting the backend's declared equivalence
-contract on the scores.  The oracle lives with the tests
-(``tests/backends/numpy_ref.py``) and registers itself as ``numpy`` when
-this module imports it.
+The backend-kernel bench compares the library kernel ``blocked``
+against the stacked-array oracle on the same shared walk index and
+asserts the scores are bit-identical.  The oracle lives with the tests
+(``tests/backends/numpy_ref.py``) and is passed to its engine as an
+instance.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from repro.api import QueryEngine
 from repro.core import MonteCarloSemSim, WalkIndex
 from repro.datasets import aminer_like
 
-import tests.backends.numpy_ref  # noqa: F401 — registers the "numpy" oracle
+from tests.backends.numpy_ref import NumpyBackend
 
 DECAY = 0.6
 THETA = 0.05
@@ -123,19 +121,16 @@ def test_batch_single_source_speedup(bundle, show):
 
 
 def test_backend_kernel_speedup(bundle, show, bench_backend):
-    """Selected backend vs the stacked-array oracle on one shared walk index."""
-    from repro.backends import DEFAULT_BACKEND, get_backend
-
-    compare = bench_backend if bench_backend != "numpy" else DEFAULT_BACKEND
+    """The library kernel vs the stacked-array oracle on one walk index."""
+    compare = bench_backend
     reference = QueryEngine(
         bundle.graph, bundle.measure, method="mc", decay=DECAY,
         num_walks=NUM_WALKS, length=LENGTH, theta=THETA, seed=7,
-        backend="numpy",
+        backend=NumpyBackend(),
     )
     candidate = QueryEngine(
         bundle.graph, bundle.measure, method="mc", decay=DECAY,
         num_walks=NUM_WALKS, length=LENGTH, theta=THETA, seed=7,
-        backend=compare,
     )
     nodes = list(bundle.graph.nodes())
     query = bundle.entity_nodes[0]
@@ -157,13 +152,8 @@ def test_backend_kernel_speedup(bundle, show, bench_backend):
         got = candidate.score_batch(query, candidates)
         best_cand = min(best_cand, time.perf_counter() - start)
 
-    info = get_backend(compare)
-    if info.exact:
-        np.testing.assert_array_equal(expected, got)
-        agreement = "bit-identical"
-    else:
-        np.testing.assert_allclose(expected, got, rtol=0, atol=info.tolerance)
-        agreement = f"|diff| <= {info.tolerance:g} (declared tolerance)"
+    np.testing.assert_array_equal(expected, got)
+    agreement = "bit-identical"
 
     speedup = best_ref / best_cand
     lines = [
@@ -181,9 +171,8 @@ def test_backend_kernel_speedup(bundle, show, bench_backend):
         f"speedup: {speedup:.2f}x   scores: {agreement}",
     ]
     show("batch_queries_backend", lines)
-    if compare == "blocked":
-        # the library kernel must beat the stacked form it replaced
-        assert speedup > 1.0
+    # the library kernel must beat the stacked form it replaced
+    assert speedup > 1.0
 
 
 def test_parallel_index_construction(bundle, show):

@@ -147,7 +147,7 @@ def test_scheduler_throughput_vs_sequential(bundle, show, bench_backend):
         bundle.graph, bundle.measure,
         engine_kwargs=dict(
             method="mc", decay=DECAY, num_walks=NUM_WALKS,
-            length=LENGTH, theta=THETA, seed=7, backend=bench_backend,
+            length=LENGTH, theta=THETA, seed=7,
         ),
     )
     service = QueryService(manager)
@@ -241,7 +241,7 @@ def test_sharded_scatter_gather_throughput(
     """
     engine_kwargs = dict(
         method="mc", decay=DECAY, num_walks=NUM_WALKS,
-        length=LENGTH, theta=THETA, seed=7, backend=bench_backend,
+        length=LENGTH, theta=THETA, seed=7,
     )
     manager = IndexManager(
         bundle.graph, bundle.measure, engine_kwargs=dict(engine_kwargs)
@@ -269,7 +269,7 @@ def test_sharded_scatter_gather_throughput(
             service, parent, shards,
             workers=shards, workers_per_shard=1,
             max_batch=256, max_wait_us=200, queue_depth=4 * WINDOW,
-            clock=time.monotonic, backend=bench_backend,
+            clock=time.monotonic,
         )
         try:
             _closed_loop_qps(runtime, requests[:200])  # warm pipes + caches

@@ -70,9 +70,7 @@ def main() -> None:
         )
         if backend:
             sections += [
-                f"Compute backend for the recorded run: `{backend}` "
-                "(`pytest benchmarks/ --backend <name>` to re-run on "
-                "another).",
+                f"Walk-score kernel for the recorded run: `{backend}`.",
                 "",
             ]
     seen = set()

@@ -10,12 +10,7 @@ ever rebuilding from scratch.
 Run:  python examples/streaming_updates.py
 """
 
-from repro.core import (
-    DynamicWalkIndex,
-    MonteCarloSemSim,
-    plan_index,
-    single_source_mc,
-)
+from repro.core import DynamicWalkIndex, MonteCarloSemSim, plan_index
 from repro.datasets import aminer_like
 
 
@@ -41,9 +36,10 @@ def main() -> None:
     def report(tag: str) -> None:
         estimator = MonteCarloSemSim(index, measure, decay=0.6, theta=0.05)
         score = estimator.similarity(author_a, author_b)
+        candidates = data.entity_nodes[:40]
+        scores = estimator.similarity_batch(author_a, candidates)
         ranked = sorted(
-            single_source_mc(estimator, author_a, data.entity_nodes[:40]).items(),
-            key=lambda item: -item[1],
+            zip(candidates, scores.tolist()), key=lambda item: -item[1]
         )
         closest = [node for node, _ in ranked if node != author_a][:3]
         print(f"{tag}: semsim({author_a}, {author_b}) = {score:.4f}; "

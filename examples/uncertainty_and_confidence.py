@@ -1,27 +1,13 @@
-"""Uncertain graphs and statistically confident rankings.
+"""Statistically confident rankings.
 
-Two production concerns the paper's Section 7 points at, both supported by
-this library:
-
-1. **Uncertain edges** — relations extracted with confidence scores.  The
-   possible-world semantics turns SemSim into an expectation; the
-   across-world spread tells you which scores the uncertainty actually
-   touches.
-2. **Confidence-aware top-k** — Monte-Carlo estimates carry sampling
-   error; Prop. 4.3 says far-apart scores essentially never swap ranks,
-   while close ones may.  ``top_k_confident`` surfaces exactly which rank
-   boundaries are settled.
+Monte-Carlo estimates carry sampling error; Prop. 4.3 says far-apart
+scores essentially never swap ranks, while close ones may.
+``top_k_confident`` surfaces exactly which rank boundaries are settled.
 
 Run:  python examples/uncertainty_and_confidence.py
 """
 
-from repro.core import (
-    MonteCarloSemSim,
-    UncertainHIN,
-    UncertainSemSim,
-    WalkIndex,
-    top_k_confident,
-)
+from repro.core import MonteCarloSemSim, WalkIndex, top_k_confident
 from repro.datasets import aminer_like
 
 
@@ -31,31 +17,7 @@ def main() -> None:
     print(f"Bibliographic network: {graph}")
     print()
 
-    # ------------------------------------------------------------------
-    # Part 1 — uncertain collaboration edges.
-    # ------------------------------------------------------------------
-    author_a, author_b = data.entity_nodes[0], data.entity_nodes[1]
-    uncertain = UncertainHIN(graph)
-    downgraded = 0
-    for target, _, label in list(graph.out_edges(author_a)):
-        if label == "co-author":
-            uncertain.set_edge_probability(author_a, target, 0.5)
-            uncertain.set_edge_probability(target, author_a, 0.5)
-            downgraded += 1
-    print(f"Downgraded {downgraded} of {author_a}'s collaborations to p=0.5.")
-
-    engine = UncertainSemSim(uncertain, measure, decay=0.6, num_worlds=15, seed=1)
-    touched = engine.score(author_a, author_b)
-    untouched = engine.score(data.entity_nodes[5], data.entity_nodes[6])
-    print(f"  E[sim({author_a}, {author_b})] = {touched.mean:.4f} "
-          f"(± {touched.std:.4f} across worlds — uncertainty reaches this pair)")
-    print(f"  E[sim({data.entity_nodes[5]}, {data.entity_nodes[6]})] = "
-          f"{untouched.mean:.4f} (± {untouched.std:.4f})")
-    print()
-
-    # ------------------------------------------------------------------
-    # Part 2 — which top-k ranks can you trust?
-    # ------------------------------------------------------------------
+    author_a = data.entity_nodes[0]
     index = WalkIndex(graph, num_walks=150, length=12, seed=2)
     estimator = MonteCarloSemSim(index, measure, decay=0.6, theta=None)
     ranking = top_k_confident(author_a, data.entity_nodes, 5, estimator)

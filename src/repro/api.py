@@ -41,22 +41,17 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.backends import (
-    BackendConfig,
-    BackendError,
-    BackendUnavailableError,
-    ComputeBackend,
-    UnknownBackendError,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
+from repro.backends import ComputeBackend, resolve_backend
 from repro.core.bounds import plan_index
 from repro.core.dynamic import DynamicWalkIndex
 from repro.core.iterative import FixedPointResult
 from repro.core.join import candidate_pairs, similarity_join
-from repro.core.montecarlo import EstimatorStats, MonteCarloSemSim, MonteCarloSimRank
+from repro.core.montecarlo import (
+    EstimatorStats,
+    MonteCarloSemSim,
+    MonteCarloSimRank,
+    pair_positions,
+)
 from repro.core.params import (
     validate_decay,
     validate_length,
@@ -66,8 +61,7 @@ from repro.core.params import (
 )
 from repro.core.semsim import SemSim
 from repro.core.simrank import SimRank
-from repro.core.single_source import batch_similarity
-from repro.core.topk import top_k_similar
+from repro.core.topk import str_ranks, top_k_scan, top_k_similar
 from repro.core.walk_index import (
     WalkIndex,
     WalkPolicy,
@@ -75,7 +69,7 @@ from repro.core.walk_index import (
     load_walk_index,
     save_walk_index,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, NodeNotFoundError
 from repro.hin.graph import (
     DEFAULT_EDGE_LABEL,
     DEFAULT_NODE_LABEL,
@@ -112,19 +106,8 @@ __all__ = [
     "QueryEngine",
     "EstimatorStats",
     "WalkPolicy",
-    "batch_similarity",
     "similarity_join",
     "top_k_similar",
-    # compute-backend seam (re-exported so API users need one import)
-    "BackendConfig",
-    "BackendError",
-    "BackendUnavailableError",
-    "ComputeBackend",
-    "UnknownBackendError",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
 ]
 
 #: Above this node count ``materialize_semantics="auto"`` stops densifying
@@ -135,6 +118,9 @@ _LOG = get_logger("api")
 
 #: Mutation kinds, each a method of both the engine and DynamicWalkIndex.
 _MUTATION_KINDS = ("add_edge", "set_weight", "remove_edge", "add_node")
+
+#: Marks a lazily derived attribute that has not been derived yet.
+_UNSET = object()
 
 _QUERY_LATENCY = get_registry().histogram(
     "query_latency_seconds",
@@ -169,16 +155,12 @@ class QueryEngine:
         underlying engine.  ``num_walks``/``length``/``seed`` only apply to
         ``method="mc"``; ``theta`` is the MC pruning threshold (``None``
         disables pruning).
-    backend, backend_config:
-        Compute backend for the MC scoring hot path: a registered backend
-        name (the library's kernel ``"blocked"``, or any third-party
-        registration), a ready :class:`~repro.backends.ComputeBackend`
-        instance, or ``None`` for the default.  Selection precedence:
-        explicit argument > the ``REPRO_BACKEND`` environment variable >
-        ``"blocked"``.  *backend_config* is a
-        :class:`~repro.backends.BackendConfig` of tuning knobs, only valid
-        when *backend* is not already an instance.  Exact backends
-        return bit-identical scores; inexact ones document a tolerance.
+    backend:
+        The :class:`~repro.backends.ComputeBackend` instance that runs the
+        MC scoring kernel, or ``None`` for the library kernel
+        (:class:`~repro.backends.BlockedBackend`).  Every backend returns
+        bit-identical scores; the tests pass their stacked-array oracle
+        here.
     policy:
         MC proposal distribution (:class:`WalkPolicy`).
     workers:
@@ -222,8 +204,7 @@ class QueryEngine:
         length: int = 15,
         theta: float | None = 0.05,
         seed: int | np.random.Generator | None = None,
-        backend: str | ComputeBackend | None = None,
-        backend_config: BackendConfig | None = None,
+        backend: ComputeBackend | None = None,
         policy: WalkPolicy = WalkPolicy.UNIFORM,
         workers: int | None = None,
         materialize_semantics: bool | str = "auto",
@@ -244,7 +225,7 @@ class QueryEngine:
         self.num_walks = validate_num_walks(num_walks)
         self.length = validate_length(length)
         self.theta = validate_theta(theta)
-        self.backend = resolve_backend(backend, backend_config)
+        self.backend = resolve_backend(backend)
         self.backend_name = self.backend.name
         self.policy = policy
         self.workers = validate_workers(workers)
@@ -269,6 +250,8 @@ class QueryEngine:
 
         self.walk_index: WalkIndex | None = None
         self._table: SemSim | SimRank | None = None
+        self._sem_rows = _UNSET
+        self._tie_rank_cache: tuple[list[Node], int, np.ndarray] | None = None
         self._latency_single = _QUERY_LATENCY.labels(method=method, mode="single")
         self._latency_batch = _QUERY_LATENCY.labels(method=method, mode="batch")
 
@@ -486,7 +469,7 @@ class QueryEngine:
         Every array comes straight from the mapped files — the same bytes
         a cold build produced — so restored engines answer bit-identically
         to fresh ones.  The compute backend is per-engine, not part of the
-        artifact: the same artifact serves under any backend.
+        artifact.
         """
         self.measure = measure_from_artifact(artifact, self.graph)
         if self.method == "mc":
@@ -588,8 +571,7 @@ class QueryEngine:
         cls,
         path: str | Path,
         *,
-        backend: str | ComputeBackend | None = None,
-        backend_config: BackendConfig | None = None,
+        backend: ComputeBackend | None = None,
     ) -> "QueryEngine":
         """Warm-start an engine from an artifact written by :meth:`save`.
 
@@ -600,8 +582,7 @@ class QueryEngine:
         saved.  Any structural problem — truncated file, version drift,
         manifest mismatch — raises :class:`~repro.store.StoreError`.
 
-        *backend*/*backend_config* select the compute backend exactly as in
-        the constructor — artifacts are backend-agnostic.
+        *backend* is the kernel instance, as in the constructor.
         """
         artifact = read_artifact(path)
         graph = graph_from_artifact(artifact)
@@ -622,7 +603,6 @@ class QueryEngine:
             "decay": params.get("decay", 0.6),
             "theta": params.get("theta"),
             "backend": backend,
-            "backend_config": backend_config,
             "_artifact": artifact,
         }
         if method == "mc":
@@ -918,64 +898,100 @@ class QueryEngine:
             self._latency_single.observe(time.perf_counter() - start)
         return value
 
-    def score_batch(self, u: Node, candidates: Sequence[Node]) -> np.ndarray:
-        """Return ``sim(u, v)`` for every candidate in one vectorised pass."""
-        start = time.perf_counter()
-        candidates = list(candidates)
+    @property
+    def nodes(self) -> list[Node]:
+        """The graph's nodes by position — the order every position names.
+
+        The walk index (kept current by mutations), a materialised ``sem``
+        and the iterative table all share it.
+        """
         if self._table is not None:
-            scores = self._table_gather([u], candidates)
+            return self._table.result.nodes
+        return self.walk_index.index.nodes
+
+    @property
+    def position_map(self) -> dict[Node, int]:
+        """``node -> position`` over :attr:`nodes`."""
+        if self._table is not None:
+            return self._table._position
+        return self.walk_index.index.position
+
+    def node_positions(self, nodes: Sequence[Node]) -> np.ndarray:
+        """Positions of *nodes* as one int64 array.
+
+        Raises :class:`~repro.errors.NodeNotFoundError` for a node the
+        graph does not hold.
+        """
+        position = self.position_map
+        try:
+            return np.fromiter(
+                (position[node] for node in nodes), dtype=np.int64,
+                count=len(nodes),
+            )
+        except KeyError as exc:
+            raise NodeNotFoundError(exc.args[0]) from None
+
+    def _position(self, node: Node) -> int:
+        try:
+            return self.position_map[node]
+        except KeyError:
+            raise NodeNotFoundError(node) from None
+
+    def score_positions(self, pos_u, positions) -> np.ndarray:
+        """Return ``sim`` of the pairs ``(pos_u[i], positions[i])`` by position.
+
+        *pos_u* is one int shared by every pair, or one int per pair;
+        positions index :attr:`nodes`.  A shared source returns exactly
+        the floats of :meth:`score_batch`, per-pair sources those of
+        :meth:`score_pairs` (so every entry equals :meth:`score` of its
+        pair), with the same stats deltas.  The MC SemSim engine scores
+        every pair in one vectorised pass, the MC SimRank engine runs its
+        kernel for a shared source and the scalar loop per pair, and the
+        iterative engine gathers from its table.
+        """
+        start = time.perf_counter()
+        pos_u, positions = pair_positions(pos_u, positions)
+        if self._table is not None:
+            scores = self._table_gather(pos_u, positions)
         else:
-            scores = self.estimator.similarity_batch(u, candidates)
+            scores = self.estimator.score_positions(pos_u, positions)
         if is_enabled():
-            _BATCH_CANDIDATES.observe(len(candidates))
+            _BATCH_CANDIDATES.observe(positions.size)
             self._latency_batch.observe(time.perf_counter() - start)
         return scores
+
+    def score_batch(self, u: Node, candidates: Sequence[Node]) -> np.ndarray:
+        """Return ``sim(u, v)`` for every candidate in one vectorised pass."""
+        candidates = list(candidates)
+        return self.score_positions(
+            self._position(u), self.node_positions(candidates)
+        )
 
     def score_pairs(self, us: Sequence[Node], vs: Sequence[Node]) -> np.ndarray:
         """Return ``sim(us[i], vs[i])`` for pairs from any mix of sources.
 
-        Every entry equals :meth:`score` of its pair.  The MC SemSim
-        engine scores all pairs in one vectorised pass
-        (:meth:`~repro.core.montecarlo.MonteCarloSemSim.similarity_pairs`),
-        the iterative engine with one table gather, and the MC SimRank
-        engine (no measure) pair by pair.
+        Every entry equals :meth:`score` of its pair (see
+        :meth:`score_positions`).
         """
-        start = time.perf_counter()
         us, vs = list(us), list(vs)
         if len(us) != len(vs):
             raise ConfigurationError(
                 f"score_pairs needs one source per pair, got {len(us)} "
                 f"sources for {len(vs)} pairs"
             )
-        if self._table is not None:
-            scores = self._table_gather(us, vs)
-        elif isinstance(self.estimator, MonteCarloSemSim):
-            scores = self.estimator.similarity_pairs(us, vs)
-        else:
-            similarity = self.estimator.similarity
-            scores = np.array(
-                [similarity(u, v) for u, v in zip(us, vs)], dtype=np.float64
-            )
-        if is_enabled():
-            _BATCH_CANDIDATES.observe(len(vs))
-            self._latency_batch.observe(time.perf_counter() - start)
-        return scores
+        return self.score_positions(
+            self.node_positions(us), self.node_positions(vs)
+        )
 
-    def _table_gather(self, us: list[Node], vs: list[Node]) -> np.ndarray:
-        """Iterative-table scores of ``(us[i], vs[i])``; one *us* entry is
-        shared by every pair."""
+    def _table_gather(
+        self, pos_u: int | np.ndarray, positions: np.ndarray
+    ) -> np.ndarray:
+        """Iterative-table scores of ``(pos_u[i], positions[i])``."""
+        m = positions.size
         self.stats.add(
-            queries=len(vs), batch_queries=1, batch_pairs=len(vs),
-            vectorized_pairs=len(vs),
+            queries=m, batch_queries=1, batch_pairs=m, vectorized_pairs=m,
         )
-        position = self._table._position
-        rows = np.fromiter(
-            (position[u] for u in us), dtype=np.int64, count=len(us)
-        )
-        cols = np.fromiter(
-            (position[v] for v in vs), dtype=np.int64, count=len(vs)
-        )
-        return self._table.result.matrix[rows, cols].astype(np.float64)
+        return self._table.result.matrix[pos_u, positions].astype(np.float64)
 
     def single_source(
         self, u: Node, candidates: Sequence[Node] | None = None
@@ -993,38 +1009,82 @@ class QueryEngine:
         u: Node,
         k: int,
         candidates: Sequence[Node] | None = None,
-        use_semantic_bound: bool = True,
-        batch_size: int = 256,
     ) -> list[tuple[Node, float]]:
         """Return the *k* nodes most similar to *u*, best first.
 
-        With a semantic measure attached, candidates are scanned in
-        decreasing ``sem`` order and the Prop. 2.5 bound stops the scan
-        early; scoring runs through the batched path either way, in
-        blocks of *batch_size* candidates (identical results whatever the
-        block length — only the overhead/pruning trade-off moves).
+        The by-name form of :meth:`top_k_positions`: the same nodes, order
+        and floats as :func:`~repro.core.topk.top_k_similar` over this
+        engine's scores and measure.
         """
-        if candidates is None:
-            candidates = list(self.graph.nodes())
-        sem_bounds = None
-        if use_semantic_bound and isinstance(self.measure, MatrixMeasure):
-            # One vectorised gather instead of len(candidates) scalar
-            # lookups; the floats are the same matrix elements, so the
-            # bound ordering (and thus the result) is unchanged.
-            candidates = list(candidates)
-            sem_bounds = dict(
-                zip(candidates, self.measure.similarities(u, candidates))
-            )
-        return top_k_similar(
-            u,
-            candidates,
-            k,
-            measure=self.measure,
-            use_semantic_bound=use_semantic_bound,
-            batch_score=self.score_batch,
-            batch_size=batch_size,
-            sem_bounds=sem_bounds,
+        positions = (
+            None if candidates is None
+            else self.node_positions(list(candidates))
         )
+        nodes = self.nodes
+        return [
+            (nodes[position], value)
+            for position, value in self.top_k_positions(
+                self._position(u), k, positions
+            )
+        ]
+
+    def top_k_positions(
+        self, pos_u: int, k: int, positions=None
+    ) -> list[tuple[int, float]]:
+        """Return the *k* positions most similar to *pos_u*, best first.
+
+        Candidates are *positions* (default: every node) minus *pos_u*.
+        With a semantic measure attached they are scanned in decreasing
+        ``sem`` order and the Prop. 2.5 bound stops the scan early
+        (:func:`~repro.core.topk.top_k_scan`); without one every candidate
+        is scored.  Blocks of candidates are scored through
+        :meth:`score_positions`, and ties break by ``str(node)``.
+        """
+        pos_u = int(pos_u)
+        if positions is None:
+            positions = np.arange(len(self.nodes), dtype=np.int64)
+        else:
+            positions = np.asarray(positions, dtype=np.int64)
+        pool = positions[positions != pos_u]
+        return top_k_scan(
+            pos_u, pool, k, self.score_positions, self._tie_ranks(),
+            bound=self._sem_bounds(pos_u, pool),
+        )
+
+    def _sem_bounds(self, pos_u: int, pool: np.ndarray) -> np.ndarray | None:
+        """``sem(u, v)`` for every candidate of *pool* — the Prop. 2.5 bound.
+
+        One gather from a ``sem`` matrix in node order; otherwise the
+        measure's own per-pair floats.  ``None`` without a measure.
+        """
+        measure = self.measure
+        if measure is None:
+            return None
+        if self._sem_rows is _UNSET:
+            self._sem_rows = (
+                measure.matrix
+                if isinstance(measure, MatrixMeasure)
+                and measure.nodes == self.nodes
+                else None
+            )
+        if self._sem_rows is not None:
+            return self._sem_rows[pos_u, pool]
+        nodes = self.nodes
+        query = nodes[pos_u]
+        similarity = measure.similarity
+        return np.fromiter(
+            (similarity(query, nodes[p]) for p in pool.tolist()),
+            dtype=np.float64, count=pool.size,
+        )
+
+    def _tie_ranks(self) -> np.ndarray:
+        """Each position's rank in the ``str(node)`` order, once per node set."""
+        nodes = self.nodes
+        cached = self._tie_rank_cache
+        if cached is None or cached[0] is not nodes or cached[1] != len(nodes):
+            cached = (nodes, len(nodes), str_ranks(nodes))
+            self._tie_rank_cache = cached
+        return cached[2]
 
     def join(
         self,

@@ -1,43 +1,24 @@
-"""The compute-backend seam: protocol, configuration and registry.
+"""The walk-score kernel protocol: request and result types, configuration.
 
 The Monte-Carlo hot paths — the batched likelihood-ratio walk scores of
-Algorithm 1, the classical ``c^tau`` SimRank reduction and the SARW
-step-mass products — are pure array kernels: every input they need is
-prepared by the estimator (walk tensors, per-step ``W``/``Q`` tables, the
-dense semantic matrix, meeting times) and every output is a plain array
-plus a handful of work counters.  :class:`ComputeBackend` pins that
-contract down.  The library ships one implementation,
-:class:`~repro.backends.blocked.BlockedBackend` (``"blocked"``); the
-stacked-array reference it is held to lives with the tests as an oracle.
+Algorithm 1 and the classical ``c^tau`` SimRank reduction — are pure
+array kernels: every input they need is prepared by the estimator (walk
+tensors, per-step ``W``/``Q`` tables, the dense semantic matrix, meeting
+times) and every output is a plain array plus a handful of work counters.
+:class:`ComputeBackend` pins that contract down.  The library ships one
+implementation, :class:`~repro.backends.blocked.BlockedBackend`
+(``"blocked"``); the stacked-array reference it is held to bit for bit
+lives with the tests as an oracle (``tests/backends/numpy_ref.py``).
 
-Backends register themselves by name (:func:`register_backend`) and are
-discovered through :func:`available_backends` / ``repro backends list``.
-Third-party packages can plug in the same way::
-
-    from repro.backends import ComputeBackend, register_backend
-
-    @register_backend
-    class MyBackend(ComputeBackend):
-        name = "mine"
-        ...
-
-Selection precedence is **kwarg > CLI > environment > default**: an
-explicit ``QueryEngine(backend=...)`` (the CLI's ``--backend`` is passed
-through as that kwarg) beats the ``REPRO_BACKEND`` environment variable,
-which beats the ``"blocked"`` default — see :func:`resolve_backend`.
-
-Equivalence contract: a backend with ``exact=True`` must be
-**bit-identical** to the stacked reference on every input (same floats,
-same operation order); a backend with ``exact=False`` must agree within
-its declared ``tolerance`` (an absolute per-score bound).  The
-cross-backend property suite (``tests/properties/test_backend_identity.py``)
-enforces this for every registered backend.
+There is no registry: an estimator runs the kernel instance it is given
+(``QueryEngine(backend=...)``, the estimators' ``backend=``), or a fresh
+:class:`~repro.backends.blocked.BlockedBackend` when given ``None``.  The
+protocol is the seam the identity suites swap the oracle in through.
 """
 
 from __future__ import annotations
 
 import abc
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -48,41 +29,9 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.obs.registry import get_registry, is_enabled
 
-#: Backend used when neither the caller nor the environment picks one.
-DEFAULT_BACKEND = "blocked"
-
-#: Environment variable consulted by :func:`resolve_backend` when the
-#: caller passes no explicit backend.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-
-class BackendError(ConfigurationError):
-    """Base class for compute-backend selection/registration errors."""
-
-
-class UnknownBackendError(BackendError):
-    """No backend is registered under the requested name."""
-
-    def __init__(self, name: str, known: list[str]) -> None:
-        super().__init__(
-            f"unknown compute backend {name!r}; registered backends: "
-            f"{', '.join(known) or '(none)'}"
-        )
-        self.name = name
-
-
-class BackendUnavailableError(BackendError):
-    """The backend is registered but cannot run in this environment."""
-
-    def __init__(self, name: str, reason: str) -> None:
-        super().__init__(f"compute backend {name!r} is unavailable: {reason}")
-        self.name = name
-        self.reason = reason
-
-
 @dataclass(frozen=True)
 class BackendConfig:
-    """Tuning knobs shared by every backend.
+    """Tuning knobs of the walk-score kernel.
 
     block_rows:
         Rows (met coupled walks) the walk-score kernel gathers and scores
@@ -90,23 +39,14 @@ class BackendConfig:
         never holds more than one block.  Smaller blocks keep the working
         set cache-resident; the value trades numpy call overhead against
         memory traffic.
-    step_memo_cap:
-        Upper bound on the :class:`~repro.core.sarw.SemanticAwareWalker`
-        step-distribution memo (entries, evicted least-recently-used).
-        ``None`` disables the cap — only safe for short-lived processes.
     """
 
     block_rows: int = 4096
-    step_memo_cap: int | None = 65536
 
     def __post_init__(self) -> None:
         if self.block_rows < 1:
             raise ConfigurationError(
                 f"block_rows must be >= 1, got {self.block_rows!r}"
-            )
-        if self.step_memo_cap is not None and self.step_memo_cap < 1:
-            raise ConfigurationError(
-                f"step_memo_cap must be >= 1 or None, got {self.step_memo_cap!r}"
             )
 
 
@@ -155,20 +95,16 @@ class WalkScoreResult:
 
 
 class ComputeBackend(abc.ABC):
-    """Swappable kernels for the Monte-Carlo scoring hot paths.
+    """The kernels of the Monte-Carlo scoring hot paths.
 
-    Subclasses set three class attributes — ``name`` (the registry key),
-    ``exact`` (bit-identical to the stacked reference?) and
-    ``tolerance`` (absolute per-score bound when not exact; 0.0 when
-    exact) — and implement the three kernels.  Instances are cheap and
-    thread-safe: any scratch state must be per-thread (serving workers
-    share one estimator, hence one backend instance).
+    Subclasses set ``name`` (the label of ``kernel_seconds{backend}`` and
+    of ``health()["backend"]``) and implement the two kernels, which must
+    be bit-identical to the stacked reference on every input.  Instances
+    are cheap and thread-safe: any scratch state must be per-thread
+    (serving workers share one estimator, hence one backend instance).
     """
 
     name: str = "abstract"
-    exact: bool = False
-    tolerance: float = 0.0
-    description: str = ""
 
     def __init__(self, config: BackendConfig | None = None) -> None:
         self.config = config if config is not None else BackendConfig()
@@ -187,21 +123,8 @@ class ComputeBackend(abc.ABC):
     ) -> np.ndarray:
         """Classical MC SimRank reduction: ``sum(c^tau) / n_w`` per row."""
 
-    @abc.abstractmethod
-    def step_masses(
-        self,
-        weights_u: np.ndarray,
-        weights_v: np.ndarray,
-        sem_block: np.ndarray,
-    ) -> np.ndarray:
-        """SARW step masses ``W(a,u) W(b,v) sem(a,b)``, flattened row-major.
-
-        *sem_block* is the ``(|I(u)|, |I(v)|)`` pairwise semantic block;
-        the result aligns with ``[(a, b) for a in I(u) for b in I(v)]``.
-        """
-
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r}, exact={self.exact})"
+        return f"{type(self).__name__}(name={self.name!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -236,131 +159,6 @@ def resolve_so_plane(
     so = np.ones(cu.shape, dtype=np.float64)
     so[active] = unique_so[inverse]
     return so
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BackendInfo:
-    """One row of ``repro backends list``."""
-
-    name: str
-    available: bool
-    exact: bool
-    tolerance: float
-    description: str
-    unavailable_reason: str | None = None
-
-
-_REGISTRY: dict[str, type[ComputeBackend]] = {}
-_UNAVAILABLE: dict[str, tuple[str, str]] = {}  # name -> (reason, description)
-
-
-def register_backend(cls: type[ComputeBackend]) -> type[ComputeBackend]:
-    """Class decorator: register *cls* under its ``name`` attribute.
-
-    Re-registering a name overwrites the previous entry (latest wins), so
-    a plugin can shadow a built-in deliberately; an unavailable stub of
-    the same name is dropped.
-    """
-    name = getattr(cls, "name", None)
-    if not name or name == ComputeBackend.name:
-        raise ConfigurationError(
-            f"backend class {cls.__name__} must define a non-default 'name'"
-        )
-    _REGISTRY[name] = cls
-    _UNAVAILABLE.pop(name, None)
-    return cls
-
-
-def register_unavailable(name: str, reason: str, description: str = "") -> None:
-    """Record a backend that exists but cannot run here (a missing dependency).
-
-    Keeps the name discoverable — ``repro backends list`` shows it with
-    its reason, and selecting it raises :class:`BackendUnavailableError`
-    instead of :class:`UnknownBackendError`.
-    """
-    if name not in _REGISTRY:
-        _UNAVAILABLE[name] = (reason, description)
-
-
-def unregister_backend(name: str) -> None:
-    """Remove *name* from the registry (plugin teardown / testing aid)."""
-    _REGISTRY.pop(name, None)
-    _UNAVAILABLE.pop(name, None)
-
-
-def available_backends() -> list[BackendInfo]:
-    """Describe every registered backend, available or not, sorted by name."""
-    rows = [
-        BackendInfo(
-            name=name,
-            available=True,
-            exact=cls.exact,
-            tolerance=cls.tolerance,
-            description=cls.description,
-        )
-        for name, cls in _REGISTRY.items()
-    ]
-    rows.extend(
-        BackendInfo(
-            name=name,
-            available=False,
-            exact=False,
-            tolerance=0.0,
-            description=description,
-            unavailable_reason=reason,
-        )
-        for name, (reason, description) in _UNAVAILABLE.items()
-    )
-    return sorted(rows, key=lambda info: info.name)
-
-
-def get_backend(
-    name: str, config: BackendConfig | None = None
-) -> ComputeBackend:
-    """Instantiate the backend registered under *name*."""
-    cls = _REGISTRY.get(name)
-    if cls is None:
-        if name in _UNAVAILABLE:
-            raise BackendUnavailableError(name, _UNAVAILABLE[name][0])
-        raise UnknownBackendError(name, sorted(_REGISTRY))
-    return cls(config)
-
-
-def default_backend_name() -> str:
-    """The name :func:`resolve_backend` falls back to: env var or default."""
-    return os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-
-
-def resolve_backend(
-    spec: "str | ComputeBackend | None" = None,
-    config: BackendConfig | None = None,
-) -> ComputeBackend:
-    """Resolve a backend spec with kwarg > env > default precedence.
-
-    *spec* may be a ready :class:`ComputeBackend` instance (returned
-    as-is; *config* must then be ``None`` — the instance already carries
-    its own), a registered name, or ``None`` — which consults the
-    ``REPRO_BACKEND`` environment variable before falling back to
-    :data:`DEFAULT_BACKEND`.
-    """
-    if isinstance(spec, ComputeBackend):
-        if config is not None:
-            raise ConfigurationError(
-                "cannot combine a backend instance with backend_config; "
-                "construct the instance with the config instead"
-            )
-        return spec
-    if spec is None:
-        spec = default_backend_name()
-    if not isinstance(spec, str):
-        raise ConfigurationError(
-            f"backend must be a name or a ComputeBackend, got {spec!r}"
-        )
-    return get_backend(spec, config)
 
 
 # ---------------------------------------------------------------------------

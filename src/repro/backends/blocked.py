@@ -26,7 +26,7 @@ three observations about where a stacked-array kernel spends its time:
   written in place with ``np.copyto(..., where=...)``, so the
   steady-state block loop allocates almost nothing plane-sized.
 
-Bit-identity argument (``exact = True``): ``take`` fetches exactly the
+Bit-identity argument: ``take`` fetches exactly the
 floats fancy indexing fetches, whichever rows a block holds; the key
 plane is integer arithmetic (``walk_u * n + walk_v`` in int64 — exact, no
 rounding); every per-step value is a pure elementwise function of its
@@ -48,7 +48,6 @@ from repro.backends.base import (
     ComputeBackend,
     WalkScoreRequest,
     WalkScoreResult,
-    register_backend,
     resolve_so_plane,
 )
 
@@ -63,17 +62,10 @@ def _carve(plane: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return plane.reshape(-1)[: rows * cols].reshape(rows, cols)
 
 
-@register_backend
 class BlockedBackend(ComputeBackend):
     """Flat-gather, row-blocked Algorithm-1 kernel with bounded scratch."""
 
     name = "blocked"
-    exact = True
-    tolerance = 0.0
-    description = (
-        "flat-gather row-blocked kernels in per-thread scratch of "
-        "block_rows rows (the library kernel)"
-    )
 
     def __init__(self, config=None) -> None:
         super().__init__(config)
@@ -246,11 +238,3 @@ class BlockedBackend(ComputeBackend):
     ) -> np.ndarray:
         contrib = np.where(met, decay ** np.maximum(meetings, 0), 0.0)
         return contrib.sum(axis=1) / num_walks
-
-    def step_masses(
-        self,
-        weights_u: np.ndarray,
-        weights_v: np.ndarray,
-        sem_block: np.ndarray,
-    ) -> np.ndarray:
-        return (np.multiply.outer(weights_u, weights_v) * sem_block).ravel()

@@ -19,9 +19,6 @@ Commands
     (and optionally the portable walk-tensor ``.npz``).
 ``index info``
     Describe a saved engine artifact without loading its arrays.
-``backends list``
-    Enumerate the registered compute backends (name, availability,
-    equivalence contract, description) and mark the default.
 ``serve``
     Concurrent line-protocol server on stdin/stdout: ``u v``,
     ``BATCH u v1 v2 ...`` or ``TOPK u k [v1 ...]`` per line, one JSON
@@ -67,7 +64,6 @@ from pathlib import Path
 from queue import SimpleQueue
 
 from repro.api import QueryEngine
-from repro.backends import DEFAULT_BACKEND, available_backends
 from repro.core import SemSim, SimRank
 from repro.core.decay import decay_contraction_bound, decay_paper_bound
 from repro.datasets import (
@@ -139,7 +135,7 @@ def _make_engine(args: argparse.Namespace, bundle=None) -> QueryEngine:
     with the same inputs memory-maps instead of recomputing.
     """
     if args.index is not None:
-        return QueryEngine.open(args.index, backend=args.backend)
+        return QueryEngine.open(args.index)
     return QueryEngine(
         bundle.graph,
         bundle.measure,
@@ -150,7 +146,6 @@ def _make_engine(args: argparse.Namespace, bundle=None) -> QueryEngine:
         theta=args.theta,
         seed=args.seed,
         workers=args.workers,
-        backend=args.backend,
         cache_dir=args.cache,
         walks_path=args.walks_file,
     )
@@ -206,9 +201,7 @@ def _cmd_topk(args: argparse.Namespace) -> int:
         where = "index" if args.index is not None else "bundle"
         print(f"error: node {args.node!r} is not in the {where}", file=sys.stderr)
         return 2
-    results = engine.top_k(
-        args.node, args.k, candidates=candidates, batch_size=args.batch_size
-    )
+    results = engine.top_k(args.node, args.k, candidates=candidates)
     print(f"top-{args.k} most similar to {args.node}:")
     for node, score in results:
         print(f"  {node:<24} {score:.6f}")
@@ -227,7 +220,6 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
         theta=args.theta,
         seed=args.seed,
         workers=args.workers,
-        backend=args.backend,
         materialize_semantics=True,
     )
     path = engine.save(args.out)
@@ -265,7 +257,6 @@ def _make_service(args: argparse.Namespace) -> QueryService:
     if args.index is not None:
         manager = IndexManager(
             index_path=args.index,
-            engine_kwargs=dict(backend=args.backend),
             retry=retry,
         )
     else:
@@ -283,8 +274,7 @@ def _make_service(args: argparse.Namespace) -> QueryService:
                 theta=args.theta,
                 seed=args.seed,
                 workers=args.workers,
-                backend=args.backend,
-            ),
+                    ),
             retry=retry,
         )
     return QueryService(manager, deadline_ms=args.deadline_ms)
@@ -494,8 +484,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             max_wait_us=args.max_wait_us,
             queue_depth=args.queue_depth,
-            backend=args.backend,
-            timings=args.timings,
+                timings=args.timings,
         )
     else:
         runtime = ServingRuntime(
@@ -666,27 +655,6 @@ def _finalize_observability(args: argparse.Namespace) -> None:
             Path(metrics_out).write_text(text, encoding="utf-8")
 
 
-def _cmd_backends_list(_args: argparse.Namespace) -> int:
-    """Enumerate registered compute backends, default first."""
-    backends = available_backends()
-    print(f"registered compute backends (default: {DEFAULT_BACKEND}, "
-          f"override with --backend or $REPRO_BACKEND):")
-    for info in backends:
-        marker = "*" if info.name == DEFAULT_BACKEND else " "
-        status = "available" if info.available else "unavailable"
-        if info.available:
-            equivalence = (
-                "bit-identical" if info.exact
-                else f"tolerance<={info.tolerance:g}"
-            )
-        else:
-            equivalence = info.unavailable_reason or "not importable"
-        print(f"  {marker} {info.name:<10} {status:<12} {equivalence}")
-        if info.description:
-            print(f"      {info.description}")
-    return 0
-
-
 #: The two engine families, in docs order.  Kept as data so the CLI
 #: listing and any future capability gating read from one place.
 _ESTIMATOR_FAMILIES = (
@@ -771,12 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--workers", type=int, default=None, help=workers_help,
         )
-        command.add_argument(
-            "--backend", default=None, metavar="NAME",
-            help="compute backend for the walk-score hot path (see "
-                 "'repro backends list'; default: $REPRO_BACKEND or "
-                 f"'{DEFAULT_BACKEND}')",
-        )
         if serving:
             command.add_argument(
                 "--cache", default=None, metavar="DIR",
@@ -823,10 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="bundle JSON path (omit with --index)")
     topk.add_argument("node")
     topk.add_argument("-k", type=int, default=10)
-    topk.add_argument(
-        "--batch-size", type=int, default=256, metavar="N",
-        help="candidates scored per vectorised block (default: 256)",
-    )
     add_engine_options(topk, serving=True)
     add_obs_options(topk)
     topk.set_defaults(func=_cmd_topk)
@@ -918,17 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
     info = commands.add_parser("info", help="describe a saved bundle")
     info.add_argument("bundle", help="bundle JSON path")
     info.set_defaults(func=_cmd_info)
-
-    backends = commands.add_parser(
-        "backends", help="inspect the compute-backend registry"
-    )
-    backends_commands = backends.add_subparsers(
-        dest="backends_command", required=True
-    )
-    backends_list = backends_commands.add_parser(
-        "list", help="enumerate registered compute backends"
-    )
-    backends_list.set_defaults(func=_cmd_backends_list)
 
     estimators = commands.add_parser(
         "estimators", help="inspect the engine-family registry"

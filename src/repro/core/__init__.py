@@ -37,15 +37,9 @@ from repro.core.bounds import (
     required_truncation,
     required_walks,
 )
-from repro.core.single_source import (
-    batch_similarity,
-    single_source_exact,
-    single_source_mc,
-)
+from repro.core.single_source import single_source_exact
 from repro.core.dynamic import DynamicWalkIndex
 from repro.core.join import candidate_pairs, similarity_join
-from repro.core.local import LocalScore, local_semsim
-from repro.core.uncertain import UncertainHIN, UncertainSemSim
 from repro.core.walk_index import load_walk_index, save_walk_index
 
 __all__ = [
@@ -75,16 +69,10 @@ __all__ = [
     "deviation_probability",
     "interchange_probability",
     "plan_index",
-    "single_source_mc",
     "single_source_exact",
-    "batch_similarity",
     "DynamicWalkIndex",
-    "LocalScore",
-    "local_semsim",
     "candidate_pairs",
     "similarity_join",
-    "UncertainHIN",
-    "UncertainSemSim",
     "save_walk_index",
     "load_walk_index",
 ]

@@ -26,7 +26,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.montecarlo import MonteCarloSemSim, MonteCarloSimRank
-from repro.core.single_source import batch_similarity
 from repro.core.walk_index import WalkIndex
 from repro.errors import ConfigurationError
 from repro.hin.graph import Node
@@ -89,12 +88,22 @@ def similarity_join(
         if semantic_gate is not None and semantic_gate.similarity(u, v) <= min_score:
             continue  # Prop. 2.5: sim <= sem <= threshold
         survivors.append((u, v))
-    # Score every surviving candidate through the batched query path
-    # (grouped by first node — one stacked-array pass per group).
-    scores = batch_similarity(estimator, survivors)
+    # One shared-source score_positions call per first node.  A
+    # per-pair-source call would gather every pair's source walk rows
+    # (SemSim) or run MC SimRank's scalar loop per pair, several times
+    # slower, where a shared source broadcasts one row set.
+    groups: dict[Node, list[int]] = defaultdict(list)
+    for i, (u, _) in enumerate(survivors):
+        groups[u].append(i)
+    scores = np.empty(len(survivors), dtype=np.float64)
+    for u, members in groups.items():
+        scores[members] = estimator.score_positions(
+            walk_index.node_position(u),
+            walk_index.node_positions([survivors[i][1] for i in members]),
+        )
     results = [
         (u, v, score)
-        for (u, v), score in zip(survivors, scores)
+        for (u, v), score in zip(survivors, scores.tolist())
         if score > min_score
     ]
     results.sort(key=lambda row: (-row[2], str(row[0]), str(row[1])))

@@ -22,18 +22,17 @@ Pruning (Section 4.4) applies two cuts, each bounding the error by θ:
   factor is ≤ θ-tested), so once it drops to ≤ θ the walk's final value is
   frozen there (Def. 4.5).
 
-Both estimators expose a **batched query path**
-(:meth:`MonteCarloSemSim.similarity_batch`): a whole candidate set
-``{(u, v_i)}`` is estimated in one numpy pass — first-meeting detection,
-likelihood-ratio products and the θ walk-cut all run on stacked
-``(num_pairs, num_walks, length)`` arrays instead of per-pair
-``similarity()`` calls.  :meth:`MonteCarloSemSim.similarity_pairs` is the
-same pass over pairs ``{(u_i, v_i)}`` from any mix of sources; the
-single-source batch is its special case.  The batch path reproduces the
-scalar path's arithmetic operation-for-operation, so the two agree
-bit for bit; when it cannot run vectorised (no dense semantic matrix is
-available) it falls back to scalar queries and counts the fallback in
-the stats.
+Both estimators expose a **batched query path** keyed by node position
+(:meth:`MonteCarloSemSim.score_positions`): the pairs ``(pos_u[i],
+positions[i])`` — one shared source or one source per pair — are
+estimated in one numpy pass: first-meeting detection, likelihood-ratio
+products and the θ walk-cut all run on stacked ``(num_pairs, num_walks,
+length)`` arrays instead of per-pair ``similarity()`` calls.
+``similarity_batch`` is its by-name form for one source.  The batch path
+reproduces the scalar path's arithmetic operation-for-operation, so the
+two agree bit for bit; when it cannot run vectorised (no dense semantic
+matrix is available) it falls back to scalar queries and counts the
+fallback in the stats.
 
 A note on the paper's Algorithm 1 listing: it accumulates ``Pw`` and ``Qw``
 cumulatively *and* multiplies ``Pw/Qw`` into ``sim_w`` at every step, which
@@ -51,7 +50,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.backends import (
-    BackendConfig,
     ComputeBackend,
     WalkScoreRequest,
     kernel_timer,
@@ -79,8 +77,8 @@ _STAT_HELP: dict[str, str] = {
     "walks_pruned": "Met walks frozen early by the theta walk-cut (Def. 4.5).",
     "so_evaluations": "SO(u, v) denominators computed from scratch.",
     "sem_gate_hits": "Pairs short-circuited to 0 by the Prop. 2.5 semantic gate.",
-    "batch_queries": "Calls to a similarity_batch/similarity_pairs entry point.",
-    "batch_pairs": "Total pairs submitted through similarity_batch/similarity_pairs.",
+    "batch_queries": "Calls to a score_positions/similarity_batch entry point.",
+    "batch_pairs": "Total pairs submitted through score_positions/similarity_batch.",
     "vectorized_pairs": "Batch pairs scored on the stacked-array fast path.",
     "scalar_fallbacks": "Batch pairs that fell back to scalar similarity().",
 }
@@ -129,7 +127,7 @@ class EstimatorStats:
     sem_gate_hits:
         Pairs short-circuited to 0 by the Prop. 2.5 semantic gate.
     batch_queries:
-        Calls to a ``similarity_batch`` or ``similarity_pairs`` entry point.
+        Calls to a ``score_positions`` or ``similarity_batch`` entry point.
     batch_pairs:
         Total pairs submitted through those entry points.
     vectorized_pairs:
@@ -269,22 +267,19 @@ class AccuracyGauges:
 class MonteCarloSimRank:
     """Classical MC SimRank over a :class:`WalkIndex` (Section 4.1).
 
-    *backend* selects the compute kernels for the batched path — a
-    registered name, a ready :class:`~repro.backends.ComputeBackend`, or
-    ``None`` for the ``REPRO_BACKEND``/default resolution (see
-    :func:`repro.backends.resolve_backend`).
+    *backend* is the kernel instance for the batched path; ``None`` runs
+    the library kernel (:func:`repro.backends.resolve_backend`).
     """
 
     def __init__(
         self,
         walk_index: WalkIndex,
         decay: float = 0.6,
-        backend: ComputeBackend | str | None = None,
-        backend_config: BackendConfig | None = None,
+        backend: ComputeBackend | None = None,
     ) -> None:
         self.walk_index = walk_index
         self.decay = validate_decay(decay)
-        self.backend = resolve_backend(backend, backend_config)
+        self.backend = resolve_backend(backend)
         self.stats = EstimatorStats(method="mc", estimator="simrank")
         self._accuracy = AccuracyGauges("simrank")
         self._epoch = int(getattr(walk_index, "epoch", 0))
@@ -313,17 +308,44 @@ class MonteCarloSimRank:
         self, u: Node, candidates: Sequence[Node]
     ) -> np.ndarray:
         """Estimate ``sim(u, v)`` for every candidate in one numpy pass."""
+        index = self.walk_index
+        return self.score_positions(
+            index.node_position(u), index.node_positions(candidates)
+        )
+
+    def score_positions(
+        self, pos_u: int | np.ndarray, positions: np.ndarray
+    ) -> np.ndarray:
+        """Scores of the pairs ``(pos_u[i], positions[i])``, by node position.
+
+        With one shared source *pos_u* every pair runs through the
+        ``simrank_scores`` kernel (:meth:`similarity_batch`'s floats).
+        With one source per pair each pair runs the scalar
+        :meth:`similarity`: the kernel's masked sum may differ from the
+        scalar sum in the last bits, and a per-pair score must equal
+        :meth:`similarity` of its pair.
+        """
+        pos_u, positions = pair_positions(pos_u, positions)
+        if np.ndim(pos_u):
+            nodes = self.walk_index.index.nodes
+            similarity = self.similarity
+            return np.array(
+                [
+                    similarity(nodes[a], nodes[b])
+                    for a, b in zip(pos_u.tolist(), positions.tolist())
+                ],
+                dtype=np.float64,
+            )
         self._check_epoch()
-        m = len(candidates)
+        m = positions.size
         self.stats.add(
             batch_queries=1, batch_pairs=m, vectorized_pairs=m, queries=m
         )
         if m == 0:
             return np.empty(0, dtype=np.float64)
         index = self.walk_index
-        meetings = index.first_meetings_batch(u, candidates)  # (m, n_w)
-        positions = index.node_positions(candidates)
-        identity = positions == index.node_position(u)
+        meetings = index.first_meetings_pairs(pos_u, positions)  # (m, n_w)
+        identity = positions == pos_u
         met = meetings >= 0
         met[identity] = False
         self.stats.add(
@@ -360,14 +382,9 @@ class MonteCarloSemSim:
         the SARW step denominators ``SO(u, v)``; cuts the O(d²) inner loop
         for indexed pairs (the Fig. 4 "SLING" configuration).
     backend:
-        Compute backend for the batched kernels — a registered name, a
-        ready :class:`~repro.backends.ComputeBackend`, or ``None`` for
-        the ``REPRO_BACKEND``/default resolution.  Exact backends (the
-        library's ``blocked`` kernel) are bit-identical to the scalar
-        path; others agree within their declared tolerance.
-    backend_config:
-        Optional :class:`~repro.backends.BackendConfig` forwarded to a
-        backend resolved by name.
+        The :class:`~repro.backends.ComputeBackend` instance that runs the
+        batched kernel, or ``None`` for the library kernel.  Either way
+        the batch path is bit-identical to the scalar path.
     """
 
     def __init__(
@@ -377,15 +394,14 @@ class MonteCarloSemSim:
         decay: float = 0.6,
         theta: float | None = 0.05,
         pair_index: "SupportsSoLookup | None" = None,
-        backend: ComputeBackend | str | None = None,
-        backend_config: BackendConfig | None = None,
+        backend: ComputeBackend | None = None,
     ) -> None:
         self.walk_index = walk_index
         self.measure = measure
         self.decay = validate_decay(decay)
         self.theta = validate_theta(theta)
         self.pair_index = pair_index
-        self.backend = resolve_backend(backend, backend_config)
+        self.backend = resolve_backend(backend)
         self.stats = EstimatorStats(method="mc", estimator="semsim")
         self._accuracy = AccuracyGauges("semsim")
         graph_index = walk_index.index
@@ -540,37 +556,12 @@ class MonteCarloSemSim:
     ) -> np.ndarray:
         """Estimate ``sim(u, v_i)`` for a whole candidate set in one pass.
 
-        The single-source case of :meth:`similarity_pairs`: the same
-        identity, θ-gate and kernel sequence, with *u*'s walk rows shared
-        by every candidate instead of gathered per pair.
+        The by-name form of :meth:`score_positions` with one shared
+        source: *u*'s walk rows serve every candidate.
         """
         index = self.walk_index
-        return self._score_positions(
+        return self.score_positions(
             index.node_position(u), index.node_positions(candidates)
-        )
-
-    def similarity_pairs(
-        self, us: Sequence[Node], vs: Sequence[Node]
-    ) -> np.ndarray:
-        """Estimate ``sim(us[i], vs[i])`` for pairs from any mix of sources.
-
-        One vectorised pass over all pairs: each pair's score reads only
-        its own two walk rows, and its arithmetic is replayed in the
-        scalar operation order, so every entry equals :meth:`similarity`
-        of that pair.  Requires a dense semantic matrix to run vectorised
-        — built automatically when *measure* is a
-        :class:`~repro.semantics.cache.MatrixMeasure` in index node order;
-        otherwise every pair falls back to the scalar path (counted in
-        ``stats.scalar_fallbacks``).
-        """
-        if len(us) != len(vs):
-            raise ConfigurationError(
-                f"similarity_pairs needs one source per pair, got "
-                f"{len(us)} sources for {len(vs)} pairs"
-            )
-        index = self.walk_index
-        return self._score_positions(
-            index.node_positions(us), index.node_positions(vs)
         )
 
     def similarity_with_interval(
@@ -699,15 +690,24 @@ class MonteCarloSemSim:
     # ------------------------------------------------------------------
     # Internals — vectorised batch path
     # ------------------------------------------------------------------
-    def _score_positions(
-        self, pos_u: int | np.ndarray, pos_v: np.ndarray
+    def score_positions(
+        self, pos_u: int | np.ndarray, positions: np.ndarray
     ) -> np.ndarray:
-        """Scores of the pairs ``(pos_u[i], pos_v[i])`` — both batch entries.
+        """Scores of the pairs ``(pos_u[i], positions[i])``, by node position.
 
         *pos_u* is one source position shared by every pair, or one per
-        pair.  Identity pairs score 1, θ-gated pairs (Prop. 2.5) 0, and
-        the rest run first-meeting detection plus the backend kernel.
+        pair.  One vectorised pass over all pairs: each pair's score reads
+        only its own two walk rows, and its arithmetic is replayed in the
+        scalar operation order, so every entry equals :meth:`similarity`
+        of that pair.  Identity pairs score 1, θ-gated pairs (Prop. 2.5)
+        0, and the rest run first-meeting detection plus the backend
+        kernel.  Requires a dense semantic matrix to run vectorised —
+        built automatically when *measure* is a
+        :class:`~repro.semantics.cache.MatrixMeasure` in index node order;
+        otherwise every pair falls back to the scalar path (counted in
+        ``stats.scalar_fallbacks``).
         """
+        pos_u, pos_v = pair_positions(pos_u, positions)
         self._check_epoch()
         m = pos_v.size
         self.stats.add(batch_queries=1, batch_pairs=m)
@@ -966,6 +966,26 @@ class MonteCarloSemSim:
 
 #: Walks per block of the step-table build (see ``_step_entries``).
 _STEP_BLOCK_WALKS = 8192
+
+
+def pair_positions(
+    pos_u: int | np.ndarray, positions
+) -> tuple[int | np.ndarray, np.ndarray]:
+    """Normalise a ``score_positions`` pair spec to int64 arrays.
+
+    *pos_u* stays a scalar when it is one (a shared source); otherwise it
+    becomes an int64 array that must hold one source per position.
+    """
+    positions = np.asarray(positions, dtype=np.int64)
+    if np.ndim(pos_u) == 0:
+        return pos_u, positions
+    pos_u = np.asarray(pos_u, dtype=np.int64)
+    if pos_u.shape != positions.shape:
+        raise ConfigurationError(
+            f"score_positions needs one source per pair, got {pos_u.size} "
+            f"sources for {positions.size} pairs"
+        )
+    return pos_u, positions
 
 
 def _count_tables_built(mode: str) -> None:

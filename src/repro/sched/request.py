@@ -42,7 +42,6 @@ class ScheduledRequest:
     v: Node | None = None
     candidates: tuple[Node, ...] | None = None
     k: int | None = None
-    batch_size: int | None = None
     deadline: float | None = None       # absolute, runtime clock domain
     deadline_ms: float | None = None    # original budget (error messages)
     trace_id: str | None = None         # assigned at admission
@@ -59,7 +58,7 @@ class DispatchGroup:
     """One engine call's worth of coalesced requests.
 
     For the ``score`` group, ``requests[i]`` is answered by pair *i* of
-    one ``score_pairs([r.u ...], [r.v ...])`` call; other kinds are
+    one per-pair-source ``score_positions`` call; other kinds are
     singleton groups executed as-is.  Groups preserve admission order:
     requests within a group are sorted by *seq*, and groups are
     dispatched in order of their earliest member.
@@ -81,8 +80,8 @@ def plan_groups(requests: Sequence[ScheduledRequest]) -> list[DispatchGroup]:
 
     Every single-pair request merges into one ``score`` group, whatever
     its source and its place in the batch: each pair's score reads only
-    its own walk rows, so one ``score_pairs`` call answers them all
-    bit-identically to scalar ``score``.  ``batch`` and ``topk`` requests
+    its own walk rows, so one per-pair-source ``score_positions`` call
+    answers them all bit-identically to scalar ``score``.  ``batch`` and ``topk`` requests
     are already vectorised and stay singleton groups.  The output order
     is by each group's first admission *seq*, so the same set of requests
     always produces the same dispatch plan regardless of which worker

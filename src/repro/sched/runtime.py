@@ -13,9 +13,11 @@ the resilient :class:`~repro.serve.QueryService` stack:
 * **dynamic micro-batching** — a worker popping the queue lingers up to
   ``max_wait_us`` for the batch to fill to ``max_batch``; every
   single-pair request in the batch, whatever its source, is merged into
-  **one** ``score_pairs`` call (bit-identical to scalar ``score`` — the
-  guarantee this scheduler is built on), and ``BATCH``/``TOPK`` requests
-  ride the same micro-batch through the vectorised paths back to back;
+  **one** per-pair-source ``score_positions`` call (bit-identical to
+  scalar ``score`` — the guarantee this scheduler is built on), and
+  ``BATCH``/``TOPK`` requests ride the same micro-batch through the
+  vectorised paths back to back.  Each request's nodes are resolved to
+  positions once, here; the engine takes positions from there on;
 * **workers** — plain threads by default (the numpy gathers under
   ``score_batch`` release the GIL) behind the
   :class:`~repro.sched.pool.WorkerPool` factory seam.
@@ -39,6 +41,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import Future, InvalidStateError
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.errors import NodeNotFoundError
 from repro.hin.graph import Node
@@ -302,14 +306,13 @@ class ServingRuntime:
         k: int,
         candidates: Sequence[Node] | None = None,
         *,
-        batch_size: int | None = None,
         deadline_ms=_UNSET,
     ) -> Future:
         """Admit one top-k search; resolves to a :class:`TopKResponse`."""
         return self._admit(self._new_request(
             KIND_TOPK, u, deadline_ms,
             candidates=tuple(candidates) if candidates is not None else None,
-            k=k, batch_size=batch_size,
+            k=k,
         ))
 
     # Blocking conveniences (submit + wait) -----------------------------
@@ -327,11 +330,10 @@ class ServingRuntime:
         k: int,
         candidates: Sequence[Node] | None = None,
         *,
-        batch_size: int | None = None,
         deadline_ms=_UNSET,
     ) -> TopKResponse:
         return self.submit_topk(
-            u, k, candidates, batch_size=batch_size, deadline_ms=deadline_ms,
+            u, k, candidates, deadline_ms=deadline_ms,
         ).result()
 
     # ------------------------------------------------------------------
@@ -395,36 +397,46 @@ class ServingRuntime:
     def _execute_group(self, group: DispatchGroup) -> None:
         acquisition = self.service.manager.acquire()
         engine = acquisition.engine
-        graph = engine.graph
+        position = engine.position_map
         if group.kind == KIND_SCORE:
-            self._execute_score_group(group, acquisition, engine, graph)
+            self._execute_score_group(group, acquisition, engine, position)
             return
         request = group.requests[0]
-        if request.u not in graph:
+        pos_u = position.get(request.u)
+        if pos_u is None:
             self._finish_error(request, NodeNotFoundError(request.u))
         elif group.kind == KIND_BATCH:
-            self._execute_batch(request, acquisition, engine, graph)
+            self._execute_batch(request, acquisition, engine, pos_u)
         elif group.kind == KIND_TOPK:
-            self._execute_topk(request, acquisition, engine)
+            self._execute_topk(request, acquisition, engine, pos_u)
         else:  # pragma: no cover — submission API cannot build other kinds
             raise ValueError(f"unknown request kind {group.kind!r}")
 
-    def _execute_score_group(self, group, acquisition, engine, graph) -> None:
+    def _execute_score_group(self, group, acquisition, engine, position) -> None:
         live: list[ScheduledRequest] = []
+        sources: list[int] = []
+        targets: list[int] = []
         for request in group.requests:
             # an unknown node fails only its own request
-            if request.u not in graph:
+            pos_u = position.get(request.u)
+            pos_v = position.get(request.v)
+            if pos_u is None:
                 self._finish_error(request, NodeNotFoundError(request.u))
-            elif request.v not in graph:
+            elif pos_v is None:
                 self._finish_error(request, NodeNotFoundError(request.v))
             else:
                 live.append(request)
+                sources.append(pos_u)
+                targets.append(pos_v)
         if not live:
             return
         kernel_started = self._clock() if self.timings else 0.0
         # one vectorised call answers every pair of the micro-batch,
         # bit-identical to per-pair score()
-        values = engine.score_pairs([r.u for r in live], [r.v for r in live])
+        values = engine.score_positions(
+            np.asarray(sources, dtype=np.int64),
+            np.asarray(targets, dtype=np.int64),
+        )
         if len(live) > 1 and is_enabled():
             COALESCED.inc(len(live))
         end = self._clock()
@@ -433,7 +445,7 @@ class ServingRuntime:
         method = engine.method
         degraded = acquisition.degraded
         answered = 0
-        for request, value in zip(live, values):
+        for request, value in zip(live, values.tolist()):
             # outcome counters are bumped once per group below, so the
             # per-request loop stays free of registry traffic
             elapsed_ms = self._finalize(request, end, degraded, count=False)
@@ -441,7 +453,7 @@ class ServingRuntime:
                 continue
             answered += 1
             _deliver(request.future, self._annotate(QueryResponse(
-                request.u, request.v, float(value), degraded,
+                request.u, request.v, value, degraded,
                 acquisition.retries, method, elapsed_ms,
             ), request, trace_id, kernel_us=kernel_us))
         if answered and is_enabled():
@@ -451,15 +463,11 @@ class ServingRuntime:
             else:
                 self._count_ok.inc(answered)
 
-    def _execute_batch(self, request, acquisition, engine, graph) -> None:
-        missing = next(
-            (c for c in request.candidates if c not in graph), None
-        )
-        if missing is not None:
-            self._finish_error(request, NodeNotFoundError(missing))
-            return
+    def _execute_batch(self, request, acquisition, engine, pos_u) -> None:
+        # an unknown candidate raises NodeNotFoundError, answered by _dispatch
+        positions = engine.node_positions(request.candidates)
         kernel_started = self._clock() if self.timings else 0.0
-        values = engine.score_batch(request.u, list(request.candidates))
+        values = engine.score_positions(pos_u, positions)
         end = self._clock()
         elapsed_ms = self._finalize(request, end, acquisition.degraded)
         if elapsed_ms is None:
@@ -470,22 +478,22 @@ class ServingRuntime:
             method=engine.method, elapsed_ms=elapsed_ms,
         ), request, kernel_us=(end - kernel_started) * 1e6 if self.timings else 0.0))
 
-    def _execute_topk(self, request, acquisition, engine) -> None:
-        kwargs = {}
-        if request.batch_size is not None:
-            kwargs["batch_size"] = request.batch_size
+    def _execute_topk(self, request, acquisition, engine, pos_u) -> None:
+        positions = None
+        if request.candidates is not None:
+            positions = engine.node_positions(request.candidates)
         kernel_started = self._clock() if self.timings else 0.0
-        results = engine.top_k(
-            request.u, request.k,
-            candidates=list(request.candidates) if request.candidates is not None else None,
-            **kwargs,
+        nodes = engine.nodes
+        results = tuple(
+            (nodes[p], value)
+            for p, value in engine.top_k_positions(pos_u, request.k, positions)
         )
         end = self._clock()
         elapsed_ms = self._finalize(request, end, acquisition.degraded)
         if elapsed_ms is None:
             return
         _deliver(request.future, self._annotate(TopKResponse(
-            u=request.u, k=request.k, results=tuple(results),
+            u=request.u, k=request.k, results=results,
             degraded=acquisition.degraded, retries=acquisition.retries,
             method=engine.method, elapsed_ms=elapsed_ms,
         ), request, kernel_us=(end - kernel_started) * 1e6 if self.timings else 0.0))

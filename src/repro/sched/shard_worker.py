@@ -22,8 +22,9 @@ the very same code in-process and deterministically.
 Bit-identity
 ------------
 Every worker scores through ``QueryEngine.open(index)`` — the engine
-the unsharded server runs — and :class:`ShardEngine` only translates
-global node positions to nodes and back.  The arrays are memory-mapped
+the unsharded server runs — and :class:`ShardEngine` hands the router's
+global node positions straight to its position entry points.  The
+arrays are memory-mapped
 read-only, so the router and all workers share the index's pages, and
 every worker holds every walk row: a request carries node positions
 only, whichever shard owns the source.  A pair's score never depends
@@ -61,19 +62,6 @@ OP_SHUTDOWN = "shutdown"
 _SPAN_OPS = frozenset({OP_BATCH, OP_TOPK, OP_HEALTH, OP_STATS})
 
 
-def score_positions(engine, nodes, pos_u, positions) -> np.ndarray:
-    """Scores of the pairs ``(pos_u[i], positions[i])``, by node position.
-
-    *pos_u* is one source position shared by every pair — one
-    ``score_batch`` call — or one per pair — one ``score_pairs`` call.
-    *nodes* maps positions to the nodes *engine* is queried with.
-    """
-    candidates = [nodes[int(position)] for position in positions]
-    if np.ndim(pos_u) == 0:
-        return engine.score_batch(nodes[int(pos_u)], candidates)
-    return engine.score_pairs([nodes[int(p)] for p in pos_u], candidates)
-
-
 class ShardEngine:
     """One node range ``[lo, hi)`` of the index, scored by its engine.
 
@@ -89,8 +77,6 @@ class ShardEngine:
         self.shard_index = shard_index
         self.lo = lo
         self.hi = hi
-        self.nodes = list(engine.graph.nodes())
-        self.position = {node: index for index, node in enumerate(self.nodes)}
         #: Registry snapshot taken before this worker did any work of its
         #: own (set by :func:`shard_worker_main`); ``stats`` replies carry
         #: the pruned delta against it so fork-inherited samples are never
@@ -100,43 +86,32 @@ class ShardEngine:
     def _first_meetings(self, pos_u: int, positions: np.ndarray) -> np.ndarray:
         # Only the perfbench launcher (perfbench/traced_serve.py) refers to
         # this name; nothing in the serving path calls it.
-        return self.engine.walk_index.first_meetings_batch(
-            self.nodes[pos_u], positions
-        )
+        return self.engine.walk_index.first_meetings_pairs(pos_u, positions)
 
     def score_positions(self, pos_u, positions) -> np.ndarray:
         """Scores for global candidate *positions*, all within this range.
 
         *pos_u* is one source position, or one per candidate (see
-        :func:`score_positions`).
+        :meth:`QueryEngine.score_positions
+        <repro.api.QueryEngine.score_positions>`).
         """
-        return score_positions(self.engine, self.nodes, pos_u, positions)
+        return self.engine.score_positions(pos_u, positions)
 
     def top_k_positions(
-        self,
-        pos_u: int,
-        k: int,
-        positions=None,
-        use_semantic_bound: bool = True,
-        batch_size: int = 256,
+        self, pos_u: int, k: int, positions=None
     ) -> list[tuple[int, float]]:
         """Exact local top-k as ``(global_position, score)`` pairs.
 
-        :meth:`QueryEngine.top_k <repro.api.QueryEngine.top_k>` over this
-        range's nodes (or the given *positions*): the same bound and the
-        same ``(value, str(node))`` comparator as the unsharded scan — the
+        :meth:`QueryEngine.top_k_positions
+        <repro.api.QueryEngine.top_k_positions>` over this range (or the
+        given *positions*): the same bound and the same
+        ``(value, str(node))`` comparator as the unsharded scan — the
         merge in :class:`~repro.sched.sharded.ShardedRuntime` relies on
         the local lists being exact under that total order.
         """
         if positions is None:
-            candidates = self.nodes[self.lo:self.hi]
-        else:
-            candidates = [self.nodes[int(position)] for position in positions]
-        ranked = self.engine.top_k(
-            self.nodes[pos_u], k, candidates=candidates,
-            use_semantic_bound=use_semantic_bound, batch_size=batch_size,
-        )
-        return [(self.position[node], float(value)) for node, value in ranked]
+            positions = np.arange(self.lo, self.hi, dtype=np.int64)
+        return self.engine.top_k_positions(pos_u, k, positions)
 
     def health(self) -> dict:
         return {
@@ -186,8 +161,6 @@ def _handle(engine: ShardEngine, message: dict) -> dict:
                     message["pos_u"],
                     message["k"],
                     positions=message.get("positions"),
-                    use_semantic_bound=message.get("use_semantic_bound", True),
-                    batch_size=message.get("batch_size") or 256,
                 )
             elif op == OP_HEALTH:
                 reply["health"] = engine.health()
@@ -273,7 +246,8 @@ def shard_worker_main(index_path, conn, config: dict) -> None:
     """Process entry point: open the index by path, handshake, serve.
 
     *config* names the range (``shard``, ``lo``, ``hi``) and carries the
-    worker thread count and the compute backend.
+    worker thread count and the kernel instance (``None``: the library
+    kernel); a forked worker inherits the instance.
 
     SIGINT/SIGTERM are ignored — shutdown is coordinated by the router
     over the pipe (or by pipe EOF when the router dies), which is what
@@ -291,11 +265,7 @@ def shard_worker_main(index_path, conn, config: dict) -> None:
             pass
     try:
         engine = ShardEngine(
-            QueryEngine.open(
-                index_path,
-                backend=config.get("backend"),
-                backend_config=config.get("backend_config"),
-            ),
+            QueryEngine.open(index_path, backend=config.get("backend")),
             shard_index=config["shard"],
             lo=config["lo"],
             hi=config["hi"],

@@ -31,7 +31,9 @@ probe.
 
 Every worker opens the one index artifact by path and serves its range
 through that index's own :class:`~repro.api.QueryEngine`, so a request
-message carries node positions only.
+message carries node positions only.  The router resolves each
+request's nodes to positions once; the fallback stack, which serves the
+same graph, takes the same positions.
 
 The worker seam mirrors PR 5's thread-factory seam one level up:
 ``worker_factory(index_path, config)`` defaults to
@@ -81,7 +83,6 @@ from repro.sched.shard_worker import (
     OP_SHUTDOWN,
     OP_STATS,
     OP_TOPK,
-    score_positions,
     shard_worker_main,
 )
 from repro.serve.breaker import CircuitBreaker, CircuitState
@@ -337,6 +338,9 @@ class ShardedRuntime(ServingRuntime):
         :class:`ProcessShardWorker`.
     breaker_factory:
         ``(shard_index) -> CircuitBreaker`` for per-shard quarantine.
+    backend:
+        The kernel instance every shard's engine runs (``None``: the
+        library kernel).  Forked workers inherit it.
     shard_timeout:
         Per-shard gather wait (seconds) for requests without a deadline;
         requests with a deadline wait only for their remaining budget.
@@ -370,7 +374,6 @@ class ShardedRuntime(ServingRuntime):
         worker_factory: WorkerFactory | None = None,
         breaker_factory: Callable[[int], CircuitBreaker] | None = None,
         backend=None,
-        backend_config=None,
         shard_timeout: float | None = DEFAULT_SHARD_TIMEOUT,
         stats_interval: float | None = 10.0,
         timings: bool = False,
@@ -408,11 +411,7 @@ class ShardedRuntime(ServingRuntime):
             count=self._plan.num_shards,
         )
 
-        config = {
-            "workers": self.workers_per_shard,
-            "backend": backend,
-            "backend_config": backend_config,
-        }
+        config = {"workers": self.workers_per_shard, "backend": backend}
         factory = worker_factory if worker_factory is not None else ProcessShardWorker
         self._clients = [
             ShardClient(shard, lo, hi, index_path, config, factory)
@@ -849,9 +848,8 @@ class ShardedRuntime(ServingRuntime):
             acquisition = self.service.manager.acquire(deadline=deadline)
             engine = acquisition.engine
             for shard_id, member_idx in failed:
-                values[member_idx] = score_positions(
-                    engine, self._nodes,
-                    _members(pos_u, member_idx), positions[member_idx],
+                values[member_idx] = engine.score_positions(
+                    _members(pos_u, member_idx), positions[member_idx]
                 )
                 degraded[member_idx] = True
         if is_enabled():
@@ -957,8 +955,6 @@ class ShardedRuntime(ServingRuntime):
         if is_enabled():
             SCATTER_FANOUT.observe(float(len(targets)))
         fields: dict = {"k": request.k, **self._message_extras()}
-        if request.batch_size is not None:
-            fields["batch_size"] = request.batch_size
         in_flight = []
         failed = []
         for shard_id, shard_positions in targets:
@@ -1002,18 +998,14 @@ class ShardedRuntime(ServingRuntime):
             engine = acquisition.engine
             for shard_id, shard_positions in failed:
                 if shard_positions is None:
-                    lo, hi = self._plan.boundaries[shard_id]
-                    candidates = self._nodes[lo:hi]
-                else:
-                    candidates = [self._nodes[int(p)] for p in shard_positions]
-                kwargs = {}
-                if request.batch_size is not None:
-                    kwargs["batch_size"] = request.batch_size
-                for node, value in engine.top_k(
-                    self._nodes[pos_u], request.k, candidates=candidates,
-                    **kwargs,
+                    shard_positions = np.arange(
+                        *self._plan.boundaries[shard_id], dtype=np.int64
+                    )
+                for position, value in engine.top_k_positions(
+                    pos_u, request.k, shard_positions
                 ):
-                    entries.append((float(value), str(node), node))
+                    node = self._nodes[position]
+                    entries.append((value, str(node), node))
 
         top = heapq.nlargest(request.k, entries)
         top.sort(key=lambda entry: (-entry[0], entry[1]))

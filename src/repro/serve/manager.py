@@ -327,14 +327,11 @@ class IndexManager:
     def _open_kwargs(self) -> dict:
         """Engine kwargs that apply to the artifact-open path.
 
-        Artifacts are backend-agnostic, so backend selection (the only
-        per-engine, non-persisted knob) rides through to ``open``.
+        The kernel instance (the only per-engine, non-persisted knob)
+        rides through to ``open``.
         """
-        return {
-            key: value
-            for key, value in self.engine_kwargs.items()
-            if key in ("backend", "backend_config") and value is not None
-        }
+        backend = self.engine_kwargs.get("backend")
+        return {} if backend is None else {"backend": backend}
 
     def _fallback_engine(self) -> QueryEngine:
         """The disk-free degraded engine: the exact iterative solver.

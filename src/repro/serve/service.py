@@ -275,19 +275,13 @@ class QueryService:
         k: int,
         candidates: Sequence[Node] | None = None,
         *,
-        batch_size: int | None = None,
         deadline_ms=_UNSET,
     ) -> TopKResponse:
-        """Top-k similarity search within the request deadline.
-
-        *batch_size* rides through to the engine's blocked candidate scan
-        (``None`` keeps the engine default).
-        """
+        """Top-k similarity search within the request deadline."""
         start, deadline, budget_ms = self._begin(deadline_ms)
         acquisition = self._acquire(deadline)
         self._check_nodes(acquisition.engine, (u,))
-        kwargs = {} if batch_size is None else {"batch_size": batch_size}
-        results = acquisition.engine.top_k(u, k, candidates=candidates, **kwargs)
+        results = acquisition.engine.top_k(u, k, candidates=candidates)
         elapsed_ms = self._finish(start, deadline, budget_ms, acquisition)
         return TopKResponse(
             u=u, k=k, results=tuple(results),

@@ -12,23 +12,23 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backends import BlockedBackend
 from repro.backends.base import (
     ComputeBackend,
     WalkScoreRequest,
     WalkScoreResult,
-    register_backend,
     resolve_so_plane,
 )
 
 
-@register_backend
 class NumpyBackend(ComputeBackend):
-    """Reference vectorised kernels (bit-identical baseline)."""
+    """Reference vectorised kernels (bit-identical baseline).
+
+    Tests pass an instance wherever a kernel is taken:
+    ``QueryEngine(backend=NumpyBackend())``.
+    """
 
     name = "numpy"
-    exact = True
-    tolerance = 0.0
-    description = "reference stacked-array kernels (the equivalence baseline)"
 
     def batch_walk_scores(self, request: WalkScoreRequest) -> WalkScoreResult:
         meetings = request.meetings
@@ -132,10 +132,6 @@ class NumpyBackend(ComputeBackend):
         contrib = np.where(met, decay ** np.maximum(meetings, 0), 0.0)
         return contrib.sum(axis=1) / num_walks
 
-    def step_masses(
-        self,
-        weights_u: np.ndarray,
-        weights_v: np.ndarray,
-        sem_block: np.ndarray,
-    ) -> np.ndarray:
-        return (np.multiply.outer(weights_u, weights_v) * sem_block).ravel()
+
+#: The kernels the identity suites hold to this oracle, by name.
+KERNELS = {"blocked": BlockedBackend, "numpy": NumpyBackend}

@@ -10,11 +10,13 @@ counters the paper's tables are built from.
 import numpy as np
 import pytest
 
-from repro.backends import BackendConfig, get_backend
+from repro.backends import BackendConfig, BlockedBackend
 from repro.core import MonteCarloSemSim, MonteCarloSimRank, SlingIndex, WalkIndex
+from repro.core import sarw
 from repro.core.sarw import SemanticAwareWalker
 from repro.semantics import MatrixMeasure
 
+from tests.backends.numpy_ref import KERNELS, NumpyBackend
 from tests.conftest import build_taxonomy_graph
 
 EXACT_BACKENDS = ["numpy", "blocked"]
@@ -51,10 +53,10 @@ class TestExactEquivalence:
     ):
         graph, _ = model
         reference = MonteCarloSemSim(
-            index, matrix_measure, theta=theta, backend="numpy"
+            index, matrix_measure, theta=theta, backend=NumpyBackend()
         )
         candidate = MonteCarloSemSim(
-            index, matrix_measure, theta=theta, backend=backend
+            index, matrix_measure, theta=theta, backend=KERNELS[backend]()
         )
         np.testing.assert_array_equal(
             _batch(reference, graph), _batch(candidate, graph)
@@ -68,10 +70,12 @@ class TestExactEquivalence:
         graph, measure = model
         sling = SlingIndex(graph, measure, theta=0.05)
         reference = MonteCarloSemSim(
-            index, matrix_measure, theta=0.05, pair_index=sling, backend="numpy"
+            index, matrix_measure, theta=0.05, pair_index=sling,
+            backend=NumpyBackend(),
         )
         candidate = MonteCarloSemSim(
-            index, matrix_measure, theta=0.05, pair_index=sling, backend=backend
+            index, matrix_measure, theta=0.05, pair_index=sling,
+            backend=KERNELS[backend](),
         )
         np.testing.assert_array_equal(
             _batch(reference, graph), _batch(candidate, graph)
@@ -84,7 +88,7 @@ class TestExactEquivalence:
     ):
         graph, _ = model
         estimator = MonteCarloSemSim(
-            index, matrix_measure, theta=None, backend=backend
+            index, matrix_measure, theta=None, backend=KERNELS[backend]()
         )
         nodes = sorted(graph.nodes(), key=str)
         u = nodes[0]
@@ -105,14 +109,17 @@ class TestExactEquivalence:
         pair_index = SlingIndex(graph, measure, theta=0.05) if sling else None
         estimator = MonteCarloSemSim(
             index, matrix_measure, theta=theta, pair_index=pair_index,
-            backend=backend,
+            backend=KERNELS[backend](),
         )
         nodes = sorted(graph.nodes(), key=str)
         rng = np.random.default_rng(3)
         us = [nodes[int(i)] for i in rng.integers(len(nodes), size=40)]
         vs = [nodes[int(i)] for i in rng.integers(len(nodes), size=40)]
         us, vs = us + nodes[:3], vs + nodes[:3]
-        batch = estimator.similarity_pairs(us, vs)
+        index_of = estimator.walk_index
+        batch = estimator.score_positions(
+            index_of.node_positions(us), index_of.node_positions(vs)
+        )
         assert [estimator.similarity(u, v) for u, v in zip(us, vs)] == (
             batch.tolist()
         )
@@ -120,8 +127,8 @@ class TestExactEquivalence:
     @pytest.mark.parametrize("backend", EXACT_BACKENDS)
     def test_simrank_scores_identical(self, model, index, backend):
         graph, _ = model
-        reference = MonteCarloSimRank(index, backend="numpy")
-        candidate = MonteCarloSimRank(index, backend=backend)
+        reference = MonteCarloSimRank(index, backend=NumpyBackend())
+        candidate = MonteCarloSimRank(index, backend=KERNELS[backend]())
         nodes = sorted(graph.nodes(), key=str)
         for v in nodes[1:5]:
             assert reference.similarity(nodes[0], v) == candidate.similarity(
@@ -133,7 +140,7 @@ class TestExactEquivalence:
     ):
         graph, _ = model
         reference = MonteCarloSemSim(
-            index, matrix_measure, theta=0.05, backend="numpy"
+            index, matrix_measure, theta=0.05, backend=NumpyBackend()
         )
         expected = _batch(reference, graph)
         for block_rows in (1, 3, 64, 100_000):
@@ -141,7 +148,7 @@ class TestExactEquivalence:
                 index,
                 matrix_measure,
                 theta=0.05,
-                backend=get_backend("blocked", BackendConfig(block_rows=block_rows)),
+                backend=BlockedBackend(BackendConfig(block_rows=block_rows)),
             )
             np.testing.assert_array_equal(expected, _batch(candidate, graph))
 
@@ -157,9 +164,9 @@ class TestBoundedScratch:
         pair_index = SlingIndex(graph, measure, theta=0.05) if sling else None
         reference = MonteCarloSemSim(
             index, matrix_measure, theta=0.05, pair_index=pair_index,
-            backend="numpy",
+            backend=NumpyBackend(),
         )
-        backend = get_backend("blocked", BackendConfig(block_rows=7))
+        backend = BlockedBackend(BackendConfig(block_rows=7))
         candidate = MonteCarloSemSim(
             index, matrix_measure, theta=0.05, pair_index=pair_index,
             backend=backend,
@@ -173,24 +180,20 @@ class TestBoundedScratch:
 
 
 class TestStepMemoCap:
-    def test_memo_never_exceeds_cap(self, model):
+    def test_memo_never_exceeds_cap(self, model, monkeypatch):
         graph, measure = model
-        config = BackendConfig(step_memo_cap=3)
-        walker = SemanticAwareWalker(
-            graph, measure, seed=0, backend="numpy", config=config
-        )
+        monkeypatch.setattr(sarw, "STEP_MEMO_CAP", 3)
+        walker = SemanticAwareWalker(graph, measure, seed=0)
         nodes = sorted(graph.nodes(), key=str)
         for u in nodes:
             for v in nodes:
                 walker.step_distribution((u, v))
                 assert len(walker._distributions) <= 3
 
-    def test_eviction_is_least_recently_used(self, model):
+    def test_eviction_is_least_recently_used(self, model, monkeypatch):
         graph, measure = model
-        config = BackendConfig(step_memo_cap=2)
-        walker = SemanticAwareWalker(
-            graph, measure, seed=0, backend="numpy", config=config
-        )
+        monkeypatch.setattr(sarw, "STEP_MEMO_CAP", 2)
+        walker = SemanticAwareWalker(graph, measure, seed=0)
         nodes = sorted(graph.nodes(), key=str)
         a, b, c = nodes[:3]
         walker.step_distribution((a, a))
@@ -201,41 +204,16 @@ class TestStepMemoCap:
         assert (b, b) not in walker._distributions
         assert (c, c) in walker._distributions
 
-    def test_capped_memo_returns_same_distributions(self, model):
+    def test_capped_memo_returns_same_distributions(self, model, monkeypatch):
         graph, measure = model
         unbounded = SemanticAwareWalker(graph, measure, seed=0)
-        capped = SemanticAwareWalker(
-            graph,
-            measure,
-            seed=0,
-            backend="numpy",
-            config=BackendConfig(step_memo_cap=1),
-        )
+        monkeypatch.setattr(sarw, "STEP_MEMO_CAP", 1)
+        capped = SemanticAwareWalker(graph, measure, seed=0)
         nodes = sorted(graph.nodes(), key=str)
         for u in nodes[:4]:
             for v in nodes[:4]:
                 expected = unbounded.step_distribution((u, v))
                 actual = capped.step_distribution((u, v))
-                assert [pair for pair, _ in expected] == [
-                    pair for pair, _ in actual
-                ]
-                np.testing.assert_allclose(
-                    [p for _, p in expected], [p for _, p in actual], atol=1e-12
-                )
-
-
-class TestVectorisedStepDistribution:
-    def test_matches_scalar_loop(self, model):
-        graph, measure = model
-        matrix = MatrixMeasure.from_measure(measure, list(graph.nodes()))
-        scalar = SemanticAwareWalker(graph, measure, seed=0)
-        vectorised = SemanticAwareWalker(graph, matrix, seed=0, backend="numpy")
-        assert vectorised._vectorised
-        nodes = sorted(graph.nodes(), key=str)
-        for u in nodes:
-            for v in nodes:
-                expected = scalar.step_distribution((u, v))
-                actual = vectorised.step_distribution((u, v))
                 assert [pair for pair, _ in expected] == [
                     pair for pair, _ in actual
                 ]

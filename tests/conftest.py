@@ -13,11 +13,6 @@ from repro.hin import HIN
 from repro.semantics import LinMeasure
 from repro.taxonomy import Taxonomy
 
-# Registers the stacked-array reference kernel as the "numpy" backend for
-# the whole session (forked shard workers inherit the registry): the
-# oracle every identity suite holds the library kernel to.
-import tests.backends.numpy_ref  # noqa: F401,E402
-
 
 def pytest_configure(config):
     config.addinivalue_line(

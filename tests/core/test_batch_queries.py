@@ -11,8 +11,7 @@ import pytest
 
 from repro.core import MonteCarloSemSim, MonteCarloSimRank, WalkIndex
 from repro.core.join import similarity_join
-from repro.core.single_source import batch_similarity, single_source_mc
-from repro.core.topk import top_k_similar
+from repro.core.topk import str_ranks, top_k_scan, top_k_similar
 from repro.errors import ConfigurationError
 from repro.semantics import MatrixMeasure
 from tests.conftest import build_taxonomy_graph
@@ -113,7 +112,8 @@ class TestSingleSourceAndJoin:
     def test_single_source_mc_uses_batch(self, setup):
         graph, _, measure, index = setup
         estimator = MonteCarloSemSim(index, measure, decay=0.6)
-        scores = single_source_mc(estimator, "x1")
+        nodes = list(graph.nodes())
+        scores = dict(zip(nodes, estimator.similarity_batch("x1", nodes)))
         assert set(scores) == set(graph.nodes())
         for node, value in scores.items():
             assert value == estimator.similarity("x1", node)
@@ -123,18 +123,13 @@ class TestSingleSourceAndJoin:
         _, _, measure, index = setup
         estimator = MonteCarloSemSim(index, measure, decay=0.6)
         pairs = [("x1", "x2"), ("x3", "x4"), ("x1", "x3"), ("x2", "x1")]
-        values = batch_similarity(estimator, pairs)
+        us, vs = zip(*pairs)
+        values = estimator.score_positions(
+            index.node_positions(us), index.node_positions(vs)
+        )
         assert len(values) == len(pairs)
         for (u, v), value in zip(pairs, values):
             assert value == estimator.similarity(u, v)
-
-    def test_batch_similarity_scalar_only_estimator(self, setup):
-        class ScalarOnly:
-            def similarity(self, u, v):
-                return 0.5 if u != v else 1.0
-
-        values = batch_similarity(ScalarOnly(), [("a", "b"), ("c", "c")])
-        assert values == [0.5, 1.0]
 
     def test_join_matches_scalar_join(self, setup):
         graph, _, measure, index = setup
@@ -145,6 +140,21 @@ class TestSingleSourceAndJoin:
             assert value > 0.01
 
 
+def _array_top_k(estimator, query, candidates, k, bounded):
+    """:func:`top_k_scan` over *estimator*'s position path, by name."""
+    index = estimator.walk_index
+    nodes = index.index.nodes
+    pool = index.node_positions(candidates)
+    bound = None
+    if bounded:
+        bound = np.array([estimator.measure.similarity(query, v) for v in candidates])
+    ranked = top_k_scan(
+        index.node_position(query), pool, k, estimator.score_positions,
+        str_ranks(nodes), bound=bound,
+    )
+    return [(nodes[p], value) for p, value in ranked]
+
+
 class TestTopKBatch:
     def test_batch_score_matches_scalar_path(self, setup):
         graph, _, measure, index = setup
@@ -153,10 +163,7 @@ class TestTopKBatch:
         scalar_results = top_k_similar(
             "x1", nodes, 3, estimator.similarity, measure=measure
         )
-        batch_results = top_k_similar(
-            "x1", nodes, 3, measure=measure,
-            batch_score=estimator.similarity_batch,
-        )
+        batch_results = _array_top_k(estimator, "x1", nodes, 3, bounded=True)
         assert scalar_results == batch_results
 
     def test_batch_score_without_measure(self, setup):
@@ -164,9 +171,7 @@ class TestTopKBatch:
         estimator = MonteCarloSemSim(index, measure, decay=0.6)
         nodes = [n for n in graph.nodes() if n != "x1"]
         scalar_results = top_k_similar("x1", nodes, 4, estimator.similarity)
-        batch_results = top_k_similar(
-            "x1", nodes, 4, batch_score=estimator.similarity_batch
-        )
+        batch_results = _array_top_k(estimator, "x1", nodes, 4, bounded=False)
         assert scalar_results == batch_results
 
     def test_requires_some_scorer(self):

@@ -1,15 +1,9 @@
-"""Unit tests for single-source queries and the batch helper."""
+"""Unit tests for single-source queries and per-pair position scoring."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    MonteCarloSemSim,
-    WalkIndex,
-    batch_similarity,
-    single_source_exact,
-    single_source_mc,
-)
+from repro.core import MonteCarloSemSim, WalkIndex, single_source_exact
 from repro.core.semsim import semsim_scores
 from repro.errors import ConfigurationError
 
@@ -19,6 +13,14 @@ from tests.conftest import build_taxonomy_graph
 @pytest.fixture(scope="module")
 def model():
     return build_taxonomy_graph()
+
+
+def single_source_mc(estimator, query, candidates=None):
+    """``{v: sim(query, v)}`` through the estimator's batch path."""
+    if candidates is None:
+        candidates = list(estimator.walk_index.index.nodes)
+    scores = estimator.similarity_batch(query, candidates)
+    return {node: float(value) for node, value in zip(candidates, scores)}
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +80,11 @@ class TestSingleSourceExact:
 class TestBatchSimilarity:
     def test_order_preserved(self, estimator):
         pairs = [("x1", "x2"), ("mid1", "mid2"), ("x1", "x1")]
-        values = batch_similarity(estimator, pairs)
+        index = estimator.walk_index
+        us, vs = zip(*pairs)
+        values = estimator.score_positions(
+            index.node_positions(us), index.node_positions(vs)
+        )
         assert len(values) == 3
         assert values[2] == 1.0
         assert values[0] == estimator.similarity("x1", "x2")

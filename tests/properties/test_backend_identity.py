@@ -1,12 +1,11 @@
-"""Property tests: every registered backend honours its equivalence contract.
+"""Property tests: every kernel honours the equivalence contract.
 
 The seam's soundness claim (mirroring the coalescer-identity suite one
 layer down): whichever :class:`~repro.backends.ComputeBackend` executes
 the walk-score kernels, the scores a :class:`~repro.api.QueryEngine`
-returns are the reference scores — bit-identical for backends declaring
-``exact=True``, within their declared ``tolerance`` otherwise.  The suite
-discovers backends from the registry, so a third-party registration is
-automatically held to the same bar.
+returns are the reference scores, bit for bit.  The reference is the
+stacked-array oracle (``tests/backends/numpy_ref.py``), passed to the
+engines as an instance.
 """
 
 import threading
@@ -16,22 +15,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import QueryEngine
-from repro.backends import available_backends, get_backend
 from repro.sched import ServingRuntime
 from repro.serve import IndexManager, QueryService
 
+from tests.backends.numpy_ref import KERNELS, NumpyBackend
 from tests.conftest import random_hin_with_measure
 
 COMMON = settings(
     max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
-RUNNABLE = [info.name for info in available_backends() if info.available]
-
-
-def _contract(name):
-    info = {i.name: i for i in available_backends()}[name]
-    return info.exact, info.tolerance
+RUNNABLE = sorted(KERNELS)
 
 
 def _engines(seed, num_entities, extra_edges, backend, theta=None):
@@ -41,18 +35,14 @@ def _engines(seed, num_entities, extra_edges, backend, theta=None):
     kwargs = dict(
         method="mc", num_walks=25, length=6, theta=theta, seed=seed
     )
-    reference = QueryEngine(graph, measure, backend="numpy", **kwargs)
-    candidate = QueryEngine(graph, measure, backend=backend, **kwargs)
+    reference = QueryEngine(graph, measure, backend=NumpyBackend(), **kwargs)
+    candidate = QueryEngine(graph, measure, backend=KERNELS[backend](), **kwargs)
     nodes = sorted(graph.nodes(), key=str)
     return reference, candidate, nodes
 
 
 def _assert_contract(backend, expected, actual):
-    exact, tolerance = _contract(backend)
-    if exact:
-        np.testing.assert_array_equal(expected, actual)
-    else:
-        np.testing.assert_allclose(expected, actual, atol=tolerance, rtol=0)
+    np.testing.assert_array_equal(expected, actual)
 
 
 @pytest.mark.parametrize("backend", RUNNABLE)
@@ -127,7 +117,8 @@ def test_runtime_serves_reference_scores_on_every_backend(
         seed, num_entities=num_entities, extra_edges=extra_edges
     )
     engine_kwargs = dict(
-        method="mc", num_walks=20, length=5, seed=seed, backend=backend
+        method="mc", num_walks=20, length=5, seed=seed,
+        backend=KERNELS[backend](),
     )
     manager = IndexManager(
         graph, measure, engine_kwargs=engine_kwargs, background_rebuild=False
@@ -140,7 +131,7 @@ def test_runtime_serves_reference_scores_on_every_backend(
     engine = manager.acquire().engine
     reference = QueryEngine(
         graph, measure, method="mc", num_walks=20, length=5, seed=seed,
-        backend="numpy",
+        backend=NumpyBackend(),
     )
     nodes = sorted(graph.nodes(), key=str)
     rng = np.random.default_rng(workload_seed)
@@ -167,7 +158,7 @@ def test_backend_thread_stress_bit_stable(backend):
     graph, measure = random_hin_with_measure(7, num_entities=10, extra_edges=14)
     engine = QueryEngine(
         graph, measure, method="mc", num_walks=40, length=8, seed=7,
-        backend=get_backend(backend),
+        backend=KERNELS[backend](),
     )
     nodes = sorted(graph.nodes(), key=str)
     sources = nodes[:4]

@@ -6,8 +6,8 @@ These are the ISSUE-level guarantees of the batch query engine:
 * ``similarity_batch`` replays the scalar operation order, so on a
   materialised (matrix) measure it agrees with per-pair ``similarity()``
   to 1e-12 on arbitrary random HINs, with and without θ pruning;
-* ``top_k_similar`` and ``similarity_join`` give the same answers through
-  the batched path as through a scalar scan;
+* the array top-k scan and ``similarity_join`` give the same answers
+  through the batched path as a scalar scan;
 * a :class:`WalkIndex` built with ``workers > 1`` (any shard size) stores
   exactly the same walk tensor as a serial build for the same seed.
 """
@@ -18,8 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import MonteCarloSemSim, MonteCarloSimRank, WalkIndex
 from repro.core.join import similarity_join
-from repro.core.single_source import batch_similarity
-from repro.core.topk import top_k_similar
+from repro.core.topk import str_ranks, top_k_scan, top_k_similar
 from repro.core.walk_index import WalkPolicy
 from repro.semantics import MatrixMeasure
 
@@ -106,8 +105,11 @@ def test_top_k_batch_path_equals_scalar_path(seed, num_entities, extra_edges, k)
     candidates = nodes[1:]
     scalar = top_k_similar(u, candidates, k, estimator.similarity,
                            measure=estimator.measure)
-    batched = top_k_similar(u, candidates, k, measure=estimator.measure,
-                            batch_score=estimator.similarity_batch)
+    bound = np.array([estimator.measure.similarity(u, v) for v in candidates])
+    ranked = top_k_scan(0, np.arange(1, len(nodes)), k,
+                        estimator.score_positions, str_ranks(nodes),
+                        bound=bound)
+    batched = [(nodes[p], value) for p, value in ranked]
     assert scalar == batched
 
 
@@ -174,6 +176,10 @@ def test_batch_similarity_matches_per_pair(seed, num_entities, extra_edges):
         (nodes[int(rng.integers(len(nodes)))], nodes[int(rng.integers(len(nodes)))])
         for _ in range(12)
     ]
-    values = batch_similarity(estimator, pairs)
+    index = estimator.walk_index
+    values = estimator.score_positions(
+        index.node_positions([u for u, _ in pairs]),
+        index.node_positions([v for _, v in pairs]),
+    )
     for (u, v), value in zip(pairs, values):
         assert value == pytest.approx(estimator.similarity(u, v), abs=1e-12)

@@ -1,13 +1,11 @@
-"""Property-based tests of the extension layers (dynamic index, local
-computation, estimator invariants)."""
+"""Property-based tests of the extension layers (dynamic index, estimator
+invariants)."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import DynamicWalkIndex, MonteCarloSemSim, WalkIndex
-from repro.core.local import local_semsim
-from repro.core.semsim import semsim_scores
 from repro.hin import HIN
 
 from tests.conftest import random_hin_with_measure
@@ -57,22 +55,6 @@ def test_dynamic_index_stays_consistent_under_random_updates(seed, num_updates):
             source, target, _, _ = edges[int(rng.integers(len(edges)))]
             dynamic.remove_edge(source, target)
     assert _walks_valid(dynamic)
-
-
-@COMMON
-@given(
-    seed=st.integers(min_value=0, max_value=5_000),
-    iterations=st.integers(min_value=1, max_value=6),
-)
-def test_local_semsim_interval_brackets_truth(seed, iterations):
-    graph, measure = random_hin_with_measure(seed, num_entities=6, extra_edges=8)
-    nodes = list(graph.nodes())
-    truth = semsim_scores(graph, measure, decay=0.6, tolerance=1e-12, max_iterations=300)
-    u, v = nodes[0], nodes[2]
-    result = local_semsim(graph, measure, u, v, decay=0.6, iterations=iterations)
-    exact = truth.score(u, v)
-    assert result.lower <= exact + 1e-9
-    assert result.upper >= exact - 1e-9
 
 
 @COMMON

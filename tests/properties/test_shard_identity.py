@@ -14,7 +14,7 @@ total order the unsharded heap uses.  These tests hold both to ``==``.
 
 Single-pair requests of one micro-batch, whatever their sources, scatter
 as ``(source, candidate)`` pairs to the shards owning the candidates and
-are answered by ``score_pairs`` there, whose every entry equals scalar
+are answered by ``score_positions`` there, whose every entry equals scalar
 ``score`` — so their reference is ``score(u, v)`` itself, for SemSim and
 plain SimRank alike.  Identity pairs, θ-gated pairs and unknown nodes
 (which fail only their own request) ride the same micro-batch.
@@ -22,8 +22,8 @@ plain SimRank alike.  Identity pairs, θ-gated pairs and unknown nodes
 Workers run on in-process threads (the same ``shard_worker_main`` the
 forked workers execute) and dispatch is inline, so hypothesis explores
 plans and estimators with zero interleaving noise.  The shard workers'
-compute backend is drawn too — every ``exact`` backend must uphold the
-guarantee, with one source per pair.
+compute backend is drawn too — the library kernel and the oracle must
+both uphold the guarantee, with one source per pair.
 """
 
 import shutil
@@ -40,6 +40,7 @@ from repro.sched import ShardedRuntime, ThreadShardWorker
 from repro.serve import IndexManager, QueryService
 from repro.store import ShardPlan
 
+from tests.backends.numpy_ref import KERNELS
 from tests.conftest import random_hin_with_measure
 
 COMMON = settings(
@@ -77,7 +78,7 @@ def _plan_from_spec(spec, num_nodes) -> ShardPlan:
     semantic=st.booleans(),
     spec=SHARD_SPECS,
     workload_seed=st.integers(0, 1_000),
-    # every exact backend must uphold the guarantee
+    # every kernel must uphold the guarantee
     backend=st.sampled_from(["numpy", "blocked"]),
 )
 def test_sharded_results_bit_identical_to_unsharded(
@@ -105,7 +106,7 @@ def test_sharded_results_bit_identical_to_unsharded(
         runtime = ShardedRuntime(
             QueryService(manager), parent, plan,
             worker_factory=ThreadShardWorker, autostart=False,
-            max_batch=16, queue_depth=10_000, backend=backend,
+            max_batch=16, queue_depth=10_000, backend=KERNELS[backend](),
         )
         rng = np.random.default_rng(workload_seed)
         sources = [nodes[int(rng.integers(len(nodes)))] for _ in range(3)]

@@ -32,7 +32,7 @@ class TestDispatchParity:
         futures = [runtime.submit_score(u, v) for v in rest]
         runtime.close(drain=True)
         assert [f.result().value for f in futures] == expected
-        # all four rode one score_pairs call
+        # all four rode one score_positions call
         delta = metrics_delta()
         assert delta["counters"]["sched_coalesced_requests_total"] == 4
         assert delta["histograms"]["sched_batch_size_count"] == 1
@@ -50,18 +50,6 @@ class TestDispatchParity:
         expected_batch = service.batch(u, candidates)
         assert list(f_batch.result().values) == list(expected_batch.values)
         assert f_topk.result().results == service.top_k(u, 3).results
-
-    def test_topk_batch_size_plumbs_through_unchanged_results(
-        self, make_service, make_runtime, nodes
-    ):
-        service = make_service()
-        runtime = make_runtime(service, workers=1)
-        u = nodes[0]
-        default = runtime.top_k(u, 3).results
-        blocked = runtime.top_k(u, 3, batch_size=1).results
-        assert blocked == default
-        # and through the service facade directly
-        assert service.top_k(u, 3, batch_size=2).results == default
 
     def test_responses_count_serve_outcomes(
         self, make_service, make_runtime, nodes, metrics_delta
@@ -225,16 +213,16 @@ class TestErrors:
         service = make_service()
         runtime = make_runtime(service, workers=1, max_batch=1)
         engine = service.manager.acquire().engine
-        original = engine.score_pairs
+        original = engine.score_positions
         calls = {"n": 0}
 
-        def flaky(us, vs):
+        def flaky(pos_u, positions):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("injected")
-            return original(us, vs)
+            return original(pos_u, positions)
 
-        monkeypatch.setattr(engine, "score_pairs", flaky)
+        monkeypatch.setattr(engine, "score_positions", flaky)
         first = runtime.submit_score(nodes[0], nodes[1])
         with pytest.raises(RuntimeError, match="injected"):
             first.result(timeout=5)

@@ -23,6 +23,7 @@ from repro.sched.sharded import ShardFailure
 from repro.serve import CircuitBreaker
 from repro.store import ShardPlan
 
+from tests.backends.numpy_ref import KERNELS
 from tests.sched.conftest import ENGINE_KWARGS
 
 MC_KWARGS = dict(ENGINE_KWARGS, method="mc")
@@ -234,7 +235,7 @@ class TestScatterGatherParity:
 
 
 class TestBackendParity:
-    """Sharded identity must hold for every exact backend, not just numpy.
+    """Sharded identity must hold for every kernel, not just the oracle.
 
     One shard worker serves several *distinct* sources in turn, including
     sources outside its own range, and must score each from its own walk
@@ -246,7 +247,7 @@ class TestBackendParity:
         self, make_sharded, sharded_model, nodes, backend
     ):
         _, _, engine, _, _ = sharded_model
-        runtime = make_sharded(2, backend=backend)
+        runtime = make_sharded(2, backend=KERNELS[backend]())
         sources = nodes[:5] + [nodes[0]]  # revisit after other sources
         futures = [(u, runtime.submit_batch(u, nodes)) for u in sources]
         runtime.close(drain=True)
