@@ -267,7 +267,7 @@ def test_sharded_scatter_gather_throughput(
     for shards in SHARD_SWEEP:
         runtime = ShardedRuntime(
             service, parent, shards,
-            workers=shards, workers_per_shard=1,
+            workers=shards,
             max_batch=256, max_wait_us=200, queue_depth=4 * WINDOW,
             clock=time.monotonic,
         )

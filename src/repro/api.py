@@ -313,19 +313,7 @@ class QueryEngine:
                     seed=seed,
                     workers=self.workers,
                 )
-            if self.measure is None:
-                self.estimator = MonteCarloSimRank(
-                    self.walk_index, decay=self.decay, backend=self.backend
-                )
-            else:
-                self.estimator = MonteCarloSemSim(
-                    self.walk_index,
-                    self.measure,
-                    decay=self.decay,
-                    theta=self.theta,
-                    pair_index=self.pair_index,
-                    backend=self.backend,
-                )
+            self.estimator = self._mc_estimator()
             self.stats = self.estimator.stats
         else:
             if walks_path is not None:
@@ -349,6 +337,22 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
+    def _mc_estimator(self) -> "MonteCarloSemSim | MonteCarloSimRank":
+        """The MC estimator over :attr:`walk_index`: SemSim (Algorithm 1)
+        with a measure, classical SimRank without one."""
+        if self.measure is None:
+            return MonteCarloSimRank(
+                self.walk_index, decay=self.decay, backend=self.backend
+            )
+        return MonteCarloSemSim(
+            self.walk_index,
+            self.measure,
+            decay=self.decay,
+            theta=self.theta,
+            pair_index=self.pair_index,
+            backend=self.backend,
+        )
+
     def _prepare_measure(
         self, measure: SemanticMeasure | None, materialize: bool | str
     ) -> SemanticMeasure | None:
@@ -492,18 +496,8 @@ class QueryEngine:
                 policy=self.policy,
                 tables=tables,
             )
-            if self.measure is None:
-                self.estimator = MonteCarloSimRank(
-                    self.walk_index, decay=self.decay, backend=self.backend
-                )
-            else:
-                self.estimator = MonteCarloSemSim(
-                    self.walk_index,
-                    self.measure,
-                    decay=self.decay,
-                    theta=self.theta,
-                    backend=self.backend,
-                )
+            self.estimator = self._mc_estimator()
+            if self.measure is not None:
                 self.estimator.attach_precomputed(
                     so_matrix=artifact.arrays.get("so_matrix"),
                     step_weights=artifact.arrays.get("step_weights"),
@@ -838,20 +832,9 @@ class QueryEngine:
         keeps the running totals).
         """
         predecessor = self.estimator
-        if self.measure is None:
-            self.estimator = MonteCarloSimRank(
-                self.walk_index, decay=self.decay, backend=self.backend
-            )
-        else:
-            self.estimator = MonteCarloSemSim(
-                self.walk_index,
-                self.measure,
-                decay=self.decay,
-                theta=self.theta,
-                backend=self.backend,
-            )
-            if isinstance(predecessor, MonteCarloSemSim):
-                self.estimator.carry_tables(predecessor)
+        self.estimator = self._mc_estimator()
+        if self.measure is not None and isinstance(predecessor, MonteCarloSemSim):
+            self.estimator.carry_tables(predecessor)
         self._dynamic.restart_changes()
         self.stats = self.estimator.stats
 
@@ -944,10 +927,9 @@ class QueryEngine:
         positions index :attr:`nodes`.  A shared source returns exactly
         the floats of :meth:`score_batch`, per-pair sources those of
         :meth:`score_pairs` (so every entry equals :meth:`score` of its
-        pair), with the same stats deltas.  The MC SemSim engine scores
-        every pair in one vectorised pass, the MC SimRank engine runs its
-        kernel for a shared source and the scalar loop per pair, and the
-        iterative engine gathers from its table.
+        pair), with the same stats deltas.  The MC engines score every
+        pair in one vectorised pass and the iterative engine gathers from
+        its table.
         """
         start = time.perf_counter()
         pos_u, positions = pair_positions(pos_u, positions)

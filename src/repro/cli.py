@@ -274,7 +274,7 @@ def _make_service(args: argparse.Namespace) -> QueryService:
                 theta=args.theta,
                 seed=args.seed,
                 workers=args.workers,
-                    ),
+            ),
             retry=retry,
         )
     return QueryService(manager, deadline_ms=args.deadline_ms)
@@ -480,11 +480,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.index,
             args.shards,
             workers=args.workers or 1,
-            workers_per_shard=args.workers_per_shard,
             max_batch=args.max_batch,
             max_wait_us=args.max_wait_us,
             queue_depth=args.queue_depth,
-                timings=args.timings,
+            timings=args.timings,
         )
     else:
         runtime = ServingRuntime(
@@ -847,10 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve from N node-range shard worker processes, each "
              "opening the --index artifact (required); default: 0 = "
              "in-process serving",
-    )
-    serve.add_argument(
-        "--workers-per-shard", type=int, default=1, metavar="M",
-        help="worker threads inside each shard process (default: 1)",
     )
     serve.add_argument(
         "--metrics-port", type=int, default=None, metavar="N",

@@ -89,9 +89,8 @@ def similarity_join(
             continue  # Prop. 2.5: sim <= sem <= threshold
         survivors.append((u, v))
     # One shared-source score_positions call per first node.  A
-    # per-pair-source call would gather every pair's source walk rows
-    # (SemSim) or run MC SimRank's scalar loop per pair, several times
-    # slower, where a shared source broadcasts one row set.
+    # per-pair-source call would gather every pair's source walk rows,
+    # where a shared source broadcasts one row set.
     groups: dict[Node, list[int]] = defaultdict(list)
     for i, (u, _) in enumerate(survivors):
         groups[u].append(i)

@@ -290,19 +290,23 @@ class MonteCarloSimRank:
             raise StaleIndexError(self._epoch, current)
 
     def similarity(self, u: Node, v: Node) -> float:
-        """Return the MC SimRank estimate ``(1/n_w) * sum c^tau``."""
+        """Return the MC SimRank estimate ``(1/n_w) * sum c^tau``.
+
+        The sum runs over the same masked ``(n_w,)`` row the
+        ``simrank_scores`` kernel reduces, so every :meth:`score_positions`
+        entry equals this float.
+        """
         self._check_epoch()
         self.stats.add(queries=1)
         if u == v:
             return 1.0
         meetings = self.walk_index.first_meetings(u, v)
-        met = meetings[meetings >= 0]
+        met = meetings >= 0
         self.stats.add(
-            walks_examined=int(meetings.size), walks_met=int(met.size)
+            walks_examined=int(meetings.size), walks_met=int(met.sum())
         )
-        if met.size == 0:
-            return 0.0
-        return float(np.sum(self.decay ** met) / self.walk_index.num_walks)
+        contrib = np.where(met, self.decay ** np.maximum(meetings, 0), 0.0)
+        return float(contrib.sum() / self.walk_index.num_walks)
 
     def similarity_batch(
         self, u: Node, candidates: Sequence[Node]
@@ -318,24 +322,11 @@ class MonteCarloSimRank:
     ) -> np.ndarray:
         """Scores of the pairs ``(pos_u[i], positions[i])``, by node position.
 
-        With one shared source *pos_u* every pair runs through the
-        ``simrank_scores`` kernel (:meth:`similarity_batch`'s floats).
-        With one source per pair each pair runs the scalar
-        :meth:`similarity`: the kernel's masked sum may differ from the
-        scalar sum in the last bits, and a per-pair score must equal
-        :meth:`similarity` of its pair.
+        *pos_u* is one source shared by every pair or one per pair; either
+        way every pair runs through one ``simrank_scores`` kernel call, and
+        each entry equals :meth:`similarity` of its pair.
         """
         pos_u, positions = pair_positions(pos_u, positions)
-        if np.ndim(pos_u):
-            nodes = self.walk_index.index.nodes
-            similarity = self.similarity
-            return np.array(
-                [
-                    similarity(nodes[a], nodes[b])
-                    for a, b in zip(pos_u.tolist(), positions.tolist())
-                ],
-                dtype=np.float64,
-            )
         self._check_epoch()
         m = positions.size
         self.stats.add(

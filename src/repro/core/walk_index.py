@@ -359,17 +359,13 @@ class WalkIndex:
 
         Coupling pairs the i-th walk from ``u`` with the i-th from ``v``;
         the meeting step is the smallest offset ``k >= 1`` where both walks
-        are alive and stand on the same node.
+        are alive and stand on the same node.  Row 0 of
+        :meth:`first_meetings_pairs`.
         """
-        walks_u = self.walks_from(u)
-        walks_v = self.walks_from(v)
-        alive = (walks_u >= 0) & (walks_v >= 0)
-        same = (walks_u == walks_v) & alive
-        same[:, 0] = False  # the start offset does not count as a meeting
-        met_anywhere = same.any(axis=1)
-        # argmax over booleans returns the first True column per row.
-        first = same.argmax(axis=1)
-        return np.where(met_anywhere, first, -1).astype(np.int64)
+        return self.first_meetings_pairs(
+            self.node_position(u),
+            np.array([self.node_position(v)], dtype=np.int64),
+        )[0]
 
     def first_meetings_batch(
         self, query: Node, candidates: Sequence[Node] | np.ndarray

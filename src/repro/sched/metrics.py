@@ -90,7 +90,8 @@ MERGE_LATENCY = _REGISTRY.histogram(
 )
 SHARD_WORKERS = _REGISTRY.gauge(
     "shard_workers",
-    help="Worker threads serving one shard process, by shard.",
+    help="Threads answering one shard process's messages, by shard "
+    "(1 while the shard runs, 0 after close).",
     labelnames=("shard",),
 )
 STATS_PULLS = _REGISTRY.counter(

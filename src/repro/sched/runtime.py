@@ -22,10 +22,17 @@ the resilient :class:`~repro.serve.QueryService` stack:
   ``score_batch`` release the GIL) behind the
   :class:`~repro.sched.pool.WorkerPool` factory seam.
 
-Resilience still comes from PR 4: every dispatch group goes through
-``manager.acquire()`` (retries, circuit breaker, degraded fallback), and
-every logical response carries the ``degraded`` flag and retry count of
-the acquisition that answered it.
+Resilience comes from the serving stack: every dispatch group goes
+through ``manager.acquire()`` (retries, circuit breaker, degraded
+fallback), and every logical response carries the ``degraded`` flag and
+retry count of the acquisition that answered it.
+
+This is the one request path: names are resolved through the served
+engine's ``position_map``, unknown nodes fail their own request, and
+responses, outcome counters and the ``--timings`` annotation are built
+here once.  The numbers come from :meth:`ServingRuntime._score_positions`
+and :meth:`ServingRuntime._top_k_positions`, which call the engine;
+:class:`~repro.sched.sharded.ShardedRuntime` overrides only those two.
 
 The submission API is future-based (``submit_score`` et al. return
 :class:`concurrent.futures.Future` resolving to the same
@@ -396,23 +403,22 @@ class ServingRuntime:
 
     def _execute_group(self, group: DispatchGroup) -> None:
         acquisition = self.service.manager.acquire()
-        engine = acquisition.engine
-        position = engine.position_map
+        position = acquisition.engine.position_map
         if group.kind == KIND_SCORE:
-            self._execute_score_group(group, acquisition, engine, position)
+            self._execute_score_group(group, acquisition, position)
             return
         request = group.requests[0]
         pos_u = position.get(request.u)
         if pos_u is None:
             self._finish_error(request, NodeNotFoundError(request.u))
         elif group.kind == KIND_BATCH:
-            self._execute_batch(request, acquisition, engine, pos_u)
+            self._execute_batch(request, acquisition, pos_u)
         elif group.kind == KIND_TOPK:
-            self._execute_topk(request, acquisition, engine, pos_u)
+            self._execute_topk(request, acquisition, pos_u)
         else:  # pragma: no cover — submission API cannot build other kinds
             raise ValueError(f"unknown request kind {group.kind!r}")
 
-    def _execute_score_group(self, group, acquisition, engine, position) -> None:
+    def _execute_score_group(self, group, acquisition, position) -> None:
         live: list[ScheduledRequest] = []
         sources: list[int] = []
         targets: list[int] = []
@@ -430,143 +436,168 @@ class ServingRuntime:
                 targets.append(pos_v)
         if not live:
             return
-        kernel_started = self._clock() if self.timings else 0.0
-        # one vectorised call answers every pair of the micro-batch,
-        # bit-identical to per-pair score()
-        values = engine.score_positions(
+        deadline = min(
+            (r.deadline for r in live if r.deadline is not None), default=None
+        )
+        # one call answers every pair of the micro-batch, bit-identical to
+        # per-pair score()
+        values, degraded, answered, timing = self._score_positions(
+            acquisition,
             np.asarray(sources, dtype=np.int64),
             np.asarray(targets, dtype=np.int64),
+            deadline,
         )
         if len(live) > 1 and is_enabled():
             COALESCED.inc(len(live))
         end = self._clock()
-        kernel_us = (end - kernel_started) * 1e6 if self.timings else 0.0
         trace_id = group.requests[0].trace_id
-        method = engine.method
-        degraded = acquisition.degraded
-        answered = 0
-        for request, value in zip(live, values.tolist()):
-            # outcome counters are bumped once per group below, so the
-            # per-request loop stays free of registry traffic
-            elapsed_ms = self._finalize(request, end, degraded, count=False)
+        tally = [0, 0]  # answered healthy, answered degraded
+        for request, value, flag in zip(
+            live, values.tolist(), np.broadcast_to(degraded, values.shape).tolist()
+        ):
+            elapsed_ms = self._elapsed_ms(request, end)
             if elapsed_ms is None:
                 continue
-            answered += 1
-            _deliver(request.future, self._annotate(QueryResponse(
-                request.u, request.v, value, degraded,
-                acquisition.retries, method, elapsed_ms,
-            ), request, trace_id, kernel_us=kernel_us))
-        if answered and is_enabled():
-            if degraded:
-                DEGRADED_QUERIES.inc(answered)
-                self._count_degraded.inc(answered)
-            else:
-                self._count_ok.inc(answered)
+            tally[flag] += 1
+            by = answered if flag else acquisition
+            self._reply(request, QueryResponse(
+                request.u, request.v, value, flag,
+                by.retries, by.engine.method, elapsed_ms,
+            ), timing, trace_id)
+        # outcome counters are bumped once per group, so the per-request
+        # loop stays free of registry traffic
+        self._count_answered(False, tally[0])
+        self._count_answered(True, tally[1])
 
-    def _execute_batch(self, request, acquisition, engine, pos_u) -> None:
+    def _execute_batch(self, request, acquisition, pos_u) -> None:
         # an unknown candidate raises NodeNotFoundError, answered by _dispatch
-        positions = engine.node_positions(request.candidates)
-        kernel_started = self._clock() if self.timings else 0.0
-        values = engine.score_positions(pos_u, positions)
-        end = self._clock()
-        elapsed_ms = self._finalize(request, end, acquisition.degraded)
-        if elapsed_ms is None:
-            return
-        _deliver(request.future, self._annotate(BatchResponse(
-            u=request.u, candidates=request.candidates, values=values,
-            degraded=acquisition.degraded, retries=acquisition.retries,
-            method=engine.method, elapsed_ms=elapsed_ms,
-        ), request, kernel_us=(end - kernel_started) * 1e6 if self.timings else 0.0))
+        positions = acquisition.engine.node_positions(request.candidates)
+        values, degraded, answered, timing = self._score_positions(
+            acquisition, pos_u, positions, request.deadline
+        )
+        flag = bool(np.any(degraded))
+        self._finish(
+            request, flag, answered if flag else acquisition, timing,
+            BatchResponse, candidates=request.candidates, values=values,
+        )
 
-    def _execute_topk(self, request, acquisition, engine, pos_u) -> None:
+    def _execute_topk(self, request, acquisition, pos_u) -> None:
+        engine = acquisition.engine
         positions = None
         if request.candidates is not None:
             positions = engine.node_positions(request.candidates)
-        kernel_started = self._clock() if self.timings else 0.0
-        nodes = engine.nodes
-        results = tuple(
-            (nodes[p], value)
-            for p, value in engine.top_k_positions(pos_u, request.k, positions)
+        top, flag, answered, timing = self._top_k_positions(
+            acquisition, pos_u, request.k, positions, request.deadline
         )
-        end = self._clock()
-        elapsed_ms = self._finalize(request, end, acquisition.degraded)
-        if elapsed_ms is None:
-            return
-        _deliver(request.future, self._annotate(TopKResponse(
-            u=request.u, k=request.k, results=results,
-            degraded=acquisition.degraded, retries=acquisition.retries,
-            method=engine.method, elapsed_ms=elapsed_ms,
-        ), request, kernel_us=(end - kernel_started) * 1e6 if self.timings else 0.0))
+        nodes = engine.nodes
+        self._finish(
+            request, flag, answered if flag else acquisition, timing,
+            TopKResponse, k=request.k,
+            results=tuple((nodes[p], value) for p, value in top),
+        )
 
-    def _annotate(
-        self,
-        response,
-        request: ScheduledRequest,
-        trace_id: str | None = None,
-        *,
-        kernel_us: float = 0.0,
-        scatter_us: float = 0.0,
-        merge_us: float = 0.0,
-    ):
-        """Attach trace id + latency breakdown in ``--timings`` mode.
+    # ------------------------------------------------------------------
+    # The numbers (ShardedRuntime overrides these two)
+    # ------------------------------------------------------------------
+    def _score_positions(self, acquisition, pos_u, positions, deadline):
+        """Scores of the pairs ``(pos_u[i], positions[i])`` by node position.
 
-        No-op otherwise, keeping protocol output byte-stable.  *trace_id*
-        is the **execution** trace — for a coalesced group the leader's,
-        i.e. the dispatch that actually answered this request; it
-        defaults to the request's own id for singleton groups.
+        *pos_u* is one source shared by every pair (a ``BATCH``) or one
+        per pair (a micro-batch's single-pair group); *deadline* is the
+        earliest absolute deadline among the requests answered.  Returns
+        ``(values, degraded, answered, timing)``: *degraded* marks the
+        pairs answered degraded (one flag for every pair, or one per
+        pair), *answered* is the acquisition that answered those pairs
+        (their ``retries`` and ``method``; the other pairs report
+        *acquisition*'s), and *timing* holds the ``--timings`` keys this
+        path measured.
         """
-        if not self.timings:
-            return response
-        response.trace_id = trace_id if trace_id is not None else request.trace_id
-        queue_us = 0.0
-        if request.dispatched_at is not None:
-            queue_us = max(
-                0.0, (request.dispatched_at - request.enqueued_at) * 1e6
-            )
-        response.timings = {
-            "queue_us": queue_us,
-            "scatter_us": scatter_us,
-            "kernel_us": kernel_us,
-            "merge_us": merge_us,
-        }
-        return response
+        started = self._clock()
+        values = acquisition.engine.score_positions(pos_u, positions)
+        timing = {"kernel_us": (self._clock() - started) * 1e6}
+        return values, acquisition.degraded, acquisition, timing
+
+    def _top_k_positions(self, acquisition, pos_u, k, positions, deadline):
+        """The *k* best ``(position, score)`` for *pos_u*, best first.
+
+        *positions* are the candidates (``None``: every node).  Returns
+        ``(top, degraded, answered, timing)`` as :meth:`_score_positions`
+        does, with one *degraded* flag for the whole list.
+        """
+        started = self._clock()
+        top = acquisition.engine.top_k_positions(pos_u, k, positions)
+        timing = {"kernel_us": (self._clock() - started) * 1e6}
+        return top, acquisition.degraded, acquisition, timing
 
     # ------------------------------------------------------------------
     # Completion accounting
     # ------------------------------------------------------------------
-    def _finalize(
+    def _finish(
+        self, request, degraded, answered, timing, response_cls, **fields
+    ) -> None:
+        """Answer one ``BATCH``/``TOPK`` request: its deadline, its outcome
+        count and its response, with *answered*'s retries and method."""
+        elapsed_ms = self._elapsed_ms(request, self._clock())
+        if elapsed_ms is None:
+            return
+        self._count_answered(degraded)
+        self._reply(request, response_cls(
+            u=request.u, degraded=degraded, retries=answered.retries,
+            method=answered.engine.method, elapsed_ms=elapsed_ms, **fields,
+        ), timing)
+
+    def _reply(
         self,
         request: ScheduledRequest,
-        end: float,
-        degraded: bool,
-        count: bool = True,
-    ) -> float | None:
-        """Outcome accounting shared by every kind.
+        response,
+        timing: dict,
+        trace_id: str | None = None,
+    ) -> None:
+        """Deliver *response*, with its trace id and latency breakdown in
+        ``--timings`` mode.
 
-        Returns the request's elapsed milliseconds (admission to now,
-        queue wait included — the number the deadline is judged against),
-        or ``None`` after answering a blown deadline.  *degraded* is the
-        acquisition's flag, so the counter always matches the flag the
-        response carries even if a rebuild lands mid-batch.  With
-        ``count=False`` the ok/degraded counters are left to the caller
-        (the coalesced score path bumps them once per group); blown
-        deadlines are always counted here.
+        Without ``--timings`` the response goes out as built, keeping
+        protocol output byte-stable.  *trace_id* is the **execution**
+        trace — for a coalesced group the leader's, i.e. the dispatch that
+        actually answered this request; it defaults to the request's own
+        id for singleton groups.
         """
-        elapsed_ms = max(0.0, (end - request.enqueued_at) * 1000.0)
-        if request.deadline is not None and end > request.deadline:
-            if is_enabled():
-                self._count_deadline.inc()
-            _deliver(request.future, exc=DeadlineExceeded(
-                request.deadline_ms, elapsed_ms,
-            ))
+        if self.timings:
+            response.trace_id = (
+                trace_id if trace_id is not None else request.trace_id
+            )
+            queue_us = 0.0
+            if request.dispatched_at is not None:
+                queue_us = max(
+                    0.0, (request.dispatched_at - request.enqueued_at) * 1e6
+                )
+            response.timings = {
+                "queue_us": queue_us, "scatter_us": 0.0, "kernel_us": 0.0,
+                "merge_us": 0.0, **timing,
+            }
+        _deliver(request.future, response)
+
+    def _elapsed_ms(self, request: ScheduledRequest, end: float) -> float | None:
+        """The request's elapsed milliseconds, or ``None`` after a blown deadline.
+
+        Elapsed runs from admission to *end*, queue wait included — the
+        number the deadline is judged against.  A blown deadline is
+        answered and counted here.
+        """
+        if request.expired(end):
+            self._finish_deadline(request, end)
             return None
-        if count and is_enabled():
-            if degraded:
-                DEGRADED_QUERIES.inc()
-                self._count_degraded.inc()
-            else:
-                self._count_ok.inc()
-        return elapsed_ms
+        return max(0.0, (end - request.enqueued_at) * 1000.0)
+
+    def _count_answered(self, degraded: bool, count: int = 1) -> None:
+        """Count *count* answered requests under the flag they carry."""
+        if not count or not is_enabled():
+            return
+        if degraded:
+            DEGRADED_QUERIES.inc(count)
+            self._count_degraded.inc(count)
+        else:
+            self._count_ok.inc(count)
 
     def _finish_deadline(self, request: ScheduledRequest, now: float) -> None:
         elapsed_ms = max(0.0, (now - request.enqueued_at) * 1000.0)

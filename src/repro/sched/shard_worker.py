@@ -1,13 +1,13 @@
 """One shard's half of the scatter-gather protocol.
 
 A shard worker serves one contiguous node range ``[lo, hi)`` of the
-index (see :mod:`repro.store.sharding`) and answers four operations over
+index (see :mod:`repro.store.sharding`) and answers three operations over
 a duplex pipe: ``batch`` (scores for candidate positions it owns, from
-one source or one source per candidate),
-``topk`` (its range's exact local top-k), ``health`` and ``stats`` (a
-mergeable snapshot of the worker process's metrics registry — see
-:mod:`repro.obs.aggregate` — which the router folds under a ``shard``
-label so ``/metrics`` shows the whole process tree).  A forked worker
+one source or one source per candidate), ``topk`` (its range's exact
+local top-k) and ``stats`` (a mergeable snapshot of the worker process's
+metrics registry — see :mod:`repro.obs.aggregate` — which the router
+folds under a ``shard`` label so ``/metrics`` shows the whole process
+tree).  A forked worker
 inherits the router's registry *values* at fork time, so
 :func:`shard_worker_main` captures a baseline snapshot first and
 ``stats`` replies carry the pruned since-startup delta: only what this
@@ -37,8 +37,8 @@ holds this to ``==``.
 
 from __future__ import annotations
 
+import gc
 import os
-import queue
 import signal
 import threading
 import time
@@ -53,13 +53,12 @@ from repro.store.artifacts import StoreError
 
 OP_BATCH = "batch"
 OP_TOPK = "topk"
-OP_HEALTH = "health"
 OP_STATS = "stats"
 OP_SHUTDOWN = "shutdown"
 
 #: The ops a ``shard.handle`` span may carry as its ``op`` label — anything
 #: else is folded to ``other`` so a bad message cannot explode cardinality.
-_SPAN_OPS = frozenset({OP_BATCH, OP_TOPK, OP_HEALTH, OP_STATS})
+_SPAN_OPS = frozenset({OP_BATCH, OP_TOPK, OP_STATS})
 
 
 class ShardEngine:
@@ -162,8 +161,6 @@ def _handle(engine: ShardEngine, message: dict) -> dict:
                     message["k"],
                     positions=message.get("positions"),
                 )
-            elif op == OP_HEALTH:
-                reply["health"] = engine.health()
             elif op == OP_STATS:
                 # pid lets the router detect a thread-hosted worker that
                 # shares its registry (folding that snapshot would count
@@ -187,41 +184,12 @@ def _handle(engine: ShardEngine, message: dict) -> dict:
     return reply
 
 
-def serve_connection(engine: ShardEngine, conn, workers: int = 1) -> None:
+def serve_connection(engine: ShardEngine, conn) -> None:
     """Answer shard operations on *conn* until shutdown or pipe EOF.
 
-    *workers* threads drain a local task queue (numpy releases the GIL,
-    so intra-shard overlap is real work, not queueing theatre); replies
-    are serialised by a send lock and matched by request id router-side,
-    so completion order is free to differ from arrival order.
+    Each message is answered on this thread, in arrival order; the router
+    matches replies to requests by id.
     """
-    workers = max(1, int(workers))
-    tasks: queue.Queue = queue.Queue()
-    send_lock = threading.Lock()
-
-    def _send(reply: dict) -> None:
-        with send_lock:
-            try:
-                conn.send(reply)
-            except (OSError, ValueError, BrokenPipeError):
-                pass  # router went away; nothing left to answer to
-
-    def _run() -> None:
-        while True:
-            message = tasks.get()
-            if message is None:
-                return
-            _send(_handle(engine, message))
-
-    threads = [
-        threading.Thread(
-            target=_run, name=f"shard-{engine.shard_index}-w{index}",
-            daemon=True,
-        )
-        for index in range(workers)
-    ]
-    for thread in threads:
-        thread.start()
     try:
         while True:
             try:
@@ -230,12 +198,11 @@ def serve_connection(engine: ShardEngine, conn, workers: int = 1) -> None:
                 break
             if not isinstance(message, dict) or message.get("op") == OP_SHUTDOWN:
                 break
-            tasks.put(message)
+            try:
+                conn.send(_handle(engine, message))
+            except (OSError, ValueError, BrokenPipeError):
+                pass  # router went away; nothing left to answer to
     finally:
-        for _ in threads:
-            tasks.put(None)
-        for thread in threads:
-            thread.join()
         try:
             conn.close()
         except OSError:
@@ -246,14 +213,21 @@ def shard_worker_main(index_path, conn, config: dict) -> None:
     """Process entry point: open the index by path, handshake, serve.
 
     *config* names the range (``shard``, ``lo``, ``hi``) and carries the
-    worker thread count and the kernel instance (``None``: the library
-    kernel); a forked worker inherits the instance.
+    kernel instance (``None``: the library kernel); a forked worker
+    inherits the instance.
 
     SIGINT/SIGTERM are ignored — shutdown is coordinated by the router
     over the pipe (or by pipe EOF when the router dies), which is what
     lets a supervisor's SIGTERM to the process group drain cleanly
     instead of killing shards mid-request.
     """
+    if threading.current_thread() is threading.main_thread():
+        # A forked worker shares the router's pages until it writes to
+        # them, and a full collection writes to every tracked object it
+        # inherited.  Frozen, they stay shared: on perfbench's index each
+        # worker holds 12 MB less.  (A thread-hosted worker is not a
+        # process of its own and leaves the collector alone.)
+        gc.freeze()
     # Fork-inherited registry values belong to the router's story, not
     # this worker's; everything from here on (including the index-open
     # I/O below) is this worker's own work and diffs against this.
@@ -278,4 +252,4 @@ def shard_worker_main(index_path, conn, config: dict) -> None:
         return
     engine.stats_baseline = baseline
     conn.send({"op": "ready", **engine.health()})
-    serve_connection(engine, conn, workers=config.get("workers", 1))
+    serve_connection(engine, conn)

@@ -2,7 +2,9 @@
 
 :class:`ShardedRuntime` extends :class:`~repro.sched.runtime.ServingRuntime`
 — same admission queue, same coalescer, same worker threads, same
-future-based API — but the dispatch step routes through one worker
+future-based API, and the same request path: names resolved, responses
+built, outcomes counted and ``--timings`` annotated there, once.  It
+overrides only where the numbers come from, routing through one worker
 **process** per shard instead of one in-process engine:
 
 * a single-pair request goes to the shard owning the *candidate*'s node
@@ -31,9 +33,9 @@ probe.
 
 Every worker opens the one index artifact by path and serves its range
 through that index's own :class:`~repro.api.QueryEngine`, so a request
-message carries node positions only.  The router resolves each
-request's nodes to positions once; the fallback stack, which serves the
-same graph, takes the same positions.
+message carries node positions only.  The fallback stack serves the same
+graph under the same positions, so the router resolves each request's
+nodes once, through the fallback stack's engine.
 
 The worker seam mirrors PR 5's thread-factory seam one level up:
 ``worker_factory(index_path, config)`` defaults to
@@ -56,7 +58,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import NodeNotFoundError
 from repro.obs.aggregate import (
     SnapshotError,
     collect_snapshot,
@@ -68,7 +69,6 @@ from repro.obs.logging import get_logger, log_event
 from repro.obs.registry import is_enabled
 from repro.obs.trace import current_span_id, current_trace_id
 from repro.sched.metrics import (
-    COALESCED,
     MERGE_LATENCY,
     SCATTER_FANOUT,
     SHARD_QUARANTINED,
@@ -76,7 +76,6 @@ from repro.sched.metrics import (
     SHARD_WORKERS,
     STATS_PULLS,
 )
-from repro.sched.request import KIND_BATCH, KIND_SCORE, KIND_TOPK, DispatchGroup
 from repro.sched.runtime import ServingRuntime, _deliver
 from repro.sched.shard_worker import (
     OP_BATCH,
@@ -87,9 +86,8 @@ from repro.sched.shard_worker import (
 )
 from repro.serve.breaker import CircuitBreaker, CircuitState
 from repro.serve.errors import MutationRejectedError
-from repro.serve.service import BatchResponse, QueryResponse, QueryService, TopKResponse
-from repro.store.artifacts import read_artifact
-from repro.store.engine_io import graph_from_artifact
+from repro.serve.service import QueryService
+from repro.store.artifacts import StoreError, read_artifact
 from repro.store.sharding import ShardPlan, validate_shard_set
 
 _LOG = get_logger("sched.sharded")
@@ -327,12 +325,11 @@ class ShardedRuntime(ServingRuntime):
     are the *router* threads doing scatter-gather):
 
     index_path:
-        The ``method="mc"`` index artifact every shard worker opens.
+        The ``method="mc"`` index artifact every shard worker opens; it
+        must hold as many nodes as *service*'s engine.
     plan:
         A :class:`~repro.store.ShardPlan` over the index's nodes, or a
         shard count (even split).
-    workers_per_shard:
-        Worker threads inside each shard process.
     worker_factory:
         ``(index_path, config) -> worker`` seam; defaults to
         :class:`ProcessShardWorker`.
@@ -364,7 +361,6 @@ class ShardedRuntime(ServingRuntime):
         plan: "ShardPlan | int",
         *,
         workers: int = 4,
-        workers_per_shard: int = 1,
         max_batch: int = 32,
         max_wait_us: float = 0.0,
         queue_depth: int = 1024,
@@ -379,12 +375,17 @@ class ShardedRuntime(ServingRuntime):
         timings: bool = False,
     ) -> None:
         index = read_artifact(Path(index_path))
-        self._nodes = list(graph_from_artifact(index).nodes())
+        # requests resolve their names through the fallback stack's engine
+        num_nodes = len(service.manager.acquire().engine.nodes)
         if not isinstance(plan, ShardPlan):
-            plan = ShardPlan.even(len(self._nodes), plan)
+            plan = ShardPlan.even(num_nodes, plan)
         validate_shard_set(index, plan)
+        if plan.num_nodes != num_nodes:
+            raise StoreError(
+                f"shard plan covers {plan.num_nodes} nodes but the served "
+                f"engine has {num_nodes}"
+            )
         self._plan = plan
-        self._node_position = {node: i for i, node in enumerate(self._nodes)}
         super().__init__(
             service,
             workers=workers,
@@ -396,7 +397,6 @@ class ShardedRuntime(ServingRuntime):
             thread_factory=thread_factory,
             timings=timings,
         )
-        self.workers_per_shard = max(1, int(workers_per_shard))
         self._shard_timeout = shard_timeout
         self._stats_interval = stats_interval
         self._stats_lock = threading.Lock()
@@ -411,7 +411,7 @@ class ShardedRuntime(ServingRuntime):
             count=self._plan.num_shards,
         )
 
-        config = {"workers": self.workers_per_shard, "backend": backend}
+        config = {"backend": backend}
         factory = worker_factory if worker_factory is not None else ProcessShardWorker
         self._clients = [
             ShardClient(shard, lo, hi, index_path, config, factory)
@@ -448,9 +448,7 @@ class ShardedRuntime(ServingRuntime):
             breaker = self._breakers[client.index]
             try:
                 client.start()
-                SHARD_WORKERS.labels(shard=str(client.index)).set(
-                    float(self.workers_per_shard)
-                )
+                SHARD_WORKERS.labels(shard=str(client.index)).set(1.0)
             except ShardFailure as exc:
                 # served degraded from the fallback until a probe revives it
                 breaker.record_failure()
@@ -512,7 +510,6 @@ class ShardedRuntime(ServingRuntime):
             }
             for client in self._clients
         ]
-        payload["workers_per_shard"] = self.workers_per_shard
         with self._stats_lock:
             payload["metrics_aggregation"] = {
                 "interval_s": self._stats_interval,
@@ -694,9 +691,7 @@ class ShardedRuntime(ServingRuntime):
         if not client.running:
             try:
                 client.start()
-                SHARD_WORKERS.labels(shard=str(index)).set(
-                    float(self.workers_per_shard)
-                )
+                SHARD_WORKERS.labels(shard=str(index)).set(1.0)
             except ShardFailure as exc:
                 self._shard_failed(index, "error", exc)
                 return False
@@ -757,280 +752,149 @@ class ShardedRuntime(ServingRuntime):
         return reply
 
     # ------------------------------------------------------------------
-    # Dispatch overrides — scatter, gather, merge
+    # The numbers — scatter, gather, per-shard fallback, merge
     # ------------------------------------------------------------------
-    def _execute_group(self, group: DispatchGroup) -> None:
-        if group.kind == KIND_SCORE:
-            self._execute_score_group_sharded(group)
-            return
-        request = group.requests[0]
-        pos_u = self._node_position.get(request.u)
-        if pos_u is None:
-            self._finish_error(request, NodeNotFoundError(request.u))
-        elif group.kind == KIND_BATCH:
-            self._execute_batch_sharded(request, pos_u)
-        elif group.kind == KIND_TOPK:
-            self._execute_topk_sharded(request, pos_u)
-        else:  # pragma: no cover — submission API cannot build other kinds
-            raise ValueError(f"unknown request kind {group.kind!r}")
+    def _owned(self, positions: np.ndarray) -> dict[int, np.ndarray]:
+        """``shard -> indices into positions`` of the positions it owns."""
+        owners = np.searchsorted(self._range_starts, positions, side="right") - 1
+        return {
+            int(shard): np.flatnonzero(owners == shard)
+            for shard in np.unique(owners)
+        }
 
-    def _message_extras(self) -> dict:
-        """Per-scatter message fields: trace context + timings request.
+    def _scatter(self, op: str, messages: dict, deadline: float | None):
+        """Send ``messages[shard]`` to each shard; gather the replies.
 
-        Computed once per scatter (all its shard messages belong to one
-        trace tree rooted at the dispatch span this thread is inside).
+        Returns ``(replies, failed, kernel_us)``: ``(shard, reply)`` for
+        every shard that answered, the shards that did not (quarantined,
+        unsendable, errored or out of time — each already recorded
+        against its breaker by :meth:`_shard_ready` / :meth:`_gather`),
+        and the slowest worker's own time.
         """
-        extras: dict = {}
+        if is_enabled():
+            SCATTER_FANOUT.observe(float(len(messages)))
+        extras: dict = {"timings": True} if self.timings else {}
         trace_id = current_trace_id()
         if trace_id is not None:
+            # every message of the scatter joins the trace of the dispatch
+            # span this thread is inside
             extras["trace"] = {
                 "trace_id": trace_id,
                 "parent_span_id": current_span_id(),
             }
-        if self.timings:
-            extras["timings"] = True
-        return extras
+        in_flight: list[tuple[int, Future]] = []
+        failed: list[int] = []
+        for shard, fields in messages.items():
+            if not self._shard_ready(shard):
+                failed.append(shard)
+                continue
+            try:
+                future = self._clients[shard].submit(op, **fields, **extras)
+            except ShardFailure as exc:
+                self._shard_failed(shard, "error", exc)
+                failed.append(shard)
+                continue
+            in_flight.append((shard, future))
+        replies = []
+        kernel_us = 0.0
+        for shard, future in in_flight:
+            try:
+                reply = self._gather(shard, future, deadline)
+            except ShardFailure:
+                failed.append(shard)
+                continue
+            replies.append((shard, reply))
+            kernel_us = max(kernel_us, float(reply.get("worker_us", 0.0)))
+        return replies, failed, kernel_us
 
-    def _scatter_scores(
-        self,
-        pos_u: int | np.ndarray,
-        positions: np.ndarray,
-        deadline: float | None,
-    ):
-        """Scores of the pairs ``(pos_u[i], positions[i])``, routed by owner.
+    def _timing(self, started: float, gathered: float, kernel_us: float) -> dict:
+        """Observe the merge latency; the ``--timings`` breakdown."""
+        ended = self._clock()
+        if is_enabled():
+            MERGE_LATENCY.observe(max(0.0, ended - started))
+        return {
+            "scatter_us": max(0.0, (gathered - started) * 1e6),
+            "kernel_us": kernel_us,
+            "merge_us": max(0.0, (ended - gathered) * 1e6),
+        }
 
-        *pos_u* is one source position shared by every pair (a ``BATCH``)
-        or one per pair (a micro-batch's single-pair group).  Each pair
-        goes to the shard owning its candidate; pairs of failed shards
-        are answered by the fallback stack.  Returns ``(values,
-        degraded_mask, fallback_acquisition, timing)`` where the mask
-        marks pairs answered by the fallback and *timing* is the
-        ``--timings`` latency breakdown (``None`` when timings are off).
-        """
-        owners = np.searchsorted(self._range_starts, positions, side="right") - 1
+    def _score_positions(self, acquisition, pos_u, positions, deadline):
+        """Each pair goes to the shard owning its candidate; pairs of
+        failed shards are answered degraded by the fallback stack."""
+        started = self._clock()
+        owned = self._owned(positions)
+        replies, failed, kernel_us = self._scatter(OP_BATCH, {
+            shard: {
+                "pos_u": _members(pos_u, members),
+                "positions": positions[members],
+            }
+            for shard, members in owned.items()
+        }, deadline)
         values = np.empty(positions.size, dtype=np.float64)
+        for shard, reply in replies:
+            values[owned[shard]] = reply["values"]
+        gathered = self._clock()
         degraded = np.zeros(positions.size, dtype=bool)
-        merge_started = self._clock()
-        extras = self._message_extras()
-        in_flight: list[tuple[int, np.ndarray, Future]] = []
-        failed: list[tuple[int, np.ndarray]] = []
-        shard_ids = np.unique(owners)
-        if is_enabled():
-            SCATTER_FANOUT.observe(float(shard_ids.size))
-        for shard_id in shard_ids:
-            shard_id = int(shard_id)
-            member_idx = np.flatnonzero(owners == shard_id)
-            if not self._shard_ready(shard_id):
-                failed.append((shard_id, member_idx))
-                continue
-            try:
-                future = self._clients[shard_id].submit(
-                    OP_BATCH, pos_u=_members(pos_u, member_idx),
-                    positions=positions[member_idx], **extras,
-                )
-            except ShardFailure as exc:
-                self._shard_failed(shard_id, "error", exc)
-                failed.append((shard_id, member_idx))
-                continue
-            in_flight.append((shard_id, member_idx, future))
-        kernel_us = 0.0
-        for shard_id, member_idx, future in in_flight:
-            try:
-                reply = self._gather(shard_id, future, deadline)
-            except ShardFailure:
-                failed.append((shard_id, member_idx))
-                continue
-            values[member_idx] = reply["values"]
-            kernel_us = max(kernel_us, float(reply.get("worker_us", 0.0)))
-        gather_ended = self._clock()
-        acquisition = None
+        fallback = None
         if failed:
-            acquisition = self.service.manager.acquire(deadline=deadline)
-            engine = acquisition.engine
-            for shard_id, member_idx in failed:
-                values[member_idx] = engine.score_positions(
-                    _members(pos_u, member_idx), positions[member_idx]
+            fallback = self.service.manager.acquire(deadline=deadline)
+            for shard in failed:
+                members = owned[shard]
+                values[members] = fallback.engine.score_positions(
+                    _members(pos_u, members), positions[members]
                 )
-                degraded[member_idx] = True
-        if is_enabled():
-            MERGE_LATENCY.observe(max(0.0, self._clock() - merge_started))
-        timing = None
-        if self.timings:
-            timing = {
-                "scatter_us": max(0.0, (gather_ended - merge_started) * 1e6),
-                "kernel_us": kernel_us,
-                "merge_us": max(0.0, (self._clock() - gather_ended) * 1e6),
-            }
-        return values, degraded, acquisition, timing
-
-    def _execute_score_group_sharded(self, group: DispatchGroup) -> None:
-        live = []
-        sources = []
-        positions = []
-        position = self._node_position
-        for request in group.requests:
-            # an unknown node fails only its own request
-            pos_u = position.get(request.u)
-            pos_v = position.get(request.v)
-            if pos_u is None:
-                self._finish_error(request, NodeNotFoundError(request.u))
-            elif pos_v is None:
-                self._finish_error(request, NodeNotFoundError(request.v))
-            else:
-                live.append(request)
-                sources.append(pos_u)
-                positions.append(pos_v)
-        if not live:
-            return
-        if len(live) > 1 and is_enabled():
-            COALESCED.inc(len(live))
-        deadline = min(
-            (r.deadline for r in live if r.deadline is not None), default=None
+                degraded[members] = True
+        return values, degraded, fallback, self._timing(
+            started, gathered, kernel_us
         )
-        values, degraded, acquisition, timing = self._scatter_scores(
-            np.asarray(sources, dtype=np.int64),
-            np.asarray(positions, dtype=np.int64),
-            deadline,
-        )
-        end = self._clock()
-        trace_id = group.requests[0].trace_id
-        for i, request in enumerate(live):
-            elapsed_ms = self._finalize(request, end, bool(degraded[i]))
-            if elapsed_ms is None:
-                continue
-            _deliver(request.future, self._annotate(QueryResponse(
-                request.u, request.v, float(values[i]), bool(degraded[i]),
-                acquisition.retries if degraded[i] and acquisition else 0,
-                acquisition.engine.method if degraded[i] and acquisition
-                else "mc",
-                elapsed_ms,
-            ), request, trace_id, **(timing or {})))
 
-    def _execute_batch_sharded(self, request, pos_u: int) -> None:
-        positions = []
-        for candidate in request.candidates:
-            pos_v = self._node_position.get(candidate)
-            if pos_v is None:
-                self._finish_error(request, NodeNotFoundError(candidate))
-                return
-            positions.append(pos_v)
-        values, degraded, acquisition, timing = self._scatter_scores(
-            pos_u, np.asarray(positions, dtype=np.int64), request.deadline
-        )
-        any_degraded = bool(degraded.any())
-        end = self._clock()
-        elapsed_ms = self._finalize(request, end, any_degraded)
-        if elapsed_ms is None:
-            return
-        _deliver(request.future, self._annotate(BatchResponse(
-            u=request.u, candidates=request.candidates, values=values,
-            degraded=any_degraded,
-            retries=acquisition.retries if acquisition else 0,
-            method=acquisition.engine.method
-            if acquisition and any_degraded else "mc",
-            elapsed_ms=elapsed_ms,
-        ), request, **(timing or {})))
-
-    def _execute_topk_sharded(self, request, pos_u: int) -> None:
-        if request.candidates is not None:
-            positions = []
-            for candidate in request.candidates:
-                pos_v = self._node_position.get(candidate)
-                if pos_v is None:
-                    self._finish_error(request, NodeNotFoundError(candidate))
-                    return
-                positions.append(pos_v)
-            positions = np.asarray(positions, dtype=np.int64)
-            owners = np.searchsorted(
-                self._range_starts, positions, side="right"
-            ) - 1
-            targets = [
-                (int(shard_id), positions[np.flatnonzero(owners == shard_id)])
-                for shard_id in np.unique(owners)
-            ]
+    def _top_k_positions(self, acquisition, pos_u, k, positions, deadline):
+        """Every shard (or every owner of *positions*) returns its exact
+        local top-k; failed shards' candidates are ranked by the fallback
+        stack; the global k is re-selected from the union."""
+        started = self._clock()
+        if positions is None:
+            chosen = dict.fromkeys(range(len(self._clients)))  # whole ranges
         else:
-            targets = [(index, None) for index in range(len(self._clients))]
-
-        merge_started = self._clock()
-        if is_enabled():
-            SCATTER_FANOUT.observe(float(len(targets)))
-        fields: dict = {"k": request.k, **self._message_extras()}
-        in_flight = []
-        failed = []
-        for shard_id, shard_positions in targets:
-            if not self._shard_ready(shard_id):
-                failed.append((shard_id, shard_positions))
-                continue
-            shard_fields = dict(fields)
-            if shard_positions is not None:
-                shard_fields["positions"] = shard_positions
-            try:
-                future = self._clients[shard_id].submit(
-                    OP_TOPK, pos_u=pos_u, **shard_fields
-                )
-            except ShardFailure as exc:
-                self._shard_failed(shard_id, "error", exc)
-                failed.append((shard_id, shard_positions))
-                continue
-            in_flight.append((shard_id, shard_positions, future))
-
-        # (value, str(node), node) — the exact total order the unsharded
-        # heap selects under; re-selecting the global k from exact local
-        # top-k lists is therefore bit-identical to the unsharded scan.
-        entries: list[tuple[float, str, object]] = []
-        kernel_us = 0.0
-        for shard_id, shard_positions, future in in_flight:
-            try:
-                reply = self._gather(shard_id, future, request.deadline)
-            except ShardFailure:
-                failed.append((shard_id, shard_positions))
-                continue
-            for position, value in reply["results"]:
-                node = self._nodes[int(position)]
-                entries.append((float(value), str(node), node))
-            kernel_us = max(kernel_us, float(reply.get("worker_us", 0.0)))
-        gather_ended = self._clock()
-
-        acquisition = None
-        any_degraded = bool(failed)
-        if failed:
-            acquisition = self.service.manager.acquire(deadline=request.deadline)
-            engine = acquisition.engine
-            for shard_id, shard_positions in failed:
-                if shard_positions is None:
-                    shard_positions = np.arange(
-                        *self._plan.boundaries[shard_id], dtype=np.int64
-                    )
-                for position, value in engine.top_k_positions(
-                    pos_u, request.k, shard_positions
-                ):
-                    node = self._nodes[position]
-                    entries.append((value, str(node), node))
-
-        top = heapq.nlargest(request.k, entries)
-        top.sort(key=lambda entry: (-entry[0], entry[1]))
-        results = tuple((node, value) for value, _, node in top)
-        if is_enabled():
-            MERGE_LATENCY.observe(max(0.0, self._clock() - merge_started))
-        end = self._clock()
-        timing = None
-        if self.timings:
-            timing = {
-                "scatter_us": max(0.0, (gather_ended - merge_started) * 1e6),
-                "kernel_us": kernel_us,
-                "merge_us": max(0.0, (end - gather_ended) * 1e6),
+            chosen = {
+                shard: positions[members]
+                for shard, members in self._owned(positions).items()
             }
-        elapsed_ms = self._finalize(request, end, any_degraded)
-        if elapsed_ms is None:
-            return
-        _deliver(request.future, self._annotate(TopKResponse(
-            u=request.u, k=request.k, results=results,
-            degraded=any_degraded,
-            retries=acquisition.retries if acquisition else 0,
-            method=acquisition.engine.method
-            if acquisition and any_degraded else "mc",
-            elapsed_ms=elapsed_ms,
-        ), request, **(timing or {})))
+        replies, failed, kernel_us = self._scatter(OP_TOPK, {
+            shard: {"pos_u": pos_u, "k": k, "positions": candidates}
+            for shard, candidates in chosen.items()
+        }, deadline)
+        # (value, str(node), position) — the exact total order the
+        # unsharded heap selects under; re-selecting the global k from
+        # exact local top-k lists is therefore bit-identical to the
+        # unsharded scan.
+        nodes = acquisition.engine.nodes
+        entries = [
+            (float(value), str(nodes[int(p)]), int(p))
+            for _, reply in replies
+            for p, value in reply["results"]
+        ]
+        gathered = self._clock()
+        fallback = None
+        if failed:
+            fallback = self.service.manager.acquire(deadline=deadline)
+            for shard in failed:
+                candidates = chosen[shard]
+                if candidates is None:
+                    candidates = np.arange(
+                        *self._plan.boundaries[shard], dtype=np.int64
+                    )
+                entries.extend(
+                    (value, str(nodes[p]), p)
+                    for p, value in fallback.engine.top_k_positions(
+                        pos_u, k, candidates
+                    )
+                )
+        top = heapq.nlargest(k, entries)
+        top.sort(key=lambda entry: (-entry[0], entry[1]))
+        return [(p, value) for value, _, p in top], bool(failed), fallback, (
+            self._timing(started, gathered, kernel_us)
+        )
 
     def __repr__(self) -> str:
         status = "closed" if self.closed else (
@@ -1042,6 +906,5 @@ class ShardedRuntime(ServingRuntime):
         )
         return (
             f"ShardedRuntime({status}, shards={len(self._clients)}, "
-            f"workers_per_shard={self.workers_per_shard}, "
             f"quarantined={quarantined})"
         )

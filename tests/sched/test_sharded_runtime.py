@@ -18,7 +18,8 @@ import pytest
 
 from repro.api import QueryEngine
 from repro.errors import NodeNotFoundError
-from repro.sched import ShardedRuntime, ThreadShardWorker
+from repro.obs.registry import get_registry, snapshot_delta
+from repro.sched import ServingRuntime, ShardedRuntime, ThreadShardWorker
 from repro.sched.sharded import ShardFailure
 from repro.serve import CircuitBreaker
 from repro.store import ShardPlan
@@ -425,7 +426,6 @@ class TestLifecycle:
         health = runtime.health()
         assert [s["shard"] for s in health["shards"]] == [0, 1, 2]
         assert all(s["running"] for s in health["shards"])
-        assert health["workers_per_shard"] == 1
         runtime.close(drain=True)
         health = runtime.health()
         assert not any(s["running"] for s in health["shards"])
@@ -452,9 +452,175 @@ class TestLifecycle:
         assert started == []
 
 
+#: The θ of the engine TestOneRequestPath serves: pairs whose ``sem`` falls
+#: below it score 0 without a walk.
+THETA = 0.3
+
+#: Counters both runtimes must move identically for one session.
+_REQUEST_COUNTERS = (
+    "serve_requests_total", "degraded_queries_total",
+    "sched_coalesced_requests_total",
+)
+
+
+@pytest.fixture(scope="module")
+def gated_index(sharded_model, tmp_path_factory):
+    """The module's model saved as a θ-gated mc artifact."""
+    graph, measure, *_ = sharded_model
+    path = tmp_path_factory.mktemp("gated") / "parent"
+    QueryEngine(graph, measure, theta=THETA, **MC_KWARGS).save(path)
+    return path
+
+
+def _requests(nodes, measure):
+    """One session: pairs from three sources (identity, θ-gated and
+    unknown nodes among them), BATCH, and TOPK with and without
+    candidates, unknown nodes included."""
+    u0, u1, u2 = nodes[:3]
+    gated = [
+        (u, v) for u in (u0, u1) for v in nodes
+        if u != v and measure.similarity(u, v) < THETA
+    ]
+    assert len(gated) >= 2, "the session must hold theta-gated pairs"
+    pairs = (
+        [(u0, v) for v in nodes] + [(u1, v) for v in nodes[:4]]
+        + [(u2, u2)] + gated[:3] + [("ghost", u0), (u0, "ghost")]
+    )
+    return (
+        [("score", u, v) for u, v in pairs]
+        + [("batch", u1, tuple(nodes)), ("batch", u1, (u0, "ghost"))]
+        + [
+            ("topk", u2, 3, None), ("topk", u2, len(nodes), None),
+            ("topk", u0, 4, tuple(nodes[3:9])), ("topk", "ghost", 2, None),
+        ]
+    )
+
+
+def _run(runtime, requests):
+    """Answer *requests* in one micro-batch; each as its JSON fields
+    without ``elapsed_ms``, or its error; plus the counter deltas."""
+    before = get_registry().snapshot()
+    futures = []
+    for kind, u, *rest in requests:
+        if kind == "score":
+            futures.append(runtime.submit_score(u, rest[0]))
+        elif kind == "batch":
+            futures.append(runtime.submit_batch(u, rest[0]))
+        else:
+            futures.append(runtime.submit_topk(u, *rest))
+    runtime.close(drain=True)
+    delta = snapshot_delta(before, get_registry().snapshot())["counters"]
+    answers = []
+    for future in futures:
+        try:
+            fields = future.result(timeout=5).as_dict()
+        except NodeNotFoundError as exc:
+            answers.append(("error", str(exc)))
+            continue
+        del fields["elapsed_ms"]
+        answers.append(fields)
+    counters = {
+        key: value for key, value in delta.items()
+        if key.startswith(_REQUEST_COUNTERS)
+    }
+    return answers, counters
+
+
+class TestOneRequestPath:
+    """Sharded answers are the unsharded runtime's, field for field."""
+
+    def _unsharded(self, make_service, requests):
+        runtime = ServingRuntime(
+            make_service(engine_kwargs=dict(MC_KWARGS, theta=THETA)),
+            autostart=False, max_batch=64,
+        )
+        return _run(runtime, requests)
+
+    def _sharded(self, make_service, clock, gated_index, requests, factory):
+        runtime = ShardedRuntime(
+            make_service(engine_kwargs=dict(MC_KWARGS, theta=THETA)),
+            gated_index, 3, worker_factory=factory, autostart=False,
+            max_batch=64, stats_interval=None,
+            breaker_factory=_quarantining_breakers(clock),
+        )
+        try:
+            return runtime, _run(runtime, requests)
+        finally:
+            runtime.close(drain=True, timeout=10)
+
+    def test_every_field_matches_the_unsharded_runtime(
+        self, make_service, clock, gated_index, sharded_model, nodes
+    ):
+        requests = _requests(nodes, sharded_model[1])
+        want, want_counters = self._unsharded(make_service, requests)
+        _, (got, got_counters) = self._sharded(
+            make_service, clock, gated_index, requests, ThreadShardWorker
+        )
+        assert got == want
+        assert got_counters == want_counters
+        live_pairs = [
+            r for r in requests if r[0] == "score" and "ghost" not in r
+        ]
+        assert want_counters["sched_coalesced_requests_total"] == len(
+            live_pairs
+        )
+        assert sum(isinstance(answer, tuple) for answer in want) == 4
+        assert not any(
+            answer["degraded"] for answer in want if isinstance(answer, dict)
+        )
+
+    def test_broken_shard_pairs_carry_the_fallback_fields(
+        self, make_service, clock, gated_index, sharded_model, nodes
+    ):
+        broken = 1
+
+        def factory(path, config):
+            if config["shard"] == broken:
+                return _DeadWorker()
+            return ThreadShardWorker(path, config)
+
+        requests = _requests(nodes, sharded_model[1])
+        want, _ = self._unsharded(make_service, requests)
+        runtime, (got, counters) = self._sharded(
+            make_service, clock, gated_index, requests, factory
+        )
+        lo, hi = runtime.plan.boundaries[broken]
+        position = {node: i for i, node in enumerate(sorted_nodes(runtime))}
+
+        def touches_broken(request):
+            kind, _, *rest = request
+            if kind == "score":
+                touched = rest[:1]
+            elif kind == "batch":
+                touched = rest[0]
+            elif rest[1] is None:
+                return True  # a TOPK over every node asks every shard
+            else:
+                touched = rest[1]
+            return any(lo <= position.get(v, -1) < hi for v in touched)
+
+        flags = []
+        for request, answer, plain in zip(requests, got, want):
+            if not isinstance(plain, dict):
+                assert answer == plain
+                continue
+            expected = dict(plain, degraded=touches_broken(request))
+            flags.append((request[0], expected["degraded"]))
+            # the fallback stack answers the broken range from the same
+            # walks: only the flag moves, retries and method are its own
+            assert answer == expected
+        # the one micro-batch of pairs held both healthy and degraded pairs
+        assert {flag for kind, flag in flags if kind == "score"} == {
+            True, False,
+        }
+        assert counters["degraded_queries_total"] == sum(
+            flag for _, flag in flags
+        )
+
+
 def sorted_nodes(runtime):
-    """The runtime's node order (= the artifact's position order)."""
-    return runtime._nodes
+    """The served engine's node order (= the artifact's position order)."""
+    return runtime.service.manager.acquire().engine.nodes
 
 
 @pytest.mark.concurrency
@@ -466,8 +632,7 @@ class TestMultiProcess:
     ):
         _, _, engine, parent, plans = sharded_model
         runtime = ShardedRuntime(
-            mc_service(), parent, plans[2],
-            workers=2, workers_per_shard=2,
+            mc_service(), parent, plans[2], workers=2,
         )
         try:
             u = nodes[0]
@@ -487,8 +652,7 @@ class TestMultiProcess:
     ):
         _, _, engine, parent, plans = sharded_model
         runtime = ShardedRuntime(
-            mc_service(), parent, plans[3],
-            workers=4, workers_per_shard=2, max_batch=8,
+            mc_service(), parent, plans[3], workers=4, max_batch=8,
         )
         try:
             futures = [

@@ -411,7 +411,7 @@ class TestShardedServe:
         sharded = self._serve(
             stdin_text, monkeypatch, capsys,
             "--index", str(index_path),
-            "--shards", "2", "--workers-per-shard", "2",
+            "--shards", "2",
         )
         plain = self._serve(
             stdin_text, monkeypatch, capsys, "--index", str(index_path)
@@ -419,7 +419,6 @@ class TestShardedServe:
         banner = sharded[0]
         assert banner["ready"]
         assert len(banner["shards"]) == 2
-        assert banner["workers_per_shard"] == 2
         assert all(not shard["quarantined"] for shard in banner["shards"])
         # responses are bit-identical to the single-process runtime
         assert sharded[1]["value"] == plain[1]["value"]
