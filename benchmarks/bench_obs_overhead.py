@@ -13,10 +13,9 @@ place; only the recording is gated), so the difference *is* the
 observability cost.  Medians over alternating rounds of calls flipped on
 scheduler noise (a few percent either way between same-code runs), so
 both legs time every call in both modes back to back, alternate which
-mode goes first, and take the median of the paired differences — the
-design of ``bench_serve_overhead.py``.  GC stays off during the timed
-calls (a collection lands on whichever mode happens to allocate past the
-threshold).
+mode goes first, and take the median of the paired differences.  GC
+stays off during the timed calls (a collection lands on whichever mode
+happens to allocate past the threshold).
 """
 
 from __future__ import annotations
@@ -152,7 +151,7 @@ def test_sharded_instrumentation_overhead_under_ceiling(
     work itself, not process-spawn or pipe noise.
     """
     from repro.sched import ShardedRuntime, ThreadShardWorker
-    from repro.serve import IndexManager, QueryService
+    from repro.serve import IndexManager
 
     engine = QueryEngine(
         bundle.graph, bundle.measure, method="mc", decay=DECAY,
@@ -161,19 +160,19 @@ def test_sharded_instrumentation_overhead_under_ceiling(
     root = tmp_path_factory.mktemp("obs-sharded")
     parent = root / "parent"
     engine.save(parent)
-    service = QueryService(IndexManager(
+    manager = IndexManager(
         bundle.graph, bundle.measure,
         engine_kwargs=dict(
             method="mc", decay=DECAY, num_walks=NUM_WALKS,
             length=LENGTH, theta=THETA, seed=7,
         ),
-    ))
+    )
     nodes = list(bundle.graph.nodes())
     query = bundle.entity_nodes[0]
     candidates = [n for n in nodes if n != query][:NUM_CANDIDATES]
 
     runtime = ShardedRuntime(
-        service, parent, 2,
+        manager, parent, 2,
         worker_factory=ThreadShardWorker,
         stats_interval=None,  # scrape-driven pulls aren't part of the path
         max_wait_us=0.0,

@@ -1,32 +1,29 @@
-"""Serving throughput — the scheduler's micro-batching vs the PR 4 loop.
+"""Serving throughput — closed-loop QPS and queue-wait p99 of the scheduler.
 
-Closed-loop sweep: the same single-pair workload is pushed through
+Closed-loop sweeps: the same single-pair workload is pushed through
 :class:`~repro.sched.ServingRuntime` for every (workers, max_batch)
-combination, with a bounded window of outstanding requests (a closed
+combination, and through :class:`~repro.sched.ShardedRuntime` for every
+shard count, with a bounded window of outstanding requests (a closed
 loop — new submissions only as answers come back, like a real client
-pool), and compared against the sequential baseline that PR 4's serve
-loop executes: one ``service.query()`` per request on one thread.
+pool).  Both tables are report-only: speed claims come from perfbench
+(``perfbench/run.py``), compared with its previous record on the same
+box, and a box with few CPUs cannot show a parallel gain on the workers
+or shards axis.
 
 The workload is the one a similarity service actually sees: each query
 asks about a pair that is *related* (drawn from the source's top-k
 similars), not a random pair that the semantic gate answers with 0.
-Related pairs are the expensive ones — the scalar path walks every met
-coupled walk in a Python loop, while the batch path replays the same
-arithmetic as stacked numpy array ops — so they are exactly where
-coalescing pays.
+Related pairs are the expensive ones — every met coupled walk runs
+through the walk-score kernel — so they are exactly where coalescing
+pays.
 
-What makes the speedup: this container has a single CPU, so thread
-parallelism alone buys nothing — the win is **coalescing**.  The
-workload concentrates on a few hot sources, the scheduler merges every
-single-pair request of a micro-batch into one vectorised ``score_pairs``
-call (bit-identical to scalar ``score``), and the per-walk Python loop
-the sequential baseline pays per request amortises into the batched
-kernel.  ``max_batch=1`` isolates the scheduler's own overhead
-(it can only lose there); the larger batches show the coalescing curve.
-
-The ISSUE acceptance gate: sustained QPS at 8 workers >= 3x the
-sequential baseline on the MC engine, with the p99 queue-wait reported
-from the new ``sched_queue_wait_seconds`` histogram.
+What to read: on one CPU thread parallelism buys nothing; the win is
+**coalescing**.  The workload concentrates on a few hot sources, and the
+scheduler merges every single-pair request of a micro-batch into one
+``score_positions`` call (bit-identical to scalar ``score``).
+``max_batch=1`` isolates the scheduler's own overhead; the larger
+batches show the coalescing curve.  The p99 comes from the
+``sched_queue_wait_seconds`` histogram.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ import pytest
 from repro.datasets import aminer_like
 from repro.sched import ServingRuntime, ShardedRuntime
 from repro.sched.metrics import QUEUE_WAIT, SHARD_REQUESTS
-from repro.serve import IndexManager, QueryService
+from repro.serve import IndexManager
 
 DECAY = 0.6
 THETA = 0.05
@@ -54,24 +51,22 @@ RELATED_PER_SOURCE = 20  # targets come from each source's top-k similars
 WORKER_SWEEP = (1, 2, 4, 8)
 BATCH_SWEEP = (1, 64, 256)
 REPEATS = 2             # best-of-N per cell to shrug off container noise
-ACCEPTANCE_REPEATS = 5  # the 8-worker cells carry the gate: sample harder
-SPEEDUP_FLOOR = 3.0     # the ISSUE's acceptance bound at 8 workers
-
 SHARD_SWEEP = (1, 2, 4, 8)
-#: The ISSUE gate: >= 6x sequential at 8 shard processes.  Scatter over
-#: processes only multiplies when there are cores to scatter onto, so the
-#: full floor applies where the 8 workers can actually run in parallel;
-#: on fewer cores every shard process time-slices one CPU and the win is
-#: coalescing alone (same as the thread runtime) minus pipe IPC, so the
-#: gate degrades to a documented reduced floor.
-SHARDED_FLOOR = 6.0
-SHARDED_FLOOR_REDUCED = 1.5
-SHARDED_FLOOR_CPUS = 8
 
 
 @pytest.fixture(scope="module")
 def bundle():
     return aminer_like(num_authors=300, num_terms=150, seed=11)
+
+
+def _manager(bundle) -> IndexManager:
+    return IndexManager(
+        bundle.graph, bundle.measure,
+        engine_kwargs=dict(
+            method="mc", decay=DECAY, num_walks=NUM_WALKS,
+            length=LENGTH, theta=THETA, seed=7,
+        ),
+    )
 
 
 def _requests(engine, entities):
@@ -92,7 +87,7 @@ def _requests(engine, entities):
 
 
 class _no_gc:
-    """Collector pauses off during a timed region (both loops get this)."""
+    """Collector pauses off during a timed region."""
 
     def __enter__(self):
         gc.collect()
@@ -100,16 +95,6 @@ class _no_gc:
 
     def __exit__(self, *_exc_info):
         gc.enable()
-
-
-def _sequential_qps(service, requests):
-    """The PR 4 serve loop: one query at a time on the caller's thread."""
-    perf = time.perf_counter
-    with _no_gc():
-        t0 = perf()
-        for u, v in requests:
-            service.query(u, v)
-        return len(requests) / (perf() - t0)
 
 
 def _closed_loop_qps(runtime, requests):
@@ -142,111 +127,85 @@ def _queue_wait_p99(before, after) -> float:
     return float("inf")
 
 
-def test_scheduler_throughput_vs_sequential(bundle, show, bench_backend):
-    manager = IndexManager(
-        bundle.graph, bundle.measure,
-        engine_kwargs=dict(
-            method="mc", decay=DECAY, num_walks=NUM_WALKS,
-            length=LENGTH, theta=THETA, seed=7,
-        ),
+def _timed(runtime, requests) -> tuple[float, float]:
+    """Best-of-``REPEATS`` QPS and the p99 queue wait over those runs."""
+    _closed_loop_qps(runtime, requests[:200])  # warm the pool and pipes
+    wait_before = QUEUE_WAIT.labels().cumulative_buckets()
+    qps = max(_closed_loop_qps(runtime, requests) for _ in range(REPEATS))
+    p99 = _queue_wait_p99(
+        wait_before, QUEUE_WAIT.labels().cumulative_buckets()
     )
-    service = QueryService(manager)
+    return qps, p99
+
+
+def test_scheduler_throughput(bundle, show, bench_backend):
+    manager = _manager(bundle)
     requests = _requests(manager.acquire().engine, bundle.entity_nodes)
 
-    # warm up the engine (walk tables, semantic cache, metric children)
-    _sequential_qps(service, requests[:200])
-
-    gc.collect()
-    sequential = max(
-        _sequential_qps(service, requests) for _ in range(REPEATS)
-    )
-
-    grid: dict[tuple[int, int], float] = {}
-    p99_by_batch: dict[int, float] = {}
+    grid: dict[tuple[int, int], tuple[float, float]] = {}
     for workers in WORKER_SWEEP:
         for max_batch in BATCH_SWEEP:
             runtime = ServingRuntime(
-                service, workers=workers, max_batch=max_batch,
+                manager, workers=workers, max_batch=max_batch,
                 max_wait_us=200, queue_depth=4 * WINDOW,
                 clock=time.monotonic,
             )
             try:
-                _closed_loop_qps(runtime, requests[:200])  # warm the pool
-                wait_before = QUEUE_WAIT.labels().cumulative_buckets()
-                repeats = ACCEPTANCE_REPEATS if workers == 8 else REPEATS
-                grid[(workers, max_batch)] = max(
-                    _closed_loop_qps(runtime, requests)
-                    for _ in range(repeats)
-                )
-                if workers == 8:
-                    p99_by_batch[max_batch] = _queue_wait_p99(
-                        wait_before, QUEUE_WAIT.labels().cumulative_buckets()
-                    )
+                grid[(workers, max_batch)] = _timed(runtime, requests)
             finally:
                 assert runtime.drain(timeout=60)
 
-    best_batch = max(BATCH_SWEEP, key=lambda b: grid[(8, b)])
-    speedup_at_8 = grid[(8, best_batch)] / sequential
-    p99_at_acceptance = p99_by_batch[best_batch]
-
+    header = f"{'workers':>8} " + "".join(
+        f"{f'batch<={b}':>14}" for b in BATCH_SWEEP
+    )
     lines = [
-        "Serving throughput — micro-batch scheduler vs sequential loop",
+        "Serving throughput — micro-batch scheduler, closed loop",
         f"graph: aminer-like, {bundle.graph.num_nodes} nodes "
         f"(mc, n_w={NUM_WALKS}, t={LENGTH}, theta={THETA}, "
         f"backend={bench_backend})",
         f"workload: {NUM_REQUESTS} closed-loop related-pair requests, "
         f"{HOT_SOURCES} hot sources x top-{RELATED_PER_SOURCE} targets, "
-        f"window={WINDOW}",
+        f"window={WINDOW}; {os.cpu_count() or 1} CPU(s) visible",
         "",
-        f"sequential baseline (PR 4 loop): {sequential:,.0f} QPS",
-        "",
-        f"{'workers':>8} " + "".join(
-            f"{f'batch<={b}':>14}" for b in BATCH_SWEEP
-        ),
-    ]
-    for workers in WORKER_SWEEP:
-        lines.append(
-            f"{workers:>8} " + "".join(
-                f"{grid[(workers, b)]:>10,.0f} QPS" for b in BATCH_SWEEP
-            )
+        "QPS (best of each cell's runs)",
+        header,
+    ] + [
+        f"{workers:>8} " + "".join(
+            f"{grid[(workers, b)][0]:>10,.0f} QPS" for b in BATCH_SWEEP
         )
-    lines += [
+        for workers in WORKER_SWEEP
+    ] + [
         "",
-        f"speedup at 8 workers (best batch): {speedup_at_8:.1f}x "
-        f"(floor: {SPEEDUP_FLOOR:.0f}x)",
-        f"p99 queue wait at 8 workers: <= {1e3 * p99_at_acceptance:.1f} ms "
-        "(sched_queue_wait_seconds)",
+        "p99 queue wait (sched_queue_wait_seconds bucket bound)",
+        header,
+    ] + [
+        f"{workers:>8} " + "".join(
+            f"{1e3 * grid[(workers, b)][1]:>11.1f} ms" for b in BATCH_SWEEP
+        )
+        for workers in WORKER_SWEEP
+    ] + [
         "",
-        "single CPU in this container: the gain is coalescing (merged",
-        "score_pairs calls amortising the per-walk scalar loop), not",
-        "thread parallelism — watch the max_batch axis, not workers.",
+        "report only: the gain on one CPU is coalescing (merged",
+        "score_positions calls), not thread parallelism — watch the",
+        "max_batch axis, not workers.",
     ]
     show("serve_throughput", lines)
 
     assert not manager.degraded
-    assert speedup_at_8 >= SPEEDUP_FLOOR
 
 
 def test_sharded_scatter_gather_throughput(
     bundle, show, bench_backend, tmp_path_factory
 ):
-    """The --shards axis: multi-process scatter-gather vs the PR 4 loop.
+    """The --shards axis: multi-process scatter-gather, closed loop.
 
-    Same closed-loop related-pair workload, served by ``ShardedRuntime``
-    over 1/2/4/8 node-range shard worker processes.  Per-shard sustained
-    QPS comes from the ``shard_requests_total{shard,outcome="ok"}``
+    Same related-pair workload, served by ``ShardedRuntime`` over 1/2/4/8
+    node-range shard worker processes.  Per-shard ok-request rates at the
+    largest count come from the ``shard_requests_total{shard,outcome="ok"}``
     counter deltas over the timed region (they land in metrics.json via
-    the bench conftest capture as well), the tail from the queue-wait
-    histogram.  The acceptance gate is CPU-aware — see SHARDED_FLOOR.
+    the bench conftest capture as well).
     """
-    engine_kwargs = dict(
-        method="mc", decay=DECAY, num_walks=NUM_WALKS,
-        length=LENGTH, theta=THETA, seed=7,
-    )
-    manager = IndexManager(
-        bundle.graph, bundle.measure, engine_kwargs=dict(engine_kwargs)
-    )
-    service = QueryService(manager)
+    manager = _manager(bundle)
     engine = manager.acquire().engine
     requests = _requests(engine, bundle.entity_nodes)
 
@@ -254,42 +213,25 @@ def test_sharded_scatter_gather_throughput(
     parent = root / "parent"
     engine.save(parent)
 
-    _sequential_qps(service, requests[:200])
-    gc.collect()
-    sequential = max(
-        _sequential_qps(service, requests) for _ in range(REPEATS)
-    )
-
-    qps_by_shards: dict[int, float] = {}
+    rows: dict[int, tuple[float, float]] = {}
     per_shard_qps: dict[int, float] = {}
-    p99_by_shards: dict[int, float] = {}
-    acceptance_shards = SHARD_SWEEP[-1]
+    largest = SHARD_SWEEP[-1]
     for shards in SHARD_SWEEP:
         runtime = ShardedRuntime(
-            service, parent, shards,
+            manager, parent, shards,
             workers=shards,
             max_batch=256, max_wait_us=200, queue_depth=4 * WINDOW,
             clock=time.monotonic,
         )
         try:
-            _closed_loop_qps(runtime, requests[:200])  # warm pipes + caches
             ok_before = {
                 i: SHARD_REQUESTS.value(shard=str(i), outcome="ok")
                 for i in range(shards)
             }
-            wait_before = QUEUE_WAIT.labels().cumulative_buckets()
-            repeats = (
-                ACCEPTANCE_REPEATS if shards == acceptance_shards else REPEATS
-            )
             t0 = time.perf_counter()
-            qps_by_shards[shards] = max(
-                _closed_loop_qps(runtime, requests) for _ in range(repeats)
-            )
+            rows[shards] = _timed(runtime, requests)
             elapsed = time.perf_counter() - t0
-            if shards == acceptance_shards:
-                p99_by_shards[shards] = _queue_wait_p99(
-                    wait_before, QUEUE_WAIT.labels().cumulative_buckets()
-                )
+            if shards == largest:
                 per_shard_qps = {
                     i: (
                         SHARD_REQUESTS.value(shard=str(i), outcome="ok")
@@ -300,42 +242,30 @@ def test_sharded_scatter_gather_throughput(
         finally:
             runtime.close(timeout=60)
 
-    cpus = os.cpu_count() or 1
-    floor = SHARDED_FLOOR if cpus >= SHARDED_FLOOR_CPUS else SHARDED_FLOOR_REDUCED
-    speedup = qps_by_shards[acceptance_shards] / sequential
-
     lines = [
-        "Sharded serving — multi-process scatter-gather vs sequential loop",
+        "Sharded serving — multi-process scatter-gather, closed loop",
         f"graph: aminer-like, {bundle.graph.num_nodes} nodes "
         f"(mc, n_w={NUM_WALKS}, t={LENGTH}, theta={THETA}, "
         f"backend={bench_backend})",
         f"workload: {NUM_REQUESTS} closed-loop related-pair requests, "
-        f"window={WINDOW}; {cpus} CPU(s) visible",
+        f"window={WINDOW}; {os.cpu_count() or 1} CPU(s) visible",
         "",
-        f"sequential baseline (PR 4 loop): {sequential:,.0f} QPS",
-        "",
-        f"{'shards':>8} {'QPS':>12} {'speedup':>10}",
+        f"{'shards':>8} {'QPS':>12} {'p99 queue wait':>16}",
     ] + [
-        f"{shards:>8} {qps_by_shards[shards]:>12,.0f} "
-        f"{qps_by_shards[shards] / sequential:>9.1f}x"
-        for shards in SHARD_SWEEP
+        f"{shards:>8} {qps:>12,.0f} {1e3 * p99:>13.1f} ms"
+        for shards, (qps, p99) in rows.items()
     ] + [
         "",
-        f"per-shard ok-request rate at {acceptance_shards} shards "
+        f"per-shard ok-request rate at {largest} shards "
         "(shard_requests_total deltas):",
     ] + [
         f"  shard {i}: {rate:>10,.0f} req/s"
         for i, rate in sorted(per_shard_qps.items())
     ] + [
-        f"p99 queue wait at {acceptance_shards} shards: "
-        f"<= {1e3 * p99_by_shards[acceptance_shards]:.1f} ms",
         "",
-        f"acceptance floor: {floor:.0f}x "
-        f"({SHARDED_FLOOR:.0f}x at >= {SHARDED_FLOOR_CPUS} CPUs; this box "
-        f"has {cpus}, where shard processes time-slice one core and the "
-        "headroom is coalescing minus pipe IPC)",
+        "report only: shard processes time-slice the visible CPUs, so",
+        "the shard axis shows scatter/gather cost, not a parallel gain.",
     ]
     show("serve_sharded", lines)
 
     assert not manager.degraded
-    assert speedup >= floor

@@ -46,7 +46,6 @@ ORDER = [
     "scaling_profile",
     "scaling_sparse_engine",
     "join",
-    "serve_overhead",
     "serve_throughput",
     "serve_sharded",
     "obs_overhead",

@@ -171,8 +171,6 @@ class QueryEngine:
         *measure* into a :class:`~repro.semantics.cache.MatrixMeasure` in
         index node order, which is what unlocks the fully vectorised batch
         path.  ``"auto"`` densifies up to ``AUTO_MATERIALIZE_LIMIT`` nodes.
-    pair_index:
-        Optional SLING-style ``SO`` cache forwarded to the MC estimator.
     max_iterations, tolerance:
         Fixed-point controls for ``method="iterative"`` (defaults follow
         :class:`~repro.core.semsim.SemSim`).
@@ -208,7 +206,6 @@ class QueryEngine:
         policy: WalkPolicy = WalkPolicy.UNIFORM,
         workers: int | None = None,
         materialize_semantics: bool | str = "auto",
-        pair_index=None,
         max_iterations: int | None = None,
         tolerance: float | None = None,
         cache_dir: str | Path | None = None,
@@ -229,7 +226,6 @@ class QueryEngine:
         self.backend_name = self.backend.name
         self.policy = policy
         self.workers = validate_workers(workers)
-        self.pair_index = pair_index
         self._max_iterations = max_iterations
         self._tolerance = tolerance
         seed_param = seed
@@ -349,7 +345,6 @@ class QueryEngine:
             self.measure,
             decay=self.decay,
             theta=self.theta,
-            pair_index=self.pair_index,
             backend=self.backend,
         )
 
@@ -414,15 +409,13 @@ class QueryEngine:
     ) -> StoredArtifact | None:
         """Resolve ``cache_dir`` to a hit (validated artifact) or a miss.
 
-        Configurations the artifact format cannot replay — an external
-        ``pair_index``, an explicit ``walks_path``, a live ``Generator``
-        seed, a measure that stays lazy — skip caching with a warning
-        instead of risking a wrong answer.
+        Configurations the artifact format cannot replay — an explicit
+        ``walks_path``, a live ``Generator`` seed, a measure that stays
+        lazy — skip caching with a warning instead of risking a wrong
+        answer.
         """
         not_cacheable = None
-        if self.pair_index is not None:
-            not_cacheable = "an external pair_index is not part of artifacts"
-        elif walks_path is not None:
+        if walks_path is not None:
             not_cacheable = "walks_path already names its own artifact"
         elif isinstance(seed, np.random.Generator):
             not_cacheable = (
@@ -549,9 +542,9 @@ class QueryEngine:
         The artifact is self-contained (it embeds the graph), so
         :meth:`open` can serve from it with no other inputs.  Forces every
         lazy preprocessing table first — *save* is the preprocessing step,
-        *open* is a pure memory-map.  Engines holding an external
-        ``pair_index``, or a semantic measure that was not materialised,
-        cannot be persisted (:class:`ConfigurationError`).
+        *open* is a pure memory-map.  Engines holding a semantic measure
+        that was not materialised cannot be persisted
+        (:class:`ConfigurationError`).
         """
         materialized = isinstance(self.measure, MatrixMeasure)
         _, identity = engine_identity(
@@ -800,11 +793,6 @@ class QueryEngine:
             raise ConfigurationError(
                 "graph mutations require method='mc' — the iterative score "
                 "table has no incremental maintenance path; rebuild instead"
-            )
-        if self.pair_index is not None:
-            raise ConfigurationError(
-                "graph mutations cannot be applied with an external "
-                "pair_index attached (its SO snapshot would go stale)"
             )
         if self._dynamic is None:
             if self._seed_key is None:

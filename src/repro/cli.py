@@ -84,7 +84,6 @@ from repro.serve import (
     DeadlineExceeded,
     IndexManager,
     MutationRejectedError,
-    QueryService,
     RetryPolicy,
     ServeError,
 )
@@ -251,33 +250,28 @@ def _cmd_index_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_service(args: argparse.Namespace) -> QueryService:
-    """Assemble the resilient serving stack a ``serve`` invocation asked for."""
+def _make_manager(args: argparse.Namespace) -> IndexManager:
+    """Assemble the resilient engine owner a ``serve`` invocation asked for."""
     retry = RetryPolicy(max_retries=args.max_retries, seed=args.seed)
     if args.index is not None:
-        manager = IndexManager(
-            index_path=args.index,
-            retry=retry,
-        )
-    else:
-        bundle = _load_bundle_or_fail(args.bundle)
-        manager = IndexManager(
-            bundle.graph,
-            bundle.measure,
-            walks_path=args.walks_file,
-            cache_dir=args.cache,
-            engine_kwargs=dict(
-                method=args.method,
-                decay=args.decay,
-                num_walks=args.walks,
-                length=args.length,
-                theta=args.theta,
-                seed=args.seed,
-                workers=args.workers,
-            ),
-            retry=retry,
-        )
-    return QueryService(manager, deadline_ms=args.deadline_ms)
+        return IndexManager(index_path=args.index, retry=retry)
+    bundle = _load_bundle_or_fail(args.bundle)
+    return IndexManager(
+        bundle.graph,
+        bundle.measure,
+        walks_path=args.walks_file,
+        cache_dir=args.cache,
+        engine_kwargs=dict(
+            method=args.method,
+            decay=args.decay,
+            num_walks=args.walks,
+            length=args.length,
+            theta=args.theta,
+            seed=args.seed,
+            workers=args.workers,
+        ),
+        retry=retry,
+    )
 
 
 #: Sentinel ending the serve printer thread's queue.
@@ -472,13 +466,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               "with 'repro index build' first)", file=sys.stderr)
         return 2
     _release_retired_arrays_to_os()  # before any engine array exists
-    service = _make_service(args)
-    service.manager.acquire()  # activate eagerly so startup errors surface
+    manager = _make_manager(args)
+    manager.acquire()  # activate eagerly so startup errors surface
     if args.shards:
         runtime: ServingRuntime = ShardedRuntime(
-            service,
+            manager,
             args.index,
             args.shards,
+            deadline_ms=args.deadline_ms,
             workers=args.workers or 1,
             max_batch=args.max_batch,
             max_wait_us=args.max_wait_us,
@@ -487,7 +482,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     else:
         runtime = ServingRuntime(
-            service,
+            manager,
+            deadline_ms=args.deadline_ms,
             workers=args.workers or 1,
             max_batch=args.max_batch,
             max_wait_us=args.max_wait_us,

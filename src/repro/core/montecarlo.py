@@ -515,31 +515,9 @@ class MonteCarloSemSim:
 
     def similarity(self, u: Node, v: Node) -> float:
         """Return the Algorithm-1 estimate of ``sim(u, v)``."""
-        self._check_epoch()
-        self.stats.add(queries=1)
-        if u == v:
-            return 1.0
-        sem_uv = self.measure.similarity(u, v)
-        if self.theta is not None and sem_uv <= self.theta:
-            self.stats.add(sem_gate_hits=1)
-            return 0.0
-        walks_u = self.walk_index.walks_from(u)
-        walks_v = self.walk_index.walks_from(v)
-        meetings = self.walk_index.first_meetings(u, v)
-        total = 0.0
-        met = so_evals = pruned = 0
-        for walk_id in np.flatnonzero(meetings >= 0):
-            met += 1
-            score, evals, cut = self._walk_score(
-                walks_u[walk_id], walks_v[walk_id], int(meetings[walk_id])
-            )
-            total += score
-            so_evals += evals
-            pruned += cut
-        self.stats.add(
-            walks_examined=int(meetings.size), walks_met=met,
-            so_evaluations=so_evals, walks_pruned=pruned,
-        )
+        exact, sem_uv, total, _ = self._scalar_walks(u, v)
+        if exact is not None:
+            return exact
         return sem_uv * total / self.walk_index.num_walks
 
     def similarity_batch(
@@ -566,31 +544,9 @@ class MonteCarloSemSim:
         distribution-free (much looser) alternative, combine the point
         estimate with :func:`repro.core.bounds.deviation_probability`.
         """
-        self._check_epoch()
-        self.stats.add(queries=1)
-        if u == v:
-            return 1.0, 0.0
-        sem_uv = self.measure.similarity(u, v)
-        if self.theta is not None and sem_uv <= self.theta:
-            self.stats.add(sem_gate_hits=1)
-            return 0.0, 0.0
-        walks_u = self.walk_index.walks_from(u)
-        walks_v = self.walk_index.walks_from(v)
-        meetings = self.walk_index.first_meetings(u, v)
-        contributions = np.zeros(self.walk_index.num_walks)
-        met = so_evals = pruned = 0
-        for walk_id in np.flatnonzero(meetings >= 0):
-            met += 1
-            score, evals, cut = self._walk_score(
-                walks_u[walk_id], walks_v[walk_id], int(meetings[walk_id])
-            )
-            contributions[walk_id] = score
-            so_evals += evals
-            pruned += cut
-        self.stats.add(
-            walks_examined=int(meetings.size), walks_met=met,
-            so_evaluations=so_evals, walks_pruned=pruned,
-        )
+        exact, sem_uv, _, contributions = self._scalar_walks(u, v)
+        if exact is not None:
+            return exact, 0.0
         estimate = sem_uv * float(contributions.mean())
         spread = float(contributions.std(ddof=1)) if contributions.size > 1 else 0.0
         half_width = sem_uv * z * spread / np.sqrt(self.walk_index.num_walks)
@@ -599,6 +555,45 @@ class MonteCarloSemSim:
     # ------------------------------------------------------------------
     # Internals — scalar path
     # ------------------------------------------------------------------
+    def _scalar_walks(self, u: Node, v: Node):
+        """One pair's Algorithm-1 walk loop, shared by the scalar entry points.
+
+        Returns ``(exact, sem_uv, total, contributions)``.  *exact* is the
+        answer of a pair no walk is needed for (1.0 for ``u == v``, 0.0
+        below the θ gate), and ``None`` otherwise; then *contributions*
+        holds each coupled walk's score (0 for walks that never meet) and
+        *total* their running sum in walk order, so the estimate is
+        ``sem_uv * total / num_walks``.
+        """
+        self._check_epoch()
+        self.stats.add(queries=1)
+        if u == v:
+            return 1.0, None, None, None
+        sem_uv = self.measure.similarity(u, v)
+        if self.theta is not None and sem_uv <= self.theta:
+            self.stats.add(sem_gate_hits=1)
+            return 0.0, None, None, None
+        walks_u = self.walk_index.walks_from(u)
+        walks_v = self.walk_index.walks_from(v)
+        meetings = self.walk_index.first_meetings(u, v)
+        contributions = np.zeros(self.walk_index.num_walks)
+        total = 0.0
+        met = so_evals = pruned = 0
+        for walk_id in np.flatnonzero(meetings >= 0):
+            met += 1
+            score, evals, cut = self._walk_score(
+                walks_u[walk_id], walks_v[walk_id], int(meetings[walk_id])
+            )
+            contributions[walk_id] = score
+            total += score
+            so_evals += evals
+            pruned += cut
+        self.stats.add(
+            walks_examined=int(meetings.size), walks_met=met,
+            so_evaluations=so_evals, walks_pruned=pruned,
+        )
+        return None, sem_uv, total, contributions
+
     def _walk_score(
         self, walk_u: np.ndarray, walk_v: np.ndarray, meeting: int
     ) -> tuple[float, int, int]:

@@ -1,7 +1,7 @@
 """Concurrent serving runtime: admission control, micro-batching, workers.
 
-The ``repro.sched`` package turns the request/response serving stack of
-:mod:`repro.serve` into a concurrent runtime:
+The ``repro.sched`` package answers every served request, concurrently,
+from the engine a :class:`~repro.serve.IndexManager` owns:
 
 * :class:`AdmissionQueue` — bounded FIFO; overload is answered at
   submission time with :class:`Overloaded`, never by silent drops.
@@ -11,8 +11,10 @@ The ``repro.sched`` package turns the request/response serving stack of
 * :class:`WorkerPool` — N dispatch threads (numpy releases the GIL)
   behind a pluggable thread factory.
 * :class:`ServingRuntime` — ties the three together over one
-  :class:`~repro.serve.QueryService`; PR 4's retries, circuit breaking
-  and degraded fallback still apply to every logical request.
+  :class:`~repro.serve.IndexManager` and is the one request path:
+  deadlines, name resolution, responses and outcome counters.  The
+  manager's retries, circuit breaking and degraded fallback apply to
+  every logical request.
 * :class:`ShardedRuntime` — the multi-process layer on top: one worker
   process per node-range shard (see :mod:`repro.store.sharding`), each
   serving its range from the one index artifact, scatter-gather routing

@@ -2,7 +2,7 @@
 
 :class:`ServingRuntime` is the scheduling layer between a transport (the
 ``repro serve`` line protocol, a test harness, a future RPC front) and
-the resilient :class:`~repro.serve.QueryService` stack:
+the resilient :class:`~repro.serve.IndexManager` that owns the engine:
 
 * **admission control** — submissions past the queue-depth watermark are
   rejected immediately with :class:`~repro.sched.errors.Overloaded`
@@ -22,30 +22,31 @@ the resilient :class:`~repro.serve.QueryService` stack:
   ``score_batch`` release the GIL) behind the
   :class:`~repro.sched.pool.WorkerPool` factory seam.
 
-Resilience comes from the serving stack: every dispatch group goes
-through ``manager.acquire()`` (retries, circuit breaker, degraded
-fallback), and every logical response carries the ``degraded`` flag and
-retry count of the acquisition that answered it.
+Resilience comes from the manager: every dispatch group goes through
+``manager.acquire(deadline)`` (retries, circuit breaker, degraded
+fallback) with the group's earliest deadline, so retry backoff never
+outlives a request's budget, and every logical response carries the
+``degraded`` flag, retry count and method of what answered it.
 
-This is the one request path: names are resolved through the served
-engine's ``position_map``, unknown nodes fail their own request, and
-responses, outcome counters and the ``--timings`` annotation are built
-here once.  The numbers come from :meth:`ServingRuntime._score_positions`
-and :meth:`ServingRuntime._top_k_positions`, which call the engine;
+This is the one request path: deadlines are set, names are resolved
+through the served engine's ``position_map``, unknown nodes fail their
+own request, and responses, outcome counters and the ``--timings``
+annotation are built here once.  The numbers come from
+:meth:`ServingRuntime._score_positions` and
+:meth:`ServingRuntime._top_k_positions`, which call the engine;
 :class:`~repro.sched.sharded.ShardedRuntime` overrides only those two.
 
 The submission API is future-based (``submit_score`` et al. return
-:class:`concurrent.futures.Future` resolving to the same
-``QueryResponse``/``BatchResponse``/``TopKResponse`` objects
-:class:`QueryService` returns); ``score``/``batch``/``top_k`` are the
-blocking conveniences.  Scores are **bit-identical** to calling the
+:class:`concurrent.futures.Future` resolving to a
+:class:`~repro.serve.QueryResponse`, :class:`~repro.serve.BatchResponse`
+or :class:`~repro.serve.TopKResponse`); ``score``/``batch``/``top_k`` are
+the blocking conveniences.  Scores are **bit-identical** to calling the
 engine sequentially, whatever the interleaving — property-tested in
 ``tests/properties/test_coalescer_identity.py``.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import Future, InvalidStateError
 from typing import Callable, Sequence
 
@@ -76,16 +77,26 @@ from repro.sched.request import (
     plan_groups,
 )
 from repro.serve.errors import DeadlineExceeded
+from repro.serve.manager import IndexManager
 from repro.serve.metrics import DEGRADED_QUERIES, SERVE_REQUESTS
-from repro.serve.service import (
-    BatchResponse,
-    QueryResponse,
-    QueryService,
-    TopKResponse,
-)
+from repro.serve.service import BatchResponse, QueryResponse, TopKResponse
 
 _LOG = get_logger("sched.runtime")
 _UNSET = object()
+
+
+def _earliest_deadline(requests) -> float | None:
+    """The earliest absolute deadline among *requests* (``None``: none)."""
+    return min(
+        (r.deadline for r in requests if r.deadline is not None), default=None
+    )
+
+
+def _labels_of(acquisition) -> tuple:
+    """``labels[flag]`` for answers that all come from *acquisition*: its
+    ``(retries, method)``, whichever flag the answers carry."""
+    label = (acquisition.retries, acquisition.engine.method)
+    return label, label
 
 
 def _deliver(future: Future, result=None, exc: BaseException | None = None) -> None:
@@ -100,12 +111,15 @@ def _deliver(future: Future, result=None, exc: BaseException | None = None) -> N
 
 
 class ServingRuntime:
-    """Concurrent scheduler over one :class:`QueryService`.
+    """Concurrent scheduler over one :class:`~repro.serve.IndexManager`.
 
     Parameters
     ----------
-    service:
-        The resilient serving stack to dispatch through.
+    manager:
+        Owns the served engine: every dispatch group acquires it here.
+    deadline_ms:
+        Default per-request budget in milliseconds (``None``: no
+        deadline); each ``submit_*`` call may override it.
     workers:
         Worker threads pulling micro-batches (>= 1).
     max_batch:
@@ -119,7 +133,7 @@ class ServingRuntime:
         queued are rejected with :class:`Overloaded`.
     clock:
         Injectable time source for deadlines, queue-wait accounting and
-        the batching window (defaults to the service's clock, so one
+        the batching window (defaults to the manager's clock, so one
         ``VirtualClock`` can drive breaker, deadlines and scheduler).
     autostart:
         Start the workers in the constructor.  Pass ``False`` to submit
@@ -136,8 +150,9 @@ class ServingRuntime:
 
     def __init__(
         self,
-        service: QueryService,
+        manager: IndexManager,
         *,
+        deadline_ms: float | None = None,
         workers: int = 1,
         max_batch: int = 32,
         max_wait_us: float = 0.0,
@@ -151,13 +166,12 @@ class ServingRuntime:
             raise ValueError(f"max_batch must be >= 1, got {max_batch!r}")
         if max_wait_us < 0:
             raise ValueError(f"max_wait_us must be >= 0, got {max_wait_us!r}")
-        self.service = service
+        self.manager = manager
+        self.deadline_ms = deadline_ms
         self.max_batch = max_batch
         self.max_wait_us = max_wait_us
         self._max_wait = max_wait_us / 1e6
-        self._clock = clock if clock is not None else service._clock
-        if self._clock is None:  # pragma: no cover — service always has one
-            self._clock = time.monotonic
+        self._clock = clock if clock is not None else manager.clock
         self.timings = bool(timings)
         self._queue = AdmissionQueue(queue_depth, self._clock)
         self._pool = WorkerPool(
@@ -165,7 +179,8 @@ class ServingRuntime:
         )
         self._seq = 0
         self._closed = False
-        # pre-resolved metric children, mirroring QueryService's rationale
+        # pre-resolved metric children: labels() costs a dict and a lock
+        # per call
         self._count_ok = SERVE_REQUESTS.labels(outcome="ok")
         self._count_degraded = SERVE_REQUESTS.labels(outcome="degraded")
         self._count_deadline = SERVE_REQUESTS.labels(outcome="deadline_exceeded")
@@ -241,9 +256,19 @@ class ServingRuntime:
         return len(self._queue)
 
     def health(self) -> dict:
-        """The service's health snapshot plus the scheduler's view."""
-        payload = self.service.health()
+        """The manager's health snapshot plus the runtime's view.
+
+        ``backend`` is the kernel of the engine handed out last (``None``
+        before the first acquisition).
+        """
+        payload = self.manager.health()
+        acquisition = self.manager._acquisition
         payload.update(
+            deadline_ms=self.deadline_ms,
+            backend=(
+                None if acquisition is None
+                else acquisition.engine.backend_name
+            ),
             workers=self._pool.num_workers,
             workers_alive=self._pool.alive,
             queue_depth=len(self._queue),
@@ -269,7 +294,7 @@ class ServingRuntime:
         """
         if self._closed:
             raise RuntimeClosed("runtime is closed")
-        return self.service.manager.apply_mutations(mutations)
+        return self.manager.apply_mutations(mutations)
 
     # ------------------------------------------------------------------
     # Submission (admission control happens here)
@@ -285,7 +310,7 @@ class ServingRuntime:
 
     def _new_request(self, kind: str, u: Node, deadline_ms, **fields) -> ScheduledRequest:
         if deadline_ms is _UNSET:
-            deadline_ms = self.service.deadline_ms
+            deadline_ms = self.deadline_ms
         now = self._clock()
         deadline = None if deadline_ms is None else now + deadline_ms / 1000.0
         self._seq += 1
@@ -402,7 +427,8 @@ class ServingRuntime:
                         self._finish_error(request, exc)
 
     def _execute_group(self, group: DispatchGroup) -> None:
-        acquisition = self.service.manager.acquire()
+        # the earliest budget bounds the acquisition's retry backoff
+        acquisition = self.manager.acquire(_earliest_deadline(group.requests))
         position = acquisition.engine.position_map
         if group.kind == KIND_SCORE:
             self._execute_score_group(group, acquisition, position)
@@ -436,16 +462,13 @@ class ServingRuntime:
                 targets.append(pos_v)
         if not live:
             return
-        deadline = min(
-            (r.deadline for r in live if r.deadline is not None), default=None
-        )
         # one call answers every pair of the micro-batch, bit-identical to
         # per-pair score()
-        values, degraded, answered, timing = self._score_positions(
+        values, degraded, labels, timing = self._score_positions(
             acquisition,
             np.asarray(sources, dtype=np.int64),
             np.asarray(targets, dtype=np.int64),
-            deadline,
+            _earliest_deadline(live),
         )
         if len(live) > 1 and is_enabled():
             COALESCED.inc(len(live))
@@ -459,10 +482,9 @@ class ServingRuntime:
             if elapsed_ms is None:
                 continue
             tally[flag] += 1
-            by = answered if flag else acquisition
+            retries, method = labels[flag]
             self._reply(request, QueryResponse(
-                request.u, request.v, value, flag,
-                by.retries, by.engine.method, elapsed_ms,
+                request.u, request.v, value, flag, retries, method, elapsed_ms,
             ), timing, trace_id)
         # outcome counters are bumped once per group, so the per-request
         # loop stays free of registry traffic
@@ -472,12 +494,12 @@ class ServingRuntime:
     def _execute_batch(self, request, acquisition, pos_u) -> None:
         # an unknown candidate raises NodeNotFoundError, answered by _dispatch
         positions = acquisition.engine.node_positions(request.candidates)
-        values, degraded, answered, timing = self._score_positions(
+        values, degraded, labels, timing = self._score_positions(
             acquisition, pos_u, positions, request.deadline
         )
         flag = bool(np.any(degraded))
         self._finish(
-            request, flag, answered if flag else acquisition, timing,
+            request, flag, labels[flag], timing,
             BatchResponse, candidates=request.candidates, values=values,
         )
 
@@ -486,12 +508,12 @@ class ServingRuntime:
         positions = None
         if request.candidates is not None:
             positions = engine.node_positions(request.candidates)
-        top, flag, answered, timing = self._top_k_positions(
+        top, flag, labels, timing = self._top_k_positions(
             acquisition, pos_u, request.k, positions, request.deadline
         )
         nodes = engine.nodes
         self._finish(
-            request, flag, answered if flag else acquisition, timing,
+            request, flag, labels[flag], timing,
             TopKResponse, k=request.k,
             results=tuple((nodes[p], value) for p, value in top),
         )
@@ -505,45 +527,45 @@ class ServingRuntime:
         *pos_u* is one source shared by every pair (a ``BATCH``) or one
         per pair (a micro-batch's single-pair group); *deadline* is the
         earliest absolute deadline among the requests answered.  Returns
-        ``(values, degraded, answered, timing)``: *degraded* marks the
+        ``(values, degraded, labels, timing)``: *degraded* marks the
         pairs answered degraded (one flag for every pair, or one per
-        pair), *answered* is the acquisition that answered those pairs
-        (their ``retries`` and ``method``; the other pairs report
-        *acquisition*'s), and *timing* holds the ``--timings`` keys this
-        path measured.
+        pair), ``labels[flag]`` is the ``(retries, method)`` every pair
+        carrying that flag reports, and *timing* holds the ``--timings``
+        keys this path measured.
         """
         started = self._clock()
         values = acquisition.engine.score_positions(pos_u, positions)
         timing = {"kernel_us": (self._clock() - started) * 1e6}
-        return values, acquisition.degraded, acquisition, timing
+        return values, acquisition.degraded, _labels_of(acquisition), timing
 
     def _top_k_positions(self, acquisition, pos_u, k, positions, deadline):
         """The *k* best ``(position, score)`` for *pos_u*, best first.
 
         *positions* are the candidates (``None``: every node).  Returns
-        ``(top, degraded, answered, timing)`` as :meth:`_score_positions`
+        ``(top, degraded, labels, timing)`` as :meth:`_score_positions`
         does, with one *degraded* flag for the whole list.
         """
         started = self._clock()
         top = acquisition.engine.top_k_positions(pos_u, k, positions)
         timing = {"kernel_us": (self._clock() - started) * 1e6}
-        return top, acquisition.degraded, acquisition, timing
+        return top, acquisition.degraded, _labels_of(acquisition), timing
 
     # ------------------------------------------------------------------
     # Completion accounting
     # ------------------------------------------------------------------
     def _finish(
-        self, request, degraded, answered, timing, response_cls, **fields
+        self, request, degraded, label, timing, response_cls, **fields
     ) -> None:
         """Answer one ``BATCH``/``TOPK`` request: its deadline, its outcome
-        count and its response, with *answered*'s retries and method."""
+        count and its response, with *label*'s retries and method."""
         elapsed_ms = self._elapsed_ms(request, self._clock())
         if elapsed_ms is None:
             return
         self._count_answered(degraded)
+        retries, method = label
         self._reply(request, response_cls(
-            u=request.u, degraded=degraded, retries=answered.retries,
-            method=answered.engine.method, elapsed_ms=elapsed_ms, **fields,
+            u=request.u, degraded=degraded, retries=retries, method=method,
+            elapsed_ms=elapsed_ms, **fields,
         ), timing)
 
     def _reply(

@@ -119,6 +119,7 @@ class ShardEngine:
             "hi": self.hi,
             "nodes": self.hi - self.lo,
             "semantic": self.engine.measure is not None,
+            "method": self.engine.method,
             "backend": self.engine.backend_name,
         }
 

@@ -26,16 +26,18 @@ Fault isolation is per shard: every shard gets its own
 request that merely exhausts its *own* deadline budget mid-gather does
 not — that says nothing about the shard's health), and the
 quarantined range is answered **degraded** from the fallback
-:class:`~repro.serve.IndexManager` stack (the ``service`` the runtime
-wraps) while every other range keeps serving at full fidelity.  When the
+:class:`~repro.serve.IndexManager` (the ``manager`` the runtime takes)
+while every other range keeps serving at full fidelity.  When the
 breaker half-opens, the next request restarts the worker process as the
-probe.
+probe.  Pairs a healthy shard answered report ``retries: 0`` and the
+method of that shard's engine (from its ready handshake); pairs of a
+failed shard report the fallback acquisition's.
 
 Every worker opens the one index artifact by path and serves its range
 through that index's own :class:`~repro.api.QueryEngine`, so a request
-message carries node positions only.  The fallback stack serves the same
-graph under the same positions, so the router resolves each request's
-nodes once, through the fallback stack's engine.
+message carries node positions only.  The fallback manager serves the
+same graph under the same positions, so the router resolves each
+request's nodes once, through the fallback manager's engine.
 
 The worker seam mirrors PR 5's thread-factory seam one level up:
 ``worker_factory(index_path, config)`` defaults to
@@ -76,7 +78,7 @@ from repro.sched.metrics import (
     SHARD_WORKERS,
     STATS_PULLS,
 )
-from repro.sched.runtime import ServingRuntime, _deliver
+from repro.sched.runtime import ServingRuntime, _deliver, _labels_of
 from repro.sched.shard_worker import (
     OP_BATCH,
     OP_SHUTDOWN,
@@ -86,7 +88,7 @@ from repro.sched.shard_worker import (
 )
 from repro.serve.breaker import CircuitBreaker, CircuitState
 from repro.serve.errors import MutationRejectedError
-from repro.serve.service import QueryService
+from repro.serve.manager import IndexManager
 from repro.store.artifacts import StoreError, read_artifact
 from repro.store.sharding import ShardPlan, validate_shard_set
 
@@ -104,7 +106,7 @@ class ShardFailure(RuntimeError):
     """One shard could not answer (transport down, worker error, timeout).
 
     Router-internal: it feeds the shard's circuit breaker and the request
-    falls back to the unsharded service — callers of the runtime never
+    falls back to the unsharded manager — callers of the runtime never
     see this exception.
     """
 
@@ -326,7 +328,7 @@ class ShardedRuntime(ServingRuntime):
 
     index_path:
         The ``method="mc"`` index artifact every shard worker opens; it
-        must hold as many nodes as *service*'s engine.
+        must hold as many nodes as *manager*'s engine.
     plan:
         A :class:`~repro.store.ShardPlan` over the index's nodes, or a
         shard count (even split).
@@ -349,17 +351,18 @@ class ShardedRuntime(ServingRuntime):
         deterministic-test mode, where a fault-double worker must not be
         waited on.
 
-    The wrapped *service* is the **fallback stack**: quarantined ranges
-    are answered from ``service.manager`` (full PR 4 machinery — retry,
-    its own breaker, iterative degradation) and flagged ``degraded``.
+    *manager* is the **fallback stack**: quarantined ranges are
+    answered from it (retry, its own breaker, iterative degradation) and
+    flagged ``degraded``.
     """
 
     def __init__(
         self,
-        service: QueryService,
+        manager: IndexManager,
         index_path,
         plan: "ShardPlan | int",
         *,
+        deadline_ms: float | None = None,
         workers: int = 4,
         max_batch: int = 32,
         max_wait_us: float = 0.0,
@@ -376,7 +379,7 @@ class ShardedRuntime(ServingRuntime):
     ) -> None:
         index = read_artifact(Path(index_path))
         # requests resolve their names through the fallback stack's engine
-        num_nodes = len(service.manager.acquire().engine.nodes)
+        num_nodes = len(manager.acquire().engine.nodes)
         if not isinstance(plan, ShardPlan):
             plan = ShardPlan.even(num_nodes, plan)
         validate_shard_set(index, plan)
@@ -387,7 +390,8 @@ class ShardedRuntime(ServingRuntime):
             )
         self._plan = plan
         super().__init__(
-            service,
+            manager,
+            deadline_ms=deadline_ms,
             workers=workers,
             max_batch=max_batch,
             max_wait_us=max_wait_us,
@@ -529,7 +533,7 @@ class ShardedRuntime(ServingRuntime):
     # Live mutations — unsupported on sharded stacks
     # ------------------------------------------------------------------
     def _head_epoch(self) -> int:
-        state = self.service.manager._state
+        state = self.manager._state
         if state is None or state.engine is None:
             return 0
         return int(getattr(state.engine.walk_index, "epoch", 0))
@@ -818,6 +822,18 @@ class ShardedRuntime(ServingRuntime):
             "merge_us": max(0.0, (ended - gathered) * 1e6),
         }
 
+    def _scatter_labels(self, acquisition, replies, fallback) -> tuple:
+        """``labels[flag]`` for one scatter: pairs a shard answered report
+        ``retries: 0`` and the method of the shard's engine (every shard
+        opens the one index), pairs of a failed shard report *fallback*'s
+        retries and method.  An empty scatter keeps *acquisition*'s."""
+        healthy, degraded = _labels_of(acquisition)
+        if replies:
+            healthy = (0, self._clients[replies[0][0]].ready["method"])
+        if fallback is not None:
+            degraded = (fallback.retries, fallback.engine.method)
+        return healthy, degraded
+
     def _score_positions(self, acquisition, pos_u, positions, deadline):
         """Each pair goes to the shard owning its candidate; pairs of
         failed shards are answered degraded by the fallback stack."""
@@ -837,14 +853,15 @@ class ShardedRuntime(ServingRuntime):
         degraded = np.zeros(positions.size, dtype=bool)
         fallback = None
         if failed:
-            fallback = self.service.manager.acquire(deadline=deadline)
+            fallback = self.manager.acquire(deadline=deadline)
             for shard in failed:
                 members = owned[shard]
                 values[members] = fallback.engine.score_positions(
                     _members(pos_u, members), positions[members]
                 )
                 degraded[members] = True
-        return values, degraded, fallback, self._timing(
+        labels = self._scatter_labels(acquisition, replies, fallback)
+        return values, degraded, labels, self._timing(
             started, gathered, kernel_us
         )
 
@@ -877,7 +894,7 @@ class ShardedRuntime(ServingRuntime):
         gathered = self._clock()
         fallback = None
         if failed:
-            fallback = self.service.manager.acquire(deadline=deadline)
+            fallback = self.manager.acquire(deadline=deadline)
             for shard in failed:
                 candidates = chosen[shard]
                 if candidates is None:
@@ -892,7 +909,8 @@ class ShardedRuntime(ServingRuntime):
                 )
         top = heapq.nlargest(k, entries)
         top.sort(key=lambda entry: (-entry[0], entry[1]))
-        return [(p, value) for value, _, p in top], bool(failed), fallback, (
+        labels = self._scatter_labels(acquisition, replies, fallback)
+        return [(p, value) for value, _, p in top], bool(failed), labels, (
             self._timing(started, gathered, kernel_us)
         )
 

@@ -1,15 +1,13 @@
 """Resilient serving layer over :class:`~repro.api.QueryEngine`.
 
-The layer splits serving into two objects:
-
-* :class:`~repro.serve.manager.IndexManager` owns the engine — opening
-  the primary index with bounded retries, quarantining a persistently
-  failing index behind a :class:`~repro.serve.breaker.CircuitBreaker`,
-  degrading to the exact iterative solver when the walk index is lost,
-  and rebuilding the primary in the background.
-* :class:`~repro.serve.service.QueryService` owns the request — the
-  per-request deadline, the ``degraded`` annotation on every response,
-  and the ``serve_*`` metrics.
+:class:`~repro.serve.manager.IndexManager` owns the engine: it opens the
+primary index with bounded retries, quarantines a persistently failing
+index behind a :class:`~repro.serve.breaker.CircuitBreaker`, degrades to
+the exact iterative solver when the walk index is lost, and rebuilds the
+primary in the background.  Requests go through
+:class:`~repro.sched.ServingRuntime`, which takes the manager and owns
+the per-request deadline, the responses of :mod:`repro.serve.service`
+(each with its ``degraded`` flag) and the ``serve_*`` request metrics.
 
 Failure behaviour is exercised deterministically via
 :mod:`repro.testing.faults`; the semantics are documented in
@@ -29,7 +27,6 @@ from repro.serve.retry import RETRYABLE, RetryPolicy, call_with_retry
 from repro.serve.service import (
     BatchResponse,
     QueryResponse,
-    QueryService,
     TopKResponse,
 )
 
@@ -44,7 +41,6 @@ __all__ = [
     "IndexUnavailableError",
     "MutationRejectedError",
     "QueryResponse",
-    "QueryService",
     "RETRYABLE",
     "RetryPolicy",
     "ServeError",

@@ -72,7 +72,7 @@ class Acquisition:
 
 
 class IndexManager:
-    """Own, quarantine, degrade and rebuild the engine behind a service.
+    """Own, quarantine, degrade and rebuild the engine behind the runtime.
 
     Parameters
     ----------
@@ -171,10 +171,6 @@ class IndexManager:
                 retries = 0
             state = self._state
         return Acquisition(state.engine, state.degraded, retries)
-
-    def engine(self) -> QueryEngine:
-        """The current engine (mostly for benchmarks and tests)."""
-        return self.acquire().engine
 
     @property
     def degraded(self) -> bool:

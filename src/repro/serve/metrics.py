@@ -1,8 +1,9 @@
 """The serving layer's metric families, registered once for the package.
 
 Kept in one module so :mod:`repro.serve.retry`, ``breaker``, ``manager``
-and ``service`` share the same children instead of re-registering, and so
-``docs/serving.md`` has a single source of truth to document.
+and :mod:`repro.sched.runtime` share the same children instead of
+re-registering, and so ``docs/serving.md`` has a single source of truth
+to document.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ _REGISTRY = get_registry()
 
 SERVE_REQUESTS = _REGISTRY.counter(
     "serve_requests_total",
-    help="QueryService requests by outcome "
-    "(ok, degraded, deadline_exceeded, error).",
+    help="Served requests by outcome "
+    "(ok, degraded, deadline_exceeded, error, rejected).",
     labelnames=("outcome",),
 )
 SERVE_RETRIES = _REGISTRY.counter(

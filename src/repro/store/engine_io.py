@@ -115,15 +115,10 @@ def snapshot_engine(engine, identity: dict) -> tuple[dict, dict, dict]:
     """Capture one engine as ``(manifest, arrays, documents)``.
 
     Forces every lazy preprocessing table first, so opening the snapshot
-    never recomputes anything.  Raises :class:`ConfigurationError` for
-    configurations that cannot round-trip (a ``pair_index``, or a
-    non-materialised semantic measure the artifact could not replay).
+    never recomputes anything.  Raises :class:`ConfigurationError` for a
+    non-materialised semantic measure, which the artifact could not
+    replay.
     """
-    if getattr(engine, "pair_index", None) is not None:
-        raise ConfigurationError(
-            "engines holding an external pair_index cannot be persisted — "
-            "the index is not part of the artifact"
-        )
     if engine.measure is not None and not isinstance(engine.measure, MatrixMeasure):
         raise ConfigurationError(
             "persisting an engine requires a materialised semantic measure "

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import QueryEngine
 from repro.sched import ServingRuntime
-from repro.serve import IndexManager, QueryService
+from repro.serve import IndexManager
 
 from tests.backends.numpy_ref import KERNELS, NumpyBackend
 from tests.conftest import random_hin_with_measure
@@ -123,9 +123,8 @@ def test_runtime_serves_reference_scores_on_every_backend(
     manager = IndexManager(
         graph, measure, engine_kwargs=engine_kwargs, background_rebuild=False
     )
-    service = QueryService(manager)
     runtime = ServingRuntime(
-        service, max_batch=max_batch, max_wait_us=0, queue_depth=10_000,
+        manager, max_batch=max_batch, max_wait_us=0, queue_depth=10_000,
         autostart=False,
     )
     engine = manager.acquire().engine

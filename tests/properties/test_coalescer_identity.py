@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import NodeNotFoundError
 from repro.sched import ServingRuntime
-from repro.serve import IndexManager, QueryService
+from repro.serve import IndexManager
 
 from tests.conftest import random_hin_with_measure
 
@@ -41,9 +41,8 @@ def _runtime(seed, num_entities, extra_edges, method, max_batch, theta=0.05):
         ),
         background_rebuild=False,
     )
-    service = QueryService(manager)
     runtime = ServingRuntime(
-        service, max_batch=max_batch, max_wait_us=0, queue_depth=10_000,
+        manager, max_batch=max_batch, max_wait_us=0, queue_depth=10_000,
         autostart=False,
     )
     engine = manager.acquire().engine

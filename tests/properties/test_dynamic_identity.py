@@ -28,7 +28,7 @@ from repro.core.walk_index import WalkPolicy
 from repro.hin import HIN
 from repro.sched import ServingRuntime
 from repro.semantics.cache import MatrixMeasure
-from repro.serve import IndexManager, QueryService
+from repro.serve import IndexManager
 
 COMMON = settings(
     max_examples=12, deadline=None,
@@ -352,7 +352,7 @@ def test_coalesced_mixed_source_scores_after_swaps_match_cold_rebuild(
         graph, measure, engine_kwargs=dict(kwargs), background_rebuild=False
     )
     runtime = ServingRuntime(
-        QueryService(manager), max_batch=max_batch, max_wait_us=0,
+        manager, max_batch=max_batch, max_wait_us=0,
         queue_depth=10_000, autostart=False,
     )
     rng = np.random.default_rng(schedule_seed)

@@ -25,8 +25,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import QueryEngine
 from repro.core.semsim import semsim_scores
+from repro.sched import ServingRuntime
 from repro.semantics.base import semantic_matrix
-from repro.serve import CircuitBreaker, IndexManager, QueryService, RetryPolicy
+from repro.serve import CircuitBreaker, IndexManager, RetryPolicy
 from repro.testing import FaultInjector, FaultRule, VirtualClock
 from tests.conftest import random_hin_with_measure
 
@@ -160,13 +161,14 @@ def test_invariants_survive_degraded_serving(seed, num_entities, tmp_path):
         breaker=CircuitBreaker(clock=clock, failure_threshold=1),
         clock=clock, sleep=clock.sleep, background_rebuild=False,
     )
-    service = QueryService(manager, clock=clock)
-    with FaultInjector([FaultRule("*")], clock=clock):
+    with ServingRuntime(manager) as runtime, FaultInjector(
+        [FaultRule("*")], clock=clock
+    ):
         for u in entities:
             for v in entities:
-                response = service.query(u, v)
+                response = runtime.score(u, v)
                 assert response.degraded
-                mirrored = service.query(v, u)
+                mirrored = runtime.score(v, u)
                 assert abs(response.value - mirrored.value) <= EPS
                 assert -EPS <= response.value
                 assert response.value <= measure.similarity(u, v) + EPS

@@ -37,7 +37,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.api import QueryEngine
 from repro.errors import NodeNotFoundError
 from repro.sched import ShardedRuntime, ThreadShardWorker
-from repro.serve import IndexManager, QueryService
+from repro.serve import IndexManager
 from repro.store import ShardPlan
 
 from tests.backends.numpy_ref import KERNELS
@@ -104,7 +104,7 @@ def test_sharded_results_bit_identical_to_unsharded(
             background_rebuild=False,
         )
         runtime = ShardedRuntime(
-            QueryService(manager), parent, plan,
+            manager, parent, plan,
             worker_factory=ThreadShardWorker, autostart=False,
             max_batch=16, queue_depth=10_000, backend=KERNELS[backend](),
         )

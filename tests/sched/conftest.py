@@ -15,7 +15,7 @@ import pytest
 from tests.conftest import random_hin_with_measure
 from repro.obs.registry import get_registry, snapshot_delta
 from repro.sched import ServingRuntime
-from repro.serve import CircuitBreaker, IndexManager, QueryService, RetryPolicy
+from repro.serve import CircuitBreaker, IndexManager, RetryPolicy
 from repro.testing import VirtualClock
 
 #: Small-but-nontrivial engine settings shared by every sched test.
@@ -53,11 +53,11 @@ def walks_file(tmp_path, model):
 
 
 @pytest.fixture
-def make_service(model, clock):
-    """Factory for a service over a fresh deterministic manager."""
+def make_manager(model, clock):
+    """Factory for a fresh deterministic manager (kwargs -> the manager)."""
     graph, measure = model
 
-    def factory(deadline_ms=None, **manager_overrides) -> QueryService:
+    def factory(**manager_overrides) -> IndexManager:
         kwargs = dict(
             engine_kwargs=dict(ENGINE_KWARGS),
             retry=RetryPolicy(max_retries=2, seed=1),
@@ -69,21 +69,21 @@ def make_service(model, clock):
             background_rebuild=False,
         )
         kwargs.update(manager_overrides)
-        manager = IndexManager(graph, measure, **kwargs)
-        return QueryService(manager, deadline_ms=deadline_ms, clock=clock)
+        return IndexManager(graph, measure, **kwargs)
 
     return factory
 
 
 @pytest.fixture
-def make_runtime(make_service):
-    """Factory for runtimes; everything created is drained on teardown."""
+def make_runtime(make_manager):
+    """Factory for runtimes (over a fresh manager unless one is given);
+    everything created is drained on teardown."""
     created: list[ServingRuntime] = []
 
-    def factory(service=None, *, deadline_ms=None, **kwargs) -> ServingRuntime:
-        if service is None:
-            service = make_service(deadline_ms=deadline_ms)
-        runtime = ServingRuntime(service, **kwargs)
+    def factory(manager=None, **kwargs) -> ServingRuntime:
+        if manager is None:
+            manager = make_manager()
+        runtime = ServingRuntime(manager, **kwargs)
         created.append(runtime)
         return runtime
 

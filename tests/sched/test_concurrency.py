@@ -29,10 +29,11 @@ pytestmark = pytest.mark.concurrency
 
 class TestRandomizedWorkloadParity:
     def test_mixed_workload_bit_identical_to_sequential(
-        self, make_service, nodes
+        self, make_manager, nodes
     ):
         """≥8 workers, mixed score/batch/topk, randomized over hot sources."""
-        service = make_service()
+        manager = make_manager()
+        engine = manager.acquire().engine
         rng = np.random.default_rng(42)
         sources = nodes[:3]  # hot sources so the coalescer actually merges
         targets = nodes[:6]
@@ -50,20 +51,20 @@ class TestRandomizedWorkloadParity:
             else:
                 requests.append(("topk", u, 3))
 
-        # sequential ground truth through the same service
+        # sequential ground truth from the same engine
         expected = []
         for kind, u, arg in requests:
             if kind == "score":
-                expected.append(service.query(u, arg).value)
+                expected.append(engine.score(u, arg))
             elif kind == "batch":
-                expected.append(list(service.batch(u, arg).values))
+                expected.append(list(engine.score_batch(u, list(arg))))
             else:
-                expected.append(service.top_k(u, arg).results)
+                expected.append(engine.top_k(u, arg))
 
         # the batching window needs real time: the fixtures' VirtualClock
         # never advances on its own, so max_wait would never elapse
         runtime = ServingRuntime(
-            service, workers=8, max_batch=16, max_wait_us=200,
+            manager, workers=8, max_batch=16, max_wait_us=200,
             queue_depth=4096, clock=time.monotonic,
         )
         try:
@@ -87,13 +88,13 @@ class TestRandomizedWorkloadParity:
             elif kind == "batch":
                 assert list(response.values) == want
             else:
-                assert response.results == want
+                assert list(response.results) == want
 
-    def test_concurrent_submitters_no_request_lost(self, make_service, nodes):
+    def test_concurrent_submitters_no_request_lost(self, make_manager, nodes):
         """8 submitter threads x 8 workers: exactly one answer per request."""
-        service = make_service()
+        manager = make_manager()
         runtime = ServingRuntime(
-            service, workers=8, max_batch=8, max_wait_us=100,
+            manager, workers=8, max_batch=8, max_wait_us=100,
             queue_depth=4096, clock=time.monotonic,
         )
         u = nodes[0]
@@ -114,7 +115,8 @@ class TestRandomizedWorkloadParity:
         for thread in threads:
             thread.join()
         try:
-            expected = {v: service.query(u, v).value for v in nodes[1:]}
+            engine = manager.acquire().engine
+            expected = {v: engine.score(u, v) for v in nodes[1:]}
             for slot in range(8):
                 assert len(collected[slot]) == per_thread
                 for v, future in collected[slot]:
@@ -122,11 +124,10 @@ class TestRandomizedWorkloadParity:
         finally:
             assert runtime.drain(timeout=30)
 
-    def test_overload_accounting_is_exact(self, make_service, nodes):
+    def test_overload_accounting_is_exact(self, make_manager, nodes):
         """admitted + rejected == submitted; every admitted future resolves."""
-        service = make_service()
         runtime = ServingRuntime(
-            service, workers=2, max_batch=4, max_wait_us=0,
+            make_manager(), workers=2, max_batch=4, max_wait_us=0,
             queue_depth=8, clock=time.monotonic,
         )
         admitted, rejected = [], 0

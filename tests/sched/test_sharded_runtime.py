@@ -47,28 +47,27 @@ def sharded_model(tmp_path_factory):
 
 
 @pytest.fixture
-def mc_service(sharded_model, make_service):
-    graph, measure, *_ = sharded_model
+def mc_manager(make_manager):
     def factory(**overrides):
-        return make_service(engine_kwargs=dict(MC_KWARGS), **overrides)
+        return make_manager(engine_kwargs=dict(MC_KWARGS), **overrides)
     return factory
 
 
 @pytest.fixture
-def make_sharded(mc_service, sharded_model):
+def make_sharded(mc_manager, sharded_model):
     """Factory for sharded runtimes over the module's parent artifact."""
     *_, parent, plans = sharded_model
     created = []
 
-    def factory(count=3, service=None, **kwargs):
-        if service is None:
-            service = mc_service()
+    def factory(count=3, manager=None, **kwargs):
+        if manager is None:
+            manager = mc_manager()
         kwargs.setdefault("worker_factory", ThreadShardWorker)
         kwargs.setdefault("autostart", False)
         # no background stats puller, no implicit pulls on health/drain:
         # fault-double workers never answer and must not be waited on
         kwargs.setdefault("stats_interval", None)
-        runtime = ShardedRuntime(service, parent, plans[count], **kwargs)
+        runtime = ShardedRuntime(manager, parent, plans[count], **kwargs)
         created.append(runtime)
         return runtime
 
@@ -435,7 +434,7 @@ class TestLifecycle:
         assert runtime.close(drain=True)
         assert runtime.close(drain=True)
 
-    def test_mismatched_shard_count_rejected(self, mc_service, sharded_model):
+    def test_mismatched_shard_count_rejected(self, mc_manager, sharded_model):
         graph, *_, parent, _ = sharded_model
         from repro.store import StoreError
         started = []
@@ -446,7 +445,7 @@ class TestLifecycle:
 
         with pytest.raises(StoreError, match="nodes"):
             ShardedRuntime(
-                mc_service(), parent, ShardPlan.even(graph.num_nodes + 1, 2),
+                mc_manager(), parent, ShardPlan.even(graph.num_nodes + 1, 2),
                 worker_factory=factory,
             )
         assert started == []
@@ -529,16 +528,16 @@ def _run(runtime, requests):
 class TestOneRequestPath:
     """Sharded answers are the unsharded runtime's, field for field."""
 
-    def _unsharded(self, make_service, requests):
+    def _unsharded(self, make_manager, requests):
         runtime = ServingRuntime(
-            make_service(engine_kwargs=dict(MC_KWARGS, theta=THETA)),
+            make_manager(engine_kwargs=dict(MC_KWARGS, theta=THETA)),
             autostart=False, max_batch=64,
         )
         return _run(runtime, requests)
 
-    def _sharded(self, make_service, clock, gated_index, requests, factory):
+    def _sharded(self, make_manager, clock, gated_index, requests, factory):
         runtime = ShardedRuntime(
-            make_service(engine_kwargs=dict(MC_KWARGS, theta=THETA)),
+            make_manager(engine_kwargs=dict(MC_KWARGS, theta=THETA)),
             gated_index, 3, worker_factory=factory, autostart=False,
             max_batch=64, stats_interval=None,
             breaker_factory=_quarantining_breakers(clock),
@@ -549,12 +548,12 @@ class TestOneRequestPath:
             runtime.close(drain=True, timeout=10)
 
     def test_every_field_matches_the_unsharded_runtime(
-        self, make_service, clock, gated_index, sharded_model, nodes
+        self, make_manager, clock, gated_index, sharded_model, nodes
     ):
         requests = _requests(nodes, sharded_model[1])
-        want, want_counters = self._unsharded(make_service, requests)
+        want, want_counters = self._unsharded(make_manager, requests)
         _, (got, got_counters) = self._sharded(
-            make_service, clock, gated_index, requests, ThreadShardWorker
+            make_manager, clock, gated_index, requests, ThreadShardWorker
         )
         assert got == want
         assert got_counters == want_counters
@@ -570,7 +569,7 @@ class TestOneRequestPath:
         )
 
     def test_broken_shard_pairs_carry_the_fallback_fields(
-        self, make_service, clock, gated_index, sharded_model, nodes
+        self, make_manager, clock, gated_index, sharded_model, nodes
     ):
         broken = 1
 
@@ -580,9 +579,9 @@ class TestOneRequestPath:
             return ThreadShardWorker(path, config)
 
         requests = _requests(nodes, sharded_model[1])
-        want, _ = self._unsharded(make_service, requests)
+        want, _ = self._unsharded(make_manager, requests)
         runtime, (got, counters) = self._sharded(
-            make_service, clock, gated_index, requests, factory
+            make_manager, clock, gated_index, requests, factory
         )
         lo, hi = runtime.plan.boundaries[broken]
         position = {node: i for i, node in enumerate(sorted_nodes(runtime))}
@@ -617,10 +616,74 @@ class TestOneRequestPath:
             flag for _, flag in flags
         )
 
+    def test_shard_answers_carry_their_own_label_under_a_degraded_fallback(
+        self, make_manager, clock, sharded_model, nodes, tmp_path
+    ):
+        """Healthy shards answer as the mc index they serve (``retries: 0``,
+        ``method: "mc"``) even while the fallback manager is degraded to
+        the iterative table; the broken shard's pairs carry the fallback's
+        label."""
+        _, _, engine, parent, plans = sharded_model
+        manager = make_manager(
+            engine_kwargs=dict(MC_KWARGS),
+            index_path=tmp_path / "missing-primary",
+        )
+        fallback = manager.acquire()
+        assert fallback.degraded and fallback.engine.method == "iterative"
+        broken = 1
+
+        def factory(path, config):
+            if config["shard"] == broken:
+                return _DeadWorker()
+            return ThreadShardWorker(path, config)
+
+        runtime = ShardedRuntime(
+            manager, parent, plans[2], worker_factory=factory,
+            autostart=False, max_batch=64, stats_interval=None,
+            breaker_factory=_quarantining_breakers(clock),
+        )
+        lo, hi = runtime.plan.boundaries[broken]
+        position = {node: i for i, node in enumerate(sorted_nodes(runtime))}
+        healthy = [v for v in nodes if not lo <= position[v] < hi]
+        u = nodes[0]
+        pairs = [(v, runtime.submit_score(u, v)) for v in nodes]
+        batch = runtime.submit_batch(u, healthy)
+        topk = runtime.submit_topk(u, 3, healthy)
+        topk_all = runtime.submit_topk(u, 3)
+        runtime.close(drain=True)
+
+        mc = {"degraded": False, "retries": 0, "method": "mc"}
+        iterative = {"degraded": True, "retries": 0, "method": "iterative"}
+
+        def label(response):
+            return {
+                "degraded": response.degraded,
+                "retries": response.retries,
+                "method": response.method,
+            }
+
+        for v, future in pairs:
+            response = future.result(timeout=5)
+            if lo <= position[v] < hi:
+                assert label(response) == iterative
+                assert response.value == fallback.engine.score(u, v)
+            else:
+                assert label(response) == mc
+                assert response.value == engine.score(u, v)
+        response = batch.result(timeout=5)
+        assert label(response) == mc
+        np.testing.assert_array_equal(
+            np.asarray(response.values), engine.score_batch(u, healthy)
+        )
+        response = topk.result(timeout=5)
+        assert label(response) == mc
+        assert list(response.results) == engine.top_k(u, 3, candidates=healthy)
+        assert label(topk_all.result(timeout=5)) == iterative
+
 
 def sorted_nodes(runtime):
     """The served engine's node order (= the artifact's position order)."""
-    return runtime.service.manager.acquire().engine.nodes
+    return runtime.manager.acquire().engine.nodes
 
 
 @pytest.mark.concurrency
@@ -628,11 +691,11 @@ class TestMultiProcess:
     """The real forked-worker path — the CI multiprocess smoke job."""
 
     def test_process_workers_serve_bit_identical(
-        self, mc_service, sharded_model, nodes
+        self, mc_manager, sharded_model, nodes
     ):
         _, _, engine, parent, plans = sharded_model
         runtime = ShardedRuntime(
-            mc_service(), parent, plans[2], workers=2,
+            mc_manager(), parent, plans[2], workers=2,
         )
         try:
             u = nodes[0]
@@ -648,11 +711,11 @@ class TestMultiProcess:
             assert runtime.close(drain=True, timeout=30)
 
     def test_concurrent_submissions_across_processes(
-        self, mc_service, sharded_model, nodes
+        self, mc_manager, sharded_model, nodes
     ):
         _, _, engine, parent, plans = sharded_model
         runtime = ShardedRuntime(
-            mc_service(), parent, plans[3], workers=4, max_batch=8,
+            mc_manager(), parent, plans[3], workers=4, max_batch=8,
         )
         try:
             futures = [

@@ -22,7 +22,7 @@ from repro.sched.shard_worker import OP_SHUTDOWN, OP_STATS
 from tests.sched.test_sharded_runtime import (  # noqa: F401 — fixtures
     MC_KWARGS,
     make_sharded,
-    mc_service,
+    mc_manager,
     sharded_model,
 )
 
@@ -236,7 +236,7 @@ class TestThreadWorkerSkip:
 @pytest.mark.concurrency
 class TestMultiprocessAggregation:
     def test_worker_kernel_counts_fold_exactly(
-        self, mc_service, sharded_model, nodes, metrics_delta
+        self, mc_manager, sharded_model, nodes, metrics_delta
     ):
         """Acceptance: aggregated ``kernel_seconds{shard=...}`` bucket
         counts equal the sum of each worker process's own observations.
@@ -248,7 +248,7 @@ class TestMultiprocessAggregation:
         *_, parent, plans = sharded_model
         n_batches = 4
         runtime = ShardedRuntime(
-            mc_service(),
+            mc_manager(),
             parent,
             plans[2],
             stats_interval=3600.0,  # explicit pulls only, but drain pulls
@@ -280,7 +280,7 @@ class TestMultiprocessAggregation:
         assert delta['shard_stats_pulls_total{outcome="ok"}'] >= 2
 
     def test_worker_spans_carry_router_trace_ids(
-        self, mc_service, sharded_model, nodes, tmp_path
+        self, mc_manager, sharded_model, nodes, tmp_path
     ):
         """Every worker-side span of a scatter joins the router's trace."""
         import json
@@ -290,7 +290,7 @@ class TestMultiprocessAggregation:
         *_, parent, plans = sharded_model
         trace_path = tmp_path / "trace.jsonl"
         runtime = ShardedRuntime(
-            mc_service(),
+            mc_manager(),
             parent,
             plans[2],
             stats_interval=None,

@@ -13,7 +13,8 @@ import pytest
 from tests.conftest import random_hin_with_measure
 from repro.api import QueryEngine
 from repro.obs.registry import get_registry, snapshot_delta
-from repro.serve import CircuitBreaker, IndexManager, QueryService, RetryPolicy
+from repro.sched import ServingRuntime
+from repro.serve import CircuitBreaker, IndexManager, RetryPolicy
 from repro.testing import VirtualClock
 
 #: Small-but-nontrivial engine settings shared by every serve test.
@@ -72,14 +73,25 @@ def make_manager(model, clock):
 
 
 @pytest.fixture
-def make_service(make_manager, clock):
-    """Factory for a service over a fresh manager (kwargs -> the manager)."""
+def make_runtime(make_manager):
+    """Factory for a one-worker runtime over a fresh manager (kwargs -> the
+    manager); every runtime created is drained on teardown.
 
-    def factory(deadline_ms=None, **manager_overrides) -> QueryService:
-        manager = make_manager(**manager_overrides)
-        return QueryService(manager, deadline_ms=deadline_ms, clock=clock)
+    The runtime runs on the manager's virtual clock, so one clock drives
+    the breaker, the retry backoff and the request deadlines.
+    """
+    created: list[ServingRuntime] = []
 
-    return factory
+    def factory(deadline_ms=None, **manager_overrides) -> ServingRuntime:
+        runtime = ServingRuntime(
+            make_manager(**manager_overrides), deadline_ms=deadline_ms
+        )
+        created.append(runtime)
+        return runtime
+
+    yield factory
+    for runtime in created:
+        runtime.close(drain=True, timeout=10)
 
 
 @pytest.fixture

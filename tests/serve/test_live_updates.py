@@ -157,24 +157,24 @@ class TestManagerApplyMutations:
 
 class TestRuntimePassthrough:
     def test_queries_after_mutation_see_the_new_generation(
-        self, make_service
+        self, make_manager
     ):
         from repro.sched import ServingRuntime
 
-        service = make_service()
-        with ServingRuntime(service, workers=1, autostart=False) as runtime:
+        manager = make_manager()
+        with ServingRuntime(manager, workers=1, autostart=False) as runtime:
             result = runtime.apply_mutations(MUTATIONS)
             assert result["applied"] == 2
             future = runtime.submit_score("e0", "e1")
             runtime.close(drain=True)
-            cold = expected_engine(service.manager)
+            cold = expected_engine(manager)
             assert future.result().value == cold.score("e0", "e1")
 
-    def test_closed_runtime_refuses(self, make_service):
+    def test_closed_runtime_refuses(self, make_manager):
         from repro.sched import ServingRuntime
         from repro.sched.errors import RuntimeClosed
 
-        runtime = ServingRuntime(make_service(), workers=1, autostart=False)
+        runtime = ServingRuntime(make_manager(), workers=1, autostart=False)
         runtime.close(drain=True)
         with pytest.raises(RuntimeClosed):
             runtime.apply_mutations(MUTATIONS)
@@ -182,16 +182,16 @@ class TestRuntimePassthrough:
 
 class TestShardedRejection:
     @pytest.fixture
-    def sharded(self, tmp_path, model, make_service):
+    def sharded(self, tmp_path, model, make_manager):
         from repro.sched import ShardedRuntime, ThreadShardWorker
 
         graph, measure = model
         engine = QueryEngine(graph, measure, method="mc", **ENGINE_KWARGS)
         parent = tmp_path / "parent"
         engine.save(parent)
-        service = make_service(engine_kwargs=dict(ENGINE_KWARGS, method="mc"))
+        manager = make_manager(engine_kwargs=dict(ENGINE_KWARGS, method="mc"))
         runtime = ShardedRuntime(
-            service, parent, 2,
+            manager, parent, 2,
             worker_factory=ThreadShardWorker,
             autostart=False, stats_interval=None,
         )
@@ -284,7 +284,7 @@ class TestSwapDuringInflight:
         exactly once, and every answer equals some generation's cold
         rebuild — never a torn mix of two generations."""
         from repro.sched import ServingRuntime
-        from repro.serve import IndexManager, QueryService
+        from repro.serve import IndexManager
 
         graph, measure = model
         manager = IndexManager(
@@ -305,7 +305,7 @@ class TestSwapDuringInflight:
 
         results: list[float] = []
         errors: list[BaseException] = []
-        runtime = ServingRuntime(QueryService(manager), workers=2)
+        runtime = ServingRuntime(manager, workers=2)
         try:
             futures = []
             stop = threading.Event()

@@ -1,4 +1,5 @@
-"""QueryService request semantics: deadlines, responses, metrics, manager."""
+"""Request semantics through the serving runtime: deadlines, responses,
+metrics, and the manager contract underneath."""
 
 from __future__ import annotations
 
@@ -8,25 +9,20 @@ import pytest
 from repro.api import QueryEngine
 from repro.errors import ConfigurationError, NodeNotFoundError
 from repro.obs.registry import disabled
-from repro.serve import (
-    DeadlineExceeded,
-    IndexManager,
-    IndexUnavailableError,
-    QueryService,
-)
+from repro.serve import DeadlineExceeded, IndexManager, IndexUnavailableError
 from tests.serve.conftest import ENGINE_KWARGS
 
 
 class TestHappyPath:
-    def test_query_matches_direct_engine_exactly(self, make_service, model):
+    def test_query_matches_direct_engine_exactly(self, make_runtime, model):
         graph, measure = model
-        service = make_service()
+        runtime = make_runtime()
         direct = QueryEngine(graph, measure, **ENGINE_KWARGS)
         for u, v in [("e0", "e1"), ("e2", "e5"), ("e3", "e3")]:
-            assert service.query(u, v).value == direct.score(u, v)
+            assert runtime.score(u, v).value == direct.score(u, v)
 
-    def test_response_carries_serving_metadata(self, make_service):
-        response = make_service().query("e0", "e1")
+    def test_response_carries_serving_metadata(self, make_runtime):
+        response = make_runtime().score("e0", "e1")
         assert not response.degraded
         assert response.retries == 0
         assert response.method == "mc"
@@ -35,51 +31,51 @@ class TestHappyPath:
         payload = response.as_dict()
         assert payload["u"] == "e0" and payload["degraded"] is False
 
-    def test_batch_matches_direct_engine(self, make_service, model):
+    def test_batch_matches_direct_engine(self, make_runtime, model):
         graph, measure = model
-        service = make_service()
+        runtime = make_runtime()
         direct = QueryEngine(graph, measure, **ENGINE_KWARGS)
         candidates = ["e1", "e2", "e3"]
-        response = service.batch("e0", candidates)
+        response = runtime.batch("e0", candidates)
         np.testing.assert_array_equal(
             response.values, direct.score_batch("e0", candidates)
         )
         assert response.candidates == tuple(candidates)
 
-    def test_top_k_matches_direct_engine(self, make_service, model):
+    def test_top_k_matches_direct_engine(self, make_runtime, model):
         graph, measure = model
-        service = make_service()
+        runtime = make_runtime()
         direct = QueryEngine(graph, measure, **ENGINE_KWARGS)
-        response = service.top_k("e0", 3)
+        response = runtime.top_k("e0", 3)
         assert list(response.results) == direct.top_k("e0", 3)
         assert response.k == 3
 
-    def test_ok_outcome_counted(self, make_service, metrics_delta):
-        make_service().query("e0", "e1")
+    def test_ok_outcome_counted(self, make_runtime, metrics_delta):
+        make_runtime().score("e0", "e1")
         delta = metrics_delta()
         assert delta["counters"]['serve_requests_total{outcome="ok"}'] == 1
         assert "degraded_queries_total" not in delta["counters"]
 
-    def test_disabled_registry_records_nothing(self, make_service, metrics_delta):
+    def test_disabled_registry_records_nothing(self, make_runtime, metrics_delta):
         with disabled():
-            make_service().query("e0", "e1")
+            make_runtime().score("e0", "e1")
         assert metrics_delta() == {}
 
 
 class TestDeadlines:
     def test_slow_request_raises_deadline_exceeded(
-        self, make_service, clock, metrics_delta
+        self, make_runtime, clock, metrics_delta
     ):
-        service = make_service(deadline_ms=100.0)
-        original = service.manager._open_primary
+        runtime = make_runtime(deadline_ms=100.0)
+        original = runtime.manager._open_primary
 
         def slow_open():
             clock.advance(0.5)  # 500 ms of virtual work
             return original()
 
-        service.manager._open_primary = slow_open
+        runtime.manager._open_primary = slow_open
         with pytest.raises(DeadlineExceeded) as excinfo:
-            service.query("e0", "e1")
+            runtime.score("e0", "e1")
         assert excinfo.value.deadline_ms == 100.0
         assert excinfo.value.elapsed_ms >= 500.0
         delta = metrics_delta()
@@ -87,63 +83,63 @@ class TestDeadlines:
             'serve_requests_total{outcome="deadline_exceeded"}'
         ] == 1
 
-    def test_per_call_override_beats_the_default(self, make_service, clock):
-        service = make_service(deadline_ms=100.0)
-        original = service.manager._open_primary
+    def test_per_call_override_beats_the_default(self, make_runtime, clock):
+        runtime = make_runtime(deadline_ms=100.0)
+        original = runtime.manager._open_primary
 
         def slow_open():
             clock.advance(0.5)
             return original()
 
-        service.manager._open_primary = slow_open
-        response = service.query("e0", "e1", deadline_ms=1000.0)
+        runtime.manager._open_primary = slow_open
+        response = runtime.score("e0", "e1", deadline_ms=1000.0)
         assert response.value is not None
 
-    def test_none_override_disables_the_deadline(self, make_service, clock):
-        service = make_service(deadline_ms=1.0)
-        original = service.manager._open_primary
+    def test_none_override_disables_the_deadline(self, make_runtime, clock):
+        runtime = make_runtime(deadline_ms=1.0)
+        original = runtime.manager._open_primary
 
         def slow_open():
             clock.advance(5.0)
             return original()
 
-        service.manager._open_primary = slow_open
-        assert service.query("e0", "e1", deadline_ms=None).value is not None
+        runtime.manager._open_primary = slow_open
+        assert runtime.score("e0", "e1", deadline_ms=None).value is not None
 
-    def test_fast_request_passes_its_deadline(self, make_service):
-        response = make_service(deadline_ms=60_000.0).query("e0", "e1")
+    def test_fast_request_passes_its_deadline(self, make_runtime):
+        response = make_runtime(deadline_ms=60_000.0).score("e0", "e1")
         assert not response.degraded
 
 
 class TestValidation:
-    def test_unknown_node_raises_not_found(self, make_service, metrics_delta):
-        service = make_service()
+    def test_unknown_node_raises_not_found(self, make_runtime, metrics_delta):
+        runtime = make_runtime()
         with pytest.raises(NodeNotFoundError):
-            service.query("e0", "ghost")
+            runtime.score("e0", "ghost")
         with pytest.raises(NodeNotFoundError):
-            service.query("ghost", "e0")
+            runtime.score("ghost", "e0")
         delta = metrics_delta()
         assert delta["counters"]['serve_requests_total{outcome="error"}'] == 2
 
     def test_unknown_node_checked_on_iterative_fallback_too(
-        self, make_service, tmp_path
+        self, make_runtime, tmp_path
     ):
         # the iterative path's raw engine raises KeyError for unknown
-        # nodes; the service must translate that into NodeNotFoundError
+        # nodes; the runtime must translate that into NodeNotFoundError
         # even while degraded
-        service = make_service(
+        runtime = make_runtime(
             walks_path=tmp_path / "missing-dir" / "nope.npz"
         )
         with pytest.raises(NodeNotFoundError):
-            service.query("ghost", "e0")
+            runtime.score("ghost", "e0")
 
-    def test_batch_validates_every_candidate(self, make_service):
+    def test_batch_validates_every_candidate(self, make_runtime):
         with pytest.raises(NodeNotFoundError):
-            make_service().batch("e0", ["e1", "ghost"])
+            make_runtime().batch("e0", ["e1", "ghost"])
 
-    def test_top_k_validates_the_source(self, make_service):
+    def test_top_k_validates_the_source(self, make_runtime):
         with pytest.raises(NodeNotFoundError):
-            make_service().top_k("ghost", 3)
+            make_runtime().top_k("ghost", 3)
 
 
 class TestManagerContract:
@@ -176,20 +172,22 @@ class TestManagerContract:
         assert first.engine is second.engine
         assert second.retries == 0
 
-    def test_health_snapshot_shape(self, make_service):
-        service = make_service(deadline_ms=250.0)
-        health = service.health()
+    def test_health_snapshot_shape(self, make_runtime):
+        runtime = make_runtime(deadline_ms=250.0)
+        health = runtime.health()
         assert health["activated"] is False
-        service.query("e0", "e1")
-        health = service.health()
+        assert health["backend"] is None  # no engine handed out yet
+        runtime.score("e0", "e1")
+        health = runtime.health()
         assert health["activated"] is True
         assert health["degraded"] is False
         assert health["method"] == "mc"
         assert health["circuit"] == "closed"
         assert health["deadline_ms"] == 250.0
+        assert health["backend"] == "blocked"  # the library kernel
 
-    def test_repr_is_informative(self, make_service):
-        service = make_service()
-        assert "unactivated" in repr(service.manager)
-        service.query("e0", "e1")
-        assert "healthy" in repr(service.manager)
+    def test_repr_is_informative(self, make_runtime):
+        runtime = make_runtime()
+        assert "unactivated" in repr(runtime.manager)
+        runtime.score("e0", "e1")
+        assert "healthy" in repr(runtime.manager)

@@ -263,6 +263,7 @@ class TestServe:
         assert banner["workers"] == 3
         assert banner["max_batch"] == 16
         assert banner["queue_watermark"] == 7
+        assert banner["backend"] == "blocked"  # the engine's kernel
 
     def test_batch_and_topk_protocol_lines(self, bundle_path, monkeypatch, capsys):
         from repro.api import QueryEngine
