@@ -25,7 +25,7 @@ Two subcommands around one ``repro serve --index`` session:
       strictly increasing epoch;
     * the final ``BATCH`` block is **bit-identical** to the offline cold
       rebuild — the incremental-maintenance guarantee, end to end, for
-      the walk tensor and for the step tables and ``SO`` matrix each
+      the walks and step offsets and for the ``SO`` matrix each
       generation swap carries over;
     * the closing HEALTH snapshot reports every mutation applied.
 """

@@ -471,19 +471,21 @@ class QueryEngine:
         self.measure = measure_from_artifact(artifact, self.graph)
         if self.method == "mc":
             walks = artifact.arrays.get("walks")
-            if walks is None:
+            offsets = artifact.arrays.get("offsets")
+            if walks is None or offsets is None:
                 raise StoreError(
                     f"artifact at {artifact.path} stores no walk tensor "
                     f"(was it built with method='mc'?)"
                 )
             tables = None
             if all(name in artifact.arrays for name, _ in PROPOSAL_ARRAYS):
-                tables = _TransitionTables.from_arrays(
-                    *(artifact.arrays[name] for name, _ in PROPOSAL_ARRAYS)
-                )
+                tables = _TransitionTables.from_arrays(**{
+                    slot: artifact.arrays[name] for name, slot in PROPOSAL_ARRAYS
+                })
             self.walk_index = WalkIndex.from_arrays(
                 self.graph,
                 walks,
+                offsets=offsets,
                 num_walks=self.num_walks,
                 length=self.length,
                 policy=self.policy,
@@ -491,11 +493,7 @@ class QueryEngine:
             )
             self.estimator = self._mc_estimator()
             if self.measure is not None:
-                self.estimator.attach_precomputed(
-                    so_matrix=artifact.arrays.get("so_matrix"),
-                    step_weights=artifact.arrays.get("step_weights"),
-                    step_q=artifact.arrays.get("step_q"),
-                )
+                self.estimator.attach_precomputed(artifact.arrays.get("so_matrix"))
             self.stats = self.estimator.stats
         else:
             scores = artifact.arrays.get("scores")
@@ -676,12 +674,12 @@ class QueryEngine:
         """Return a new engine with *mutations* applied; this one is untouched.
 
         Copy-on-write: the clone promotes its own
-        :class:`~repro.core.dynamic.DynamicWalkIndex` around a copied walk
-        tensor and graph, so queries in flight against this engine keep a
-        consistent snapshot.  Each mutation is a ``(kind, *args)`` tuple as
-        accepted by :meth:`apply_mutation`.  The clone's estimator is built
-        once, after the last mutation, from this engine's estimator (see
-        :meth:`~repro.core.montecarlo.MonteCarloSemSim.carry_tables`).
+        :class:`~repro.core.dynamic.DynamicWalkIndex` around copied walk and
+        offset tensors and graph, so queries in flight against this engine
+        keep a consistent snapshot.  Each mutation is a ``(kind, *args)``
+        tuple as accepted by :meth:`apply_mutation`.  The clone's estimator
+        is built once, after the last mutation, from this engine's estimator
+        (see :meth:`~repro.core.montecarlo.MonteCarloSemSim.carry_tables`).
         This is the building block of the serve layer's atomic generation
         swap.
         """
@@ -814,7 +812,7 @@ class QueryEngine:
         Estimators snapshot edge weights at construction; after a mutation
         the old one raises :class:`~repro.errors.StaleIndexError`, so the
         engine swaps in a fresh one recording the new epoch.  A SemSim
-        estimator carries its tables over from the one it replaces, and
+        estimator carries its ``SO`` over from the one it replaces, and
         the index's change record restarts, so the next refresh carries
         from this one.  ``stats`` restarts with it (the registry mirror
         keeps the running totals).

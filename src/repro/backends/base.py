@@ -3,8 +3,9 @@
 The Monte-Carlo hot paths — the batched likelihood-ratio walk scores of
 Algorithm 1 and the classical ``c^tau`` SimRank reduction — are pure
 array kernels: every input they need is prepared by the estimator (walk
-tensors, per-step ``W``/``Q`` tables, the dense semantic matrix, meeting
-times) and every output is a plain array plus a handful of work counters.
+tensors and their step offsets, per-edge ``W``/``Q`` arrays, the dense
+semantic matrix, meeting times) and every output is a plain array plus a
+handful of work counters.
 :class:`ComputeBackend` pins that contract down.  The library ships one
 implementation, :class:`~repro.backends.blocked.BlockedBackend`
 (``"blocked"``); the stacked-array reference it is held to bit for bit
@@ -60,18 +61,22 @@ class WalkScoreRequest:
     one call can score pairs from many sources.  Rows of the kernel's
     intermediate planes are the met coupled walks, enumerated exactly as
     ``np.nonzero(meetings >= 1)`` (C order), and each row reads only its
-    own pair's walks; *so_lookup*, when given, replaces the dense
+    own pair's walks.  A step from node ``c`` with offset ``o`` took the
+    in-edge at slot ``indptr[c] + o`` of the per-edge *weights* (``W``)
+    and *q* (``Q``).  *so_lookup*, when given, replaces the dense
     *so_matrix* with a per-pair callable (the SLING ``pair_index`` path)
     and owns its own evaluation counting.
     """
 
     walks: np.ndarray                 # (n, n_w, L + 1) node positions, -1 padded
+    offsets: np.ndarray               # (n, n_w, L) in-edge offset per step, -1 padded
+    indptr: np.ndarray                # (n + 1,) CSR row starts of the in-edges
+    weights: np.ndarray               # (edges,) edge weight W per in-edge
+    q: np.ndarray                     # (edges,) proposal probability Q per in-edge
     pos_u: np.ndarray                 # (m,) source node position per pair
     positions: np.ndarray             # (m,) candidate node position per pair
     meetings: np.ndarray              # (m, n_w) first-meeting steps, -1 = never
     sem_matrix: np.ndarray            # (n, n) dense semantic matrix
-    step_weights: np.ndarray          # (n, n_w, L) per-step edge weights W
-    step_q: np.ndarray                # (n, n_w, L) per-step proposal probs Q
     decay: float
     theta: float | None
     so_matrix: np.ndarray | None = None

@@ -13,25 +13,29 @@ three observations about where a stacked-array kernel spends its time:
   — and the per-step node-pair key plane ``walk_u * n + walk_v`` is
   computed **once** and serves *both* element gathers: sliced ``[:, 1:]``
   it addresses the semantic numerators, sliced ``[:, :k]`` the SO
-  denominators.
+  denominators.  Each side's in-edge plane ``indptr[walk] + offset``
+  addresses the small per-edge ``W`` and ``Q`` arrays, which stay
+  cache-resident.
 * **Everything per block.**  The met walks are processed
-  ``config.block_rows`` rows at a time, gathers included: walk rows,
-  ``W``/``Q`` rows, the key plane and the ``sem``/``SO`` cells of one
-  block land in thread-local scratch planes (serving workers share one
-  estimator, so scratch must be per-thread), the multiply/divide/cumprod
-  chain runs over them in place, and the next block reuses them.  The
-  working set stays cache-resident, and the scratch a thread keeps never
-  exceeds ``block_rows`` rows whatever the size of a request.
+  ``config.block_rows`` rows at a time, gathers included: walk and
+  offset rows, the key and in-edge planes, the ``W``/``Q`` and
+  ``sem``/``SO`` cells of one block land in thread-local scratch planes
+  (serving workers share one estimator, so scratch must be per-thread),
+  the multiply/divide/cumprod chain runs over them in place, and the
+  next block reuses them.  The working set stays cache-resident, and the
+  scratch a thread keeps never exceeds ``block_rows`` rows whatever the
+  size of a request.
 * **Fused masks.**  The active/zero masks are three boolean planes
   written in place with ``np.copyto(..., where=...)``, so the
   steady-state block loop allocates almost nothing plane-sized.
 
 Bit-identity argument: ``take`` fetches exactly the
-floats fancy indexing fetches, whichever rows a block holds; the key
-plane is integer arithmetic (``walk_u * n + walk_v`` in int64 — exact, no
-rounding); every per-step value is a pure elementwise function of its
-own row's inputs; the mask writes set exactly the cells the stacked
-form's boolean assignments set; and the cumprod runs per row — so
+floats fancy indexing fetches, whichever rows a block holds; the key and
+in-edge planes are integer arithmetic (``walk_u * n + walk_v`` and
+``indptr[walk] + offset`` in int64 — exact, no rounding); every per-step
+value is a pure elementwise function of its own row's inputs; the mask
+writes set exactly the cells the stacked form's boolean assignments set;
+and the cumprod runs per row — so
 neither the gather style nor the block boundaries can change a single
 intermediate float.  The only order-sensitive operation is the per-pair
 summation; blocks keep the rows in their original order and one global
@@ -51,8 +55,9 @@ from repro.backends.base import (
     resolve_so_plane,
 )
 
-# float64 planes: factor, SO, q_step, running product, two row gathers;
-# then the int64 key plane and three bool masks (active, bad, scratch).
+# float64 planes: factor, SO, q_step, running product, two W/Q gathers;
+# then the int64 key and in-edge planes, the int32 offset rows and three
+# bool masks (active, bad, scratch).
 _FLOAT_PLANES = 6
 _BOOL_PLANES = 3
 
@@ -86,7 +91,8 @@ class BlockedBackend(ComputeBackend):
         shape = (rows, width)
         planes = (
             tuple(np.empty(shape, dtype=np.float64) for _ in range(_FLOAT_PLANES))
-            + (np.empty(shape, dtype=np.int64),)
+            + (np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64))
+            + (np.empty(shape, dtype=np.int32),)
             + tuple(np.empty(shape, dtype=bool) for _ in range(_BOOL_PLANES))
         )
         self._scratch.planes = planes
@@ -117,15 +123,14 @@ class BlockedBackend(ComputeBackend):
         flat_u = request.pos_u[rows_pair] * n_w + rows_walk
         flat_v = request.positions[rows_pair] * n_w + rows_walk
         flat_walks = walks.reshape(-1, width1)
-        flat_w = request.step_weights.reshape(-1, width)
-        flat_q = request.step_q.reshape(-1, width)
+        flat_offsets = request.offsets.reshape(-1, width)
+        indptr, weights, q = request.indptr, request.weights, request.q
         # dense SO: one evaluation per step before each meeting
         so_evaluations = int(met_at.sum()) if so_lookup is None else 0
 
         block = min(self.config.block_rows, n_rows)
-        f_s, so_s, q_s, run_s, ga_s, gb_s, key_s, act_s, bad_s, tmp_s = (
-            self._buffers(block, width1)
-        )
+        (f_s, so_s, q_s, run_s, ga_s, gb_s, key_s, edge_s, off_s,
+         act_s, bad_s, tmp_s) = self._buffers(block, width1)
         totals_rows = np.empty(n_rows, dtype=np.float64)
         step_ids = np.arange(max_k)
         row_ids_full = np.arange(block)
@@ -133,8 +138,9 @@ class BlockedBackend(ComputeBackend):
         # Every gather, the chain and the masks run over one block of rows
         # at a time (rows stay in original order) in this thread's scratch.
         # Cells at or past a walk's meeting hold garbage (a dead walk's -1
-        # step gives a negative key, which mode="wrap" reads like any other
-        # cell); every read of them is masked by the active plane below.
+        # step or offset gives a negative key or slot, which mode="wrap"
+        # reads like any other cell); every read of them is masked by the
+        # active plane below.
         with np.errstate(divide="ignore", invalid="ignore"):
             for s in range(0, n_rows, block):
                 e = min(s + block, n_rows)
@@ -146,9 +152,11 @@ class BlockedBackend(ComputeBackend):
                 sob = _carve(so_s, b, max_k)
                 qb = _carve(q_s, b, max_k)
                 runb = _carve(run_s, b, max_k)
-                gab = _carve(ga_s, b, width)
-                gbb = _carve(gb_s, b, width)
+                gab = _carve(ga_s, b, max_k)
+                gbb = _carve(gb_s, b, max_k)
                 keys = _carve(key_s, b, max_k + 1)
+                edges = _carve(edge_s, b, max_k)
+                offs = _carve(off_s, b, width)
                 actb = _carve(act_s, b, max_k)
                 badb = _carve(bad_s, b, max_k)
                 tmpb = _carve(tmp_s, b, max_k)
@@ -175,14 +183,16 @@ class BlockedBackend(ComputeBackend):
                     )
 
                 # The scalar chain — ((sem * w_u) * w_v / so) * c /
-                # (q_u * q_v) — in place, one row gather at a time.
-                np.take(flat_w, fu, axis=0, out=gab, mode="wrap")
-                np.multiply(fb, gab[:, :max_k], out=fb)
-                np.take(flat_w, fv, axis=0, out=gab, mode="wrap")
-                np.multiply(fb, gab[:, :max_k], out=fb)
-                np.take(flat_q, fu, axis=0, out=gab, mode="wrap")
-                np.take(flat_q, fv, axis=0, out=gbb, mode="wrap")
-                np.multiply(gab[:, :max_k], gbb[:, :max_k], out=qb)
+                # (q_u * q_v) — in place, W and Q read one side at a time
+                # at each step's in-edge slot indptr[current] + offset.
+                for walk_rows, flat, q_out in ((walk_u, fu, qb), (walk_v, fv, gbb)):
+                    np.take(indptr, walk_rows[:, :max_k], out=edges, mode="wrap")
+                    np.take(flat_offsets, flat, axis=0, out=offs, mode="wrap")
+                    np.add(edges, offs[:, :max_k], out=edges)
+                    np.take(weights, edges, out=gab, mode="wrap")
+                    np.multiply(fb, gab, out=fb)
+                    np.take(q, edges, out=q_out, mode="wrap")
+                np.multiply(qb, gbb, out=qb)
                 np.divide(fb, sob, out=fb)
                 np.multiply(fb, decay, out=fb)
                 np.divide(fb, qb, out=fb)

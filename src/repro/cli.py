@@ -280,8 +280,8 @@ _SERVE_DONE = object()
 #: glibc ``mallopt`` parameter numbers (``malloc.h``).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-#: A server retires whole generations of multi-MiB arrays (the walk tensor,
-#: the step tables, ``sem``/``SO`` and every swap's copies of them).  glibc's
+#: A server retires whole generations of multi-MiB arrays (the walk and
+#: offset tensors, ``sem``/``SO`` and every swap's copies of them).  glibc's
 #: dynamic mmap threshold rises each time such a mapped block is freed, so
 #: later generations land in the heap and stay there after retirement.
 #: Mapping every block of 4 MiB and up returns each one to the OS when it is

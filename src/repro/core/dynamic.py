@@ -18,7 +18,8 @@ demand (:func:`~repro.utils.rng.spawn_suffix_draws`), including for nodes
 appended after the initial build.  Repair after a mutation therefore
 recompiles the transition tables, finds every row whose compiled stepping
 data changed **bitwise**, and re-steps affected walk suffixes with the
-regenerated draws through the same vectorised ``tables.step`` arithmetic.  The maintained tensor is *bit-identical* to
+regenerated draws through the same vectorised ``tables.step`` arithmetic.
+The maintained walks and step offsets are *bit-identical* to
 ``WalkIndex(mutated_graph, seed=seed)`` — the property
 ``tests/properties/test_dynamic_identity.py`` proves under randomized
 mutation schedules.
@@ -32,12 +33,13 @@ mutated node's row changed) keeps the identity exact for every policy.
 Each successful mutation increments :attr:`DynamicWalkIndex.epoch`.
 Estimators record the epoch at construction and raise
 :class:`~repro.errors.StaleIndexError` when queried across a mutation —
-they snapshot edge weights, so they are recreated after updates.  To
-keep that cheap the index also keeps a **change record** since a given
-epoch (:meth:`DynamicWalkIndex.changes_since`): the walks whose per-step
-data may differ and the rows whose in-edges changed.  An estimator built
-on the new epoch copies its predecessor's per-step tables and ``SO``
-matrix and recomputes only what the record names.
+they snapshot edge weights, so they are recreated after updates.  A
+walk step's ``W`` and ``Q`` are read through its offset from the current
+transition tables, so nothing per step outlives a mutation.  What does is
+the ``SO`` matrix; to keep it cheap the index keeps a **change record**
+since a given epoch (:meth:`DynamicWalkIndex.changes_since`): the rows
+whose in-edges changed.  An estimator built on the new epoch copies its
+predecessor's ``SO`` and recomputes only those rows and columns.
 """
 
 from __future__ import annotations
@@ -155,7 +157,8 @@ class DynamicWalkIndex:
     ) -> "DynamicWalkIndex":
         """Promote an existing index to a mutable one without resampling.
 
-        The walk tensor and graph are **copied**, so *walk_index* keeps
+        The walk and offset tensors and the graph are **copied**, so
+        *walk_index* keeps
         serving unchanged — this is the copy-on-write entry point behind
         the serve layer's generation swaps.  The source's graph snapshot
         and transition tables are shared, not recompiled: both are
@@ -184,10 +187,10 @@ class DynamicWalkIndex:
         dynamic = cls.__new__(cls)
         dynamic._entropy = entropy
         dynamic.graph = source.graph.copy()
-        walks = np.array(source.walks, dtype=source.walks.dtype, copy=True)
         dynamic._inner = WalkIndex.from_arrays(
             dynamic.graph,
-            walks,
+            np.array(source.walks, copy=True),
+            offsets=np.array(source.offsets, copy=True),
             num_walks=source.num_walks,
             length=source.length,
             policy=source.policy,
@@ -284,29 +287,23 @@ class DynamicWalkIndex:
     # ------------------------------------------------------------------
     # Change record — what an estimator rebuilds after a generation swap
     # ------------------------------------------------------------------
-    def changes_since(self, epoch: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Walks and rows changed since *epoch*, or ``None`` if unrecorded.
+    def changes_since(self, epoch: int) -> np.ndarray | None:
+        """Rows changed since *epoch*, or ``None`` if unrecorded.
 
-        Returns ``(walks, rows)``: an ``(n, num_walks)`` mask of every walk
-        that visited, at an offset below :attr:`length`, a row whose
-        transition data or in-edges changed — the per-step edge weight and
-        proposal odds along any other walk are as they were at *epoch* —
-        and an ``(n,)`` mask of the nodes whose in-edges or in-weights
+        Returns an ``(n,)`` mask of the nodes whose in-edges or in-weights
         changed.  The record starts at construction, at promotion and at
         every :meth:`restart_changes`; for any other *epoch* nothing is
-        known and the answer is ``None``.  The masks are live: read them
+        known and the answer is ``None``.  The mask is live: read it
         before the next mutation.
         """
         if epoch != self._changes_epoch:
             return None
-        return self._changed_walks, self._changed_in_rows
+        return self._changed_in_rows
 
     def restart_changes(self) -> None:
         """Start an empty change record at the current :attr:`epoch`."""
-        n = self._inner.index.num_nodes
         self._changes_epoch = self.epoch
-        self._changed_walks = np.zeros((n, self.num_walks), dtype=bool)
-        self._changed_in_rows = np.zeros(n, dtype=bool)
+        self._changed_in_rows = np.zeros(self._inner.index.num_nodes, dtype=bool)
 
     # ------------------------------------------------------------------
     # Internals
@@ -325,8 +322,10 @@ class DynamicWalkIndex:
         new_tables = _TransitionTables(index, self.policy)
         self._inner._tables = new_tables
         self._grow_for(new_nodes, old_count)
-        rows = [index.position[target], *range(old_count, index.num_nodes)]
-        resampled = self._repair(old_tables, new_tables, rows)
+        self._changed_in_rows[
+            [index.position[target], *range(old_count, index.num_nodes)]
+        ] = True
+        resampled = self._repair(old_tables, new_tables)
         self.epoch += 1
         self.updates_applied += 1
         self.walks_resampled += resampled
@@ -334,7 +333,7 @@ class DynamicWalkIndex:
         return resampled
 
     def _grow_for(self, new_nodes, old_count: int) -> None:
-        """Extend the tensor with start-only rows for appended nodes.
+        """Extend the tensors with start-only rows for appended nodes.
 
         Their remaining steps are filled by :meth:`_repair` — a brand-new
         row is always a bitwise-changed row, so the generic re-step pass
@@ -342,69 +341,57 @@ class DynamicWalkIndex:
         """
         if not new_nodes:
             return
-        walks = self._inner.walks
-        grown = np.full(
-            (old_count + len(new_nodes), self.num_walks, self.length + 1),
-            -1,
-            dtype=walks.dtype,
+        inner = self._inner
+        count = old_count + len(new_nodes)
+        walks = np.full(
+            (count, self.num_walks, self.length + 1), -1, dtype=inner.walks.dtype
         )
-        grown[:old_count] = walks
+        offsets = np.full(
+            (count, self.num_walks, self.length), -1, dtype=inner.offsets.dtype
+        )
+        walks[:old_count] = inner.walks
+        offsets[:old_count] = inner.offsets
         for offset, node in enumerate(new_nodes):
-            position = self._inner.index.position[node]
+            position = inner.index.position[node]
             # Appended nodes land at the end of insertion order, so a fresh
             # build spawns the same per-node draw stream at this position.
             assert position == old_count + offset
-            grown[position, :, 0] = position
-        self._inner.walks = grown
-        # Appended rows enter the change record through _repair.
-        added = len(new_nodes)
-        self._changed_walks = np.concatenate(
-            (self._changed_walks, np.zeros((added, self.num_walks), dtype=bool))
-        )
+            walks[position, :, 0] = position
+        inner.walks, inner.offsets = walks, offsets
         self._changed_in_rows = np.concatenate(
-            (self._changed_in_rows, np.zeros(added, dtype=bool))
+            (self._changed_in_rows, np.zeros(len(new_nodes), dtype=bool))
         )
 
-    def _repair(self, old_tables, new_tables, rows) -> int:
+    def _repair(self, old_tables, new_tables) -> int:
         """Re-step every walk whose remaining path could differ; return count.
 
-        Also extends the change record with *rows* (the positions whose
-        in-edges changed) and with every walk that visits, below offset
-        ``length``, a row whose transition data changed or one of *rows*.
-        A walk's step weights and proposal odds read only the rows it
-        stands on, so no other walk's per-step data moved.
+        A walk is re-stepped from its first visit, below offset
+        :attr:`length`, to a row whose transition data changed.  Every
+        other walk keeps its steps and their offsets, which still name the
+        same in-edges of the new tables.
 
         The visit scan reads only the tensor cells whose node lies between
-        the lowest and the highest flagged position (one node under the
+        the lowest and the highest changed position (one node under the
         uniform policy; under the weighted policy an ulp shift of the
         global ``cumsum`` can flag rows far apart, and the range widens).
         """
         changed = _changed_rows(old_tables, new_tables)
-        self._changed_in_rows[rows] = True
-        # Bit 1: transition data changed (visitors are re-stepped); bit 2:
-        # in-edges changed.
-        flags = np.zeros(changed.size, dtype=np.uint8)
-        flags[changed] = 1
-        flags[rows] |= 2
-        flagged = np.flatnonzero(flags)
+        flagged = np.flatnonzero(changed)
+        if flagged.size == 0:
+            return 0
         lo, hi = int(flagged[0]), int(flagged[-1])
         # Dead steps (-1) fall below lo.  Hits ascend, so each walk's hits
         # are contiguous and in offset order.
         flat = self._inner.walks.reshape(-1)
         cells = np.flatnonzero((flat >= lo) & (flat <= hi))
-        bits = flags[flat[cells]]
-        hit = bits != 0
-        walk_flat, offsets = np.divmod(cells[hit], self.length + 1)
-        bits = bits[hit]
+        cells = cells[changed[flat[cells]]]
+        walk_flat, offsets = np.divmod(cells, self.length + 1)
         # A visit at the final offset has no outgoing step.
         inner = offsets < self.length
-        walk_flat, offsets, bits = walk_flat[inner], offsets[inner], bits[inner]
-        self._changed_walks.reshape(-1)[walk_flat] = True
-        restep = (bits & 1) == 1
-        walk_flat, offsets = walk_flat[restep], offsets[restep]
+        walk_flat, offsets = walk_flat[inner], offsets[inner]
         if walk_flat.size == 0:
             return 0
-        # Each walk re-steps from its first bit-1 visit.
+        # Each walk re-steps from its first visit.
         first = np.ones(walk_flat.size, dtype=bool)
         first[1:] = walk_flat[1:] != walk_flat[:-1]
         node_ids, walk_ids = np.divmod(walk_flat[first], self.num_walks)
@@ -419,10 +406,11 @@ class DynamicWalkIndex:
         Mirrors :meth:`WalkIndex._sample_shard` step for step — the same
         per-node draw streams (drawn only for the re-stepped suffixes, by
         :func:`~repro.utils.rng.spawn_suffix_draws`) and the same
-        ``tables.step`` arithmetic — so the repaired suffix is bitwise what
-        a fresh build would sample.
+        ``tables.step`` arithmetic — so the repaired suffix and its offsets
+        are bitwise what a fresh build would sample.
         """
         walks = self._inner.walks
+        step_offsets = self._inner.offsets
         tables = self._inner.tables
         degrees = tables.degrees
         draws = spawn_suffix_draws(
@@ -433,16 +421,19 @@ class DynamicWalkIndex:
             active = np.flatnonzero(starts <= step)
             cur = current[active]
             nxt = np.full(active.size, -1, dtype=np.int64)
+            offset = np.full(active.size, -1, dtype=np.int64)
             movable = np.flatnonzero(cur >= 0)
             if movable.size:
                 nodes_here = cur[movable]
                 live = degrees[nodes_here] > 0
                 movable = movable[live]
                 if movable.size:
-                    nxt[movable] = tables.step(
-                        nodes_here[live], draws[active[movable], step]
-                    )
+                    nodes_here = nodes_here[live]
+                    slots = tables.step(nodes_here, draws[active[movable], step])
+                    nxt[movable] = tables.targets[slots]
+                    offset[movable] = slots - tables.indptr[nodes_here]
             walks[node_ids[active], walk_ids[active], step + 1] = nxt
+            step_offsets[node_ids[active], walk_ids[active], step] = offset
             current[active] = nxt
 
     def __repr__(self) -> str:

@@ -61,9 +61,9 @@ from repro.core.metrics import (
     ESTIMATOR_TABLES_BUILT,
 )
 from repro.core.params import validate_decay, validate_theta
-from repro.core.walk_index import WalkIndex, WalkPolicy
+from repro.core.walk_index import WalkIndex
 from repro.errors import ConfigurationError, StaleIndexError
-from repro.hin.graph import Node
+from repro.hin.graph import GraphIndex, Node
 from repro.obs.registry import get_registry, is_enabled
 from repro.semantics.base import SemanticMeasure
 from repro.semantics.cache import MatrixMeasure
@@ -395,34 +395,22 @@ class MonteCarloSemSim:
         self.backend = resolve_backend(backend)
         self.stats = EstimatorStats(method="mc", estimator="semsim")
         self._accuracy = AccuracyGauges("semsim")
-        graph_index = walk_index.index
-        self._nodes = graph_index.nodes
-        self._in_lists = graph_index.in_lists
-        self._in_weights = graph_index.in_weights
-        # weight_to[v][a] = W(a, v) for O(1) edge-weight lookups by position;
-        # only the per-walk loop reads it, so it is built on that loop's
-        # first run (see _walk_score).
-        self._weight_to: list[dict[int, float]] | None = None
+        self._graph_index = walk_index.index
+        self._nodes = self._graph_index.nodes
         # Fast path: a MatrixMeasure whose node order matches the index lets
         # the O(d²) SO sum collapse to one vectorised bilinear form, and is
         # what unlocks the fully vectorised batch path below.
         self._sem_matrix: np.ndarray | None = None
         if isinstance(measure, MatrixMeasure) and measure.nodes == list(self._nodes):
             self._sem_matrix = measure.matrix
-        # Lazy batch lookup tables (edge-weight keys, Q normalisers) and
         # SO caches: the dense matrix for the MatrixMeasure fast path (built
         # once as W sem Wᵀ, read by scalar and batch alike so the two paths
         # always see bit-identical denominators), the dict for lazy measures.
-        self._edge_keys: np.ndarray | None = None
-        self._edge_weights: np.ndarray | None = None
+        # A walk step's W and Q need no table of their own: both read the
+        # per-edge arrays of the walk index's transition tables through the
+        # step's offset.
         self._so_matrix: np.ndarray | None = None
         self._so_cache: dict[tuple[int, int], float] = {}
-        # Per-(node, walk, step) edge weight and proposal probability along
-        # the stored walks — gathered once per epoch of the walk index and
-        # reused by every batch query (carry_tables builds them from the
-        # previous epoch's estimator instead).
-        self._step_weights: np.ndarray | None = None
-        self._step_q: np.ndarray | None = None
         # Everything above snapshots the graph as of now; a later index
         # mutation invalidates it, detected via the epoch check below.
         self._epoch = int(getattr(walk_index, "epoch", 0))
@@ -435,83 +423,55 @@ class MonteCarloSemSim:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def attach_precomputed(
-        self,
-        so_matrix: np.ndarray | None = None,
-        step_weights: np.ndarray | None = None,
-        step_q: np.ndarray | None = None,
-    ) -> None:
-        """Adopt preprocessing tables computed by a previous run.
+    def attach_precomputed(self, so_matrix: np.ndarray | None) -> None:
+        """Adopt the ``SO`` table a previous run computed, if there is one.
 
-        The artifact store's warm-start path hands back the exact arrays a
-        cold build produced (typically as read-only memmaps), so queries
-        against them are bit-identical to a fresh build while skipping the
-        ``SO = W sem Wᵀ`` products and the per-step gathers entirely.
-        Shapes are validated against this estimator's walk index; a table
-        that does not fit raises :class:`ConfigurationError`.
+        The artifact store's warm-start path hands back the exact array a
+        cold build produced (typically a read-only memmap), so queries
+        against it are bit-identical to a fresh build while skipping the
+        ``SO = W sem Wᵀ`` products.  A table whose shape does not fit this
+        estimator's nodes raises :class:`ConfigurationError`.
         """
+        if so_matrix is None:
+            return
         n = len(self._nodes)
-        steps_shape = (n, self.walk_index.num_walks, self.walk_index.length)
-        if so_matrix is not None:
-            if so_matrix.shape != (n, n):
-                raise ConfigurationError(
-                    f"precomputed SO matrix shape {so_matrix.shape} does not "
-                    f"match {n} nodes"
-                )
-            self._so_matrix = so_matrix
-        for name, table in (("step_weights", step_weights), ("step_q", step_q)):
-            if table is not None and table.shape != steps_shape:
-                raise ConfigurationError(
-                    f"precomputed {name} shape {table.shape} does not match "
-                    f"the walk tensor (expected {steps_shape})"
-                )
-        if step_weights is not None:
-            self._step_weights = step_weights
-        if step_q is not None:
-            self._step_q = step_q
+        if so_matrix.shape != (n, n):
+            raise ConfigurationError(
+                f"precomputed SO matrix shape {so_matrix.shape} does not "
+                f"match {n} nodes"
+            )
+        self._so_matrix = so_matrix
 
     def carry_tables(self, predecessor: "MonteCarloSemSim") -> None:
-        """Build this estimator's tables from *predecessor*'s where possible.
+        """Build this estimator's ``SO`` from *predecessor*'s where possible.
 
         *predecessor* is the estimator of the generation this walk index
         was mutated from.  When the index's change record
         (:meth:`~repro.core.dynamic.DynamicWalkIndex.changes_since`) starts
-        at the predecessor's epoch and the node count is unchanged, every
-        table the predecessor has built is copied and patched: the step
-        tables recompute only the recorded walks, ``SO`` only the rows and
-        columns of the nodes whose in-edges changed.  Each entry goes
-        through the same arithmetic as a cold build, so the tables are
-        bit-identical to one.  Otherwise nothing is carried and the tables
-        are built in full on first use, as for a fresh estimator.
+        at the predecessor's epoch, the node count is unchanged and both
+        read one semantic matrix, a built ``SO`` is copied and only the
+        rows and columns of the nodes whose in-edges changed are
+        recomputed, through the same arithmetic as a cold build — so the
+        table is bit-identical to one.  Otherwise nothing is carried and
+        ``SO`` is built in full on first use, as for a fresh estimator.
         """
         changes_since = getattr(self.walk_index, "changes_since", None)
-        record = changes_since(predecessor._epoch) if changes_since else None
-        if record is None or len(predecessor._nodes) != len(self._nodes):
-            return
-        walks, rows = record
-        # Read _step_q first: it is set last (see _ensure_step_tables).
-        step_q = predecessor._step_q
-        if step_q is not None:
-            step_weights = np.array(predecessor._step_weights)
-            step_q = np.array(step_q)
-            node_ids, walk_ids = np.nonzero(walks)
-            step_weights[node_ids, walk_ids], step_q[node_ids, walk_ids] = (
-                self._step_entries(self.walk_index.walks[node_ids, walk_ids])
-            )
-            self._step_weights, self._step_q = step_weights, step_q
-            _count_tables_built("carried")
+        rows = changes_since(predecessor._epoch) if changes_since else None
         so_matrix = predecessor._so_matrix
         if (
-            so_matrix is not None
-            and self._sem_matrix is not None
-            and predecessor._sem_matrix is self._sem_matrix
+            rows is None
+            or so_matrix is None
+            or len(predecessor._nodes) != len(self._nodes)
+            or self._sem_matrix is None
+            or predecessor._sem_matrix is not self._sem_matrix
         ):
-            so_matrix = np.array(so_matrix)
-            changed = np.flatnonzero(rows)
-            if changed.size:
-                self._patch_so(so_matrix, changed)
-            self._so_matrix = so_matrix
-            _count_tables_built("carried")
+            return
+        so_matrix = np.array(so_matrix)
+        changed = np.flatnonzero(rows)
+        if changed.size:
+            self._patch_so(so_matrix, changed)
+        self._so_matrix = so_matrix
+        _count_tables_built("carried")
 
     def similarity(self, u: Node, v: Node) -> float:
         """Return the Algorithm-1 estimate of ``sim(u, v)``."""
@@ -573,16 +533,16 @@ class MonteCarloSemSim:
         if self.theta is not None and sem_uv <= self.theta:
             self.stats.add(sem_gate_hits=1)
             return 0.0, None, None, None
-        walks_u = self.walk_index.walks_from(u)
-        walks_v = self.walk_index.walks_from(v)
-        meetings = self.walk_index.first_meetings(u, v)
-        contributions = np.zeros(self.walk_index.num_walks)
+        index = self.walk_index
+        pos_u, pos_v = index.node_position(u), index.node_position(v)
+        meetings = index.first_meetings(u, v)
+        contributions = np.zeros(index.num_walks)
         total = 0.0
         met = so_evals = pruned = 0
         for walk_id in np.flatnonzero(meetings >= 0):
             met += 1
             score, evals, cut = self._walk_score(
-                walks_u[walk_id], walks_v[walk_id], int(meetings[walk_id])
+                pos_u, pos_v, int(walk_id), int(meetings[walk_id])
             )
             contributions[walk_id] = score
             total += score
@@ -595,42 +555,48 @@ class MonteCarloSemSim:
         return None, sem_uv, total, contributions
 
     def _walk_score(
-        self, walk_u: np.ndarray, walk_v: np.ndarray, meeting: int
+        self, pos_u: int, pos_v: int, walk_id: int, meeting: int
     ) -> tuple[float, int, int]:
         """Likelihood-ratio score of one met coupled walk (Def. 4.5).
 
-        Returns ``(score, so_evaluations, pruned)`` so the per-step loop
-        stays free of stats bookkeeping — callers fold the tallies into
-        :class:`EstimatorStats` once per public query, which is what keeps
-        the registry-mirrored counters off this hot path.
+        Scores walk *walk_id* of the pair ``(pos_u, pos_v)``, which first
+        meets at step *meeting*.  Returns ``(score, so_evaluations,
+        pruned)`` so the per-step loop stays free of stats bookkeeping —
+        callers fold the tallies into :class:`EstimatorStats` once per
+        public query, which is what keeps the registry-mirrored counters
+        off this hot path.
         """
-        weight_to = self._weight_to
-        if weight_to is None:
-            weight_to = self._weight_to = [
-                dict(zip(map(int, in_list), map(float, in_weights)))
-                for in_list, in_weights in zip(self._in_lists, self._in_weights)
-            ]
+        index = self.walk_index
+        tables = index.tables
+
+        def side(pos: int) -> tuple[list, list, list]:
+            # The walk up to the meeting, and W and Q of each step read at
+            # its in-edge's slot ``indptr[current] + offset``.
+            walk = index.walks[pos, walk_id, : meeting + 1]
+            edges = tables.indptr[walk[:-1]] + index.offsets[pos, walk_id, :meeting]
+            return (
+                walk.tolist(), tables.weights[edges].tolist(),
+                tables.q[edges].tolist(),
+            )
+
+        walk_u, w_u, q_u = side(pos_u)
+        walk_v, w_v, q_v = side(pos_v)
         score = 1.0
         so_evals = 0
         for step in range(meeting):
-            current_u = int(walk_u[step])
-            current_v = int(walk_v[step])
-            next_u = int(walk_u[step + 1])
-            next_v = int(walk_v[step + 1])
             numerator = (
-                self.measure.similarity(self._nodes[next_u], self._nodes[next_v])
-                * weight_to[current_u][next_u]
-                * weight_to[current_v][next_v]
+                self.measure.similarity(
+                    self._nodes[walk_u[step + 1]], self._nodes[walk_v[step + 1]]
+                )
+                * w_u[step]
+                * w_v[step]
             )
-            so, fresh = self._so_value(current_u, current_v)
+            so, fresh = self._so_value(walk_u[step], walk_v[step])
             so_evals += fresh
             if so <= 0:
                 return 0.0, so_evals, 0
             p_step = numerator / so
-            q_step = (
-                self.walk_index.q_step_probability(current_u, next_u)
-                * self.walk_index.q_step_probability(current_v, next_v)
-            )
+            q_step = q_u[step] * q_v[step]
             if q_step <= 0:
                 return 0.0, so_evals, 0
             score *= p_step * self.decay / q_step
@@ -660,18 +626,7 @@ class MonteCarloSemSim:
         if self._sem_matrix is not None:
             self._ensure_so_matrix()
             return float(self._so_matrix[pos_u, pos_v]), 1
-        neighbours_u = self._in_lists[pos_u]
-        neighbours_v = self._in_lists[pos_v]
-        weights_u = self._in_weights[pos_u]
-        weights_v = self._in_weights[pos_v]
-        total = 0.0
-        nodes = self._nodes
-        similarity = self.measure.similarity
-        for a, wa in zip(neighbours_u, weights_u):
-            node_a = nodes[int(a)]
-            for b, wb in zip(neighbours_v, weights_v):
-                total += wa * wb * similarity(node_a, nodes[int(b)])
-        return float(total), 1
+        return so_sum(self._graph_index, self.measure, pos_u, pos_v), 1
 
     # ------------------------------------------------------------------
     # Internals — vectorised batch path
@@ -738,28 +693,17 @@ class MonteCarloSemSim:
         scores[active_idx] = sem[active_idx] * totals / index.num_walks
         return scores
 
-    def _in_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every edge as ``(rows, cols, weights)``, ``cols[k] -> rows[k]``.
-
-        Row-major over the index's in-lists: the COO form of ``W``.
-        """
-        n = len(self._nodes)
-        if n == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty(0, dtype=np.float64)
-        degrees = np.fromiter(
-            (lst.size for lst in self._in_lists), dtype=np.int64, count=n
-        )
-        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        cols = np.concatenate(self._in_lists).astype(np.int64)
-        weights = np.concatenate(self._in_weights).astype(np.float64)
-        return rows, cols, weights
-
     def _weight_matrix(self) -> sp.csr_matrix:
-        """The sparse in-weight matrix ``W`` (``W[v, a] = W(a, v)``)."""
+        """The sparse in-weight matrix ``W`` (``W[v, a] = W(a, v)``).
+
+        Built from the transition tables' in-edges, row-major in in-list
+        order.
+        """
+        tables = self.walk_index.tables
         n = len(self._nodes)
-        rows, cols, weights = self._in_edges()
-        return sp.csr_matrix((weights, (rows, cols)), shape=(n, n))
+        rows = np.repeat(np.arange(n, dtype=np.int64), tables.degrees)
+        cols = tables.targets.astype(np.int64)
+        return sp.csr_matrix((tables.weights, (rows, cols)), shape=(n, n))
 
     def _ensure_so_matrix(self) -> None:
         """Materialise all SO denominators at once: ``SO = W sem Wᵀ``.
@@ -801,94 +745,6 @@ class MonteCarloSemSim:
         )
         so_matrix[:, rows] = np.asarray(sub_cols @ left_cols.T).T
 
-    def _ensure_step_tables(self) -> None:
-        """Precompute ``W`` and ``Q`` for every stored walk step.
-
-        ``_step_weights[v, w, s]`` is the edge weight of walk *w* of node
-        *v* at step *s* (0 where the walk has ended) and ``_step_q`` the
-        matching proposal probability (see :meth:`_step_entries`).
-        """
-        # Every writer sets _step_q last, so a set _step_q means both
-        # tables are complete even while another thread is building them.
-        if self._step_q is not None:
-            return
-        self._step_weights, self._step_q = self._step_entries(
-            self.walk_index.walks
-        )
-        _count_tables_built("full")
-
-    def _step_entries(self, walks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Edge weight and proposal probability of every step of *walks*.
-
-        *walks* is any ``(..., length + 1)`` stack of stored walks; entries
-        past a walk's end are 0.  Every entry is an elementwise lookup, so
-        the step tables of a subset of walks are the same floats as those
-        rows of the full tables — and bit-identical to what the per-query
-        path computes.  The tables are filled :data:`_STEP_BLOCK_WALKS`
-        walks at a time: the lookups' temporaries (int64 keys, search
-        positions, masks) then stay a few MB, where full-size ones would
-        stay resident in the allocator's heap after they are freed.
-        """
-        rows = walks.reshape(-1, walks.shape[-1])
-        weights = np.empty((rows.shape[0], rows.shape[1] - 1))
-        q = np.empty_like(weights)
-        for lo in range(0, rows.shape[0], _STEP_BLOCK_WALKS):
-            block = rows[lo:lo + _STEP_BLOCK_WALKS]
-            current = block[:, :-1].astype(np.int64)
-            nxt = block[:, 1:].astype(np.int64)
-            valid = (current >= 0) & (nxt >= 0)
-            cur0 = np.where(valid, current, 0)
-            nxt0 = np.where(valid, nxt, 0)
-            block_weights = self._edge_weight_lookup(cur0, nxt0)
-            block_q = self._q_probability_lookup(cur0, block_weights)
-            hi = lo + block.shape[0]
-            weights[lo:hi] = np.where(valid, block_weights, 0.0)
-            q[lo:hi] = np.where(valid, block_q, 0.0)
-        shape = walks.shape[:-1] + (weights.shape[1],)
-        return weights.reshape(shape), q.reshape(shape)
-
-    def _ensure_edge_tables(self) -> None:
-        """Build the sorted ``(current, next) -> W(next, current)`` table.
-
-        Edge weights are keyed by ``current * n + next`` into one globally
-        sorted int64 array, so looking up the weight of every step of every
-        stacked walk is a single ``searchsorted``.
-        """
-        if self._edge_keys is not None:
-            return
-        rows, cols, weights = self._in_edges()
-        keys = rows * np.int64(len(self._nodes)) + cols
-        order = np.argsort(keys)
-        self._edge_keys = keys[order]
-        self._edge_weights = weights[order]
-
-    def _edge_weight_lookup(self, current: np.ndarray, chosen: np.ndarray) -> np.ndarray:
-        """Vectorised ``W(chosen, current)`` for aligned index arrays."""
-        self._ensure_edge_tables()
-        n = len(self._nodes)
-        queries = current.astype(np.int64) * np.int64(n) + chosen.astype(np.int64)
-        position = np.searchsorted(self._edge_keys, queries)
-        position = np.minimum(position, max(self._edge_keys.size - 1, 0))
-        hit = (
-            self._edge_keys[position] == queries
-            if self._edge_keys.size
-            else np.zeros(queries.shape, dtype=bool)
-        )
-        return np.where(hit, self._edge_weights[position], 0.0)
-
-    def _q_probability_lookup(
-        self, current: np.ndarray, edge_weight: np.ndarray
-    ) -> np.ndarray:
-        """Vectorised ``Q[current -> chosen]`` (edge weight already known)."""
-        tables = self.walk_index.tables
-        degrees = tables.degrees[current]
-        if self.walk_index.policy is WalkPolicy.UNIFORM:
-            with np.errstate(divide="ignore"):
-                return np.where(degrees > 0, 1.0 / degrees, 0.0)
-        sums = tables.weight_sums[current]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(sums > 0, edge_weight / sums, 0.0)
-
     def _cached_so(self, pos_u: int, pos_v: int) -> float:
         """Memoised ``SO(u, v)`` for the backend's pair_index path.
 
@@ -913,10 +769,9 @@ class MonteCarloSemSim:
         pairs ``(pos_u[i], positions[i])``; the return value's entry *i*
         equals the scalar path's ``sum_w _walk_score(...)`` for pair *i*.
         The arithmetic itself lives in the compute backend — this method
-        prepares the request (step tables, SO source) and folds the
-        kernel's work counters back into the stats.
+        prepares the request (step offsets and per-edge tables, SO source)
+        and folds the kernel's work counters back into the stats.
         """
-        self._ensure_step_tables()
         if self.pair_index is None:
             self._ensure_so_matrix()
             so_matrix, so_lookup = self._so_matrix, None
@@ -924,14 +779,18 @@ class MonteCarloSemSim:
             # _cached_so owns caching and so_evaluations counting, so the
             # pair_index is consulted exactly as in the scalar path.
             so_matrix, so_lookup = None, self._cached_so
+        index = self.walk_index
+        tables = index.tables
         request = WalkScoreRequest(
-            walks=self.walk_index.walks,
+            walks=index.walks,
+            offsets=index.offsets,
+            indptr=tables.indptr,
+            weights=tables.weights,
+            q=tables.q,
             pos_u=pos_u,
             positions=positions,
             meetings=meetings,
             sem_matrix=self._sem_matrix,
-            step_weights=self._step_weights,
-            step_q=self._step_q,
             decay=self.decay,
             theta=self.theta,
             so_matrix=so_matrix,
@@ -948,10 +807,6 @@ class MonteCarloSemSim:
             self.walk_index.num_walks, result.walks_met, int(positions.size)
         )
         return result.totals
-
-
-#: Walks per block of the step-table build (see ``_step_entries``).
-_STEP_BLOCK_WALKS = 8192
 
 
 def pair_positions(
@@ -972,6 +827,27 @@ def pair_positions(
             f"sources for {positions.size} pairs"
         )
     return pos_u, positions
+
+
+def so_sum(
+    graph_index: GraphIndex, measure: SemanticMeasure, pos_u: int, pos_v: int
+) -> float:
+    """``SO(u, v) = sum_{a,b} W(a,u) W(b,v) sem(a,b)`` — the O(d²) double loop.
+
+    The one lazy-measure form of the denominator: the estimator's scalar
+    path and :class:`~repro.core.sling.SlingIndex` both sum it here, in
+    in-list order.
+    """
+    nodes = graph_index.nodes
+    similarity = measure.similarity
+    weights_v = graph_index.in_weights[pos_v]
+    neighbours_v = graph_index.in_lists[pos_v]
+    total = 0.0
+    for a, wa in zip(graph_index.in_lists[pos_u], graph_index.in_weights[pos_u]):
+        node_a = nodes[int(a)]
+        for b, wb in zip(neighbours_v, weights_v):
+            total += wa * wb * similarity(node_a, nodes[int(b)])
+    return float(total)
 
 
 def _count_tables_built(mode: str) -> None:

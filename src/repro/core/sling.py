@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import sys
 
+from repro.core.montecarlo import so_sum
 from repro.core.params import validate_theta
 from repro.errors import ConfigurationError
 from repro.hin.graph import HIN
@@ -51,25 +52,16 @@ class SlingIndex:
         nodes = index.nodes
         n = index.num_nodes
         for pos_u in range(n):
-            neighbours_u = index.in_lists[pos_u]
-            if neighbours_u.size == 0:
+            if index.in_lists[pos_u].size == 0:
                 continue
-            weights_u = index.in_weights[pos_u]
             for pos_v in range(n):
                 if pos_u == pos_v:
                     continue
                 if measure.similarity(nodes[pos_u], nodes[pos_v]) < theta:
                     continue
-                neighbours_v = index.in_lists[pos_v]
-                if neighbours_v.size == 0:
+                if index.in_lists[pos_v].size == 0:
                     continue
-                weights_v = index.in_weights[pos_v]
-                total = 0.0
-                for a, wa in zip(neighbours_u, weights_u):
-                    node_a = nodes[int(a)]
-                    for b, wb in zip(neighbours_v, weights_v):
-                        total += wa * wb * measure.similarity(node_a, nodes[int(b)])
-                self._table[(pos_u, pos_v)] = float(total)
+                self._table[(pos_u, pos_v)] = so_sum(index, measure, pos_u, pos_v)
 
     def so_lookup(self, pos_u: int, pos_v: int) -> float | None:
         """Return the cached ``SO`` value, or ``None`` on a miss."""

@@ -9,7 +9,11 @@ distribution ``Q`` is sampled per *node*, keeping storage at
 ``O(n * n_w * t)`` instead of the naive per-pair ``O(n² * n_w * t)``.
 
 Walks are stored as one dense int32 array with ``-1`` padding after a dead
-end, so coupling two walks is pure array arithmetic.
+end, so coupling two walks is pure array arithmetic.  Beside it an int32
+``offsets`` array records the in-edge each step took, as its position in
+the current node's in-list: Algorithm 1 reads the step's edge weight ``W``
+and proposal probability ``Q`` from the per-edge arrays of the transition
+tables at ``indptr[current] + offset``.
 
 Sampling is organised for scale:
 
@@ -70,14 +74,17 @@ class WalkPolicy(enum.Enum):
 class _TransitionTables:
     """CSR view of the in-adjacency compiled for vectorised stepping.
 
-    ``aug_cumprob`` holds each row's cumulative step probabilities *offset
-    by the row id*: row ``v``'s entries lie in ``(v, v + 1]``, so the whole
-    array is globally sorted and one ``searchsorted(aug_cumprob, v + r)``
-    resolves a uniform draw ``r`` for any mix of current nodes ``v`` in a
-    single call.
+    Row ``v`` of every per-edge array spans ``indptr[v]:indptr[v + 1]``,
+    in the order of ``in_lists[v]``: ``targets`` holds the in-neighbours,
+    ``weights`` the edge weights ``W`` and ``q`` the proposal probabilities
+    ``Q`` of stepping along each edge.  ``aug_cumprob`` holds each row's
+    cumulative step probabilities *offset by the row id*: row ``v``'s
+    entries lie in ``(v, v + 1]``, so the whole array is globally sorted and
+    one ``searchsorted(aug_cumprob, v + r)`` resolves a uniform draw ``r``
+    for any mix of current nodes ``v`` in a single call.
     """
 
-    __slots__ = ("indptr", "targets", "aug_cumprob", "degrees", "weight_sums")
+    __slots__ = ("indptr", "targets", "aug_cumprob", "degrees", "weights", "q")
 
     def __init__(self, index: GraphIndex, policy: WalkPolicy) -> None:
         n = index.num_nodes
@@ -96,12 +103,17 @@ class _TransitionTables:
         self.indptr = indptr
         self.targets = targets
         self.degrees = degrees
+        self.weights = weights
 
         # Per-row weight totals (Q's normaliser under the WEIGHTED policy).
         sums = np.zeros(n, dtype=np.float64)
         if total:
             np.add.at(sums, np.repeat(np.arange(n), degrees), weights)
-        self.weight_sums = sums
+        # Every edge lies in a row of degree >= 1 and weight sum > 0.
+        if policy is WalkPolicy.UNIFORM:
+            self.q = 1.0 / np.repeat(degrees, degrees)
+        else:
+            self.q = weights / np.repeat(sums, degrees)
 
         masses = np.ones(total) if policy is WalkPolicy.UNIFORM else weights
         cums = np.cumsum(masses)
@@ -116,46 +128,44 @@ class _TransitionTables:
         self.aug_cumprob = cumprob + rows
 
     @classmethod
-    def from_arrays(
-        cls,
-        indptr: np.ndarray,
-        targets: np.ndarray,
-        aug_cumprob: np.ndarray,
-        degrees: np.ndarray,
-        weight_sums: np.ndarray,
-    ) -> "_TransitionTables":
+    def from_arrays(cls, **arrays: np.ndarray) -> "_TransitionTables":
         """Rehydrate tables from previously compiled arrays (no recompute).
 
-        Used by the artifact store's warm-start path; arrays may be
-        read-only memmaps — every consumer only reads them.
+        Takes every slot by name.  Used by the artifact store's warm-start
+        path; arrays may be read-only memmaps — every consumer only reads
+        them.
         """
         tables = cls.__new__(cls)
-        tables.indptr = indptr
-        tables.targets = targets
-        tables.aug_cumprob = aug_cumprob
-        tables.degrees = degrees
-        tables.weight_sums = weight_sums
+        for name in cls.__slots__:
+            setattr(tables, name, arrays[name])
         return tables
 
     def step(self, current: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """Advance walkers standing on *current* using uniform *draws*.
 
         Both inputs are 1-D and aligned; every ``current`` entry must be a
-        node with at least one in-neighbour.  Returns the next node ids.
+        node with at least one in-neighbour.  Returns each walker's in-edge
+        slot in the per-edge arrays: the next node is ``targets[slot]`` and
+        the step's offset ``slot - indptr[current]``.
         """
         position = np.searchsorted(self.aug_cumprob, current + draws, side="right")
         np.minimum(position, self.indptr[current + 1] - 1, out=position)
-        return self.targets[position]
+        return position
 
 
 class WalkIndex:
-    """``n_w`` truncated reverse walks per node, plus their ``Q`` step odds.
+    """``n_w`` truncated reverse walks per node, plus the in-edge of each step.
 
     Attributes
     ----------
     walks:
         int32 array of shape ``(n, num_walks, length + 1)``; ``walks[v, i,
         0] == v`` and ``-1`` marks steps past a dead end.
+    offsets:
+        int32 array of shape ``(n, num_walks, length)``: step *s* of a walk
+        took the in-edge at ``offsets[..., s]`` in the in-list of the node
+        ``walks[..., s]``, so ``tables.targets[tables.indptr[walks[..., s]]
+        + offsets[..., s]] == walks[..., s + 1]``; ``-1`` past a dead end.
     epoch:
         Mutation counter; always ``0`` for this immutable index.
         :class:`~repro.core.dynamic.DynamicWalkIndex` increments it on every
@@ -192,7 +202,7 @@ class WalkIndex:
         self.length = validate_length(length)
         self.policy = policy
         self._tables: _TransitionTables | None = None
-        self.walks = self._sample_all(
+        self.walks, self.offsets = self._sample_all(
             seed, workers=validate_workers(workers), shard_size=shard_size
         )
 
@@ -202,6 +212,7 @@ class WalkIndex:
         graph: HIN,
         walks: np.ndarray,
         *,
+        offsets: np.ndarray,
         num_walks: int,
         length: int,
         policy: WalkPolicy = WalkPolicy.UNIFORM,
@@ -211,12 +222,13 @@ class WalkIndex:
         """Build an index around a pre-sampled walk tensor (no sampling).
 
         This is the warm-start constructor behind
-        :func:`load_walk_index` and the artifact store: *walks* may be a
-        read-only memmap, and *tables* (when given) skips recompiling the
-        CSR proposal tables.  *graph_index* (when given) is an existing
-        :class:`GraphIndex` snapshot of *graph* to share instead of
-        re-deriving one.  The tensor must match *graph* —
-        ``(num_nodes, num_walks, length + 1)`` with ``walks[v, :, 0] == v``.
+        :func:`load_walk_index` and the artifact store: *walks* and
+        *offsets* may be read-only memmaps, and *tables* (when given) skips
+        recompiling the CSR proposal tables.  *graph_index* (when given) is
+        an existing :class:`GraphIndex` snapshot of *graph* to share instead
+        of re-deriving one.  The tensors must match *graph* —
+        ``(num_nodes, num_walks, length + 1)`` with ``walks[v, :, 0] == v``,
+        and *offsets* one step shorter.
         """
         index = cls.__new__(cls)
         index.graph = graph
@@ -226,16 +238,21 @@ class WalkIndex:
         index.policy = policy
         index._tables = tables
         expected = (index.index.num_nodes, index.num_walks, index.length + 1)
-        if walks.shape != expected:
-            raise GraphError(
-                f"walk tensor shape {walks.shape} does not match this graph "
-                f"and configuration (expected {expected})"
-            )
-        if not np.issubdtype(walks.dtype, np.integer):
-            raise GraphError(
-                f"walk tensor must hold integers, got dtype {walks.dtype}"
-            )
+        for name, tensor, shape in (
+            ("walk", walks, expected),
+            ("offset", offsets, expected[:2] + (index.length,)),
+        ):
+            if tensor.shape != shape:
+                raise GraphError(
+                    f"{name} tensor shape {tensor.shape} does not match this "
+                    f"graph and configuration (expected {shape})"
+                )
+            if not np.issubdtype(tensor.dtype, np.integer):
+                raise GraphError(
+                    f"{name} tensor must hold integers, got dtype {tensor.dtype}"
+                )
         index.walks = walks
+        index.offsets = offsets
         return index
 
     # ------------------------------------------------------------------
@@ -253,10 +270,13 @@ class WalkIndex:
         seed: int | np.random.Generator | None,
         workers: int | None = None,
         shard_size: int | None = None,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
         n = self.index.num_nodes
         if n == 0:
-            return np.empty((0, self.num_walks, self.length + 1), dtype=np.int32)
+            return (
+                np.empty((0, self.num_walks, self.length + 1), dtype=np.int32),
+                np.empty((0, self.num_walks, self.length), dtype=np.int32),
+            )
         # One child generator per node: the draw stream consumed for node v
         # depends only on (seed, v), never on sharding or worker count.
         rngs = spawn_rngs(seed, n)
@@ -287,15 +307,19 @@ class WalkIndex:
                             shards,
                         )
                     )
-            walks = np.ascontiguousarray(np.concatenate(parts, axis=0))
+            # C order, so the kernel's flat row gathers never copy a tensor.
+            walks, offsets = (
+                np.ascontiguousarray(np.concatenate(tensors, axis=0))
+                for tensors in zip(*parts)
+            )
         if is_enabled() and build_span.wall_seconds:
             _WALKS_PER_SECOND.set(n * self.num_walks / build_span.wall_seconds)
-        return walks
+        return walks, offsets
 
     def _sample_shard(
         self, lo: int, hi: int, rngs: Sequence[np.random.Generator]
-    ) -> np.ndarray:
-        """Sample the walk tensor of nodes ``[lo, hi)`` — one shard.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sample the walks and offsets of nodes ``[lo, hi)`` — one shard.
 
         All randomness is pre-drawn per node in a fixed ``(num_walks,
         length)`` shape (dead walkers simply waste their draws), so the
@@ -308,12 +332,13 @@ class WalkIndex:
             tables = self.tables
             total_walkers = count * self.num_walks
             steps = np.full((self.length + 1, total_walkers), -1, dtype=np.int32)
+            offsets = np.full((self.length, total_walkers), -1, dtype=np.int32)
             steps[0] = np.repeat(
                 np.arange(lo, hi, dtype=np.int32), self.num_walks
             )
             draws = np.empty((total_walkers, self.length), dtype=np.float64)
-            for offset, rng in enumerate(rngs):
-                start = offset * self.num_walks
+            for k, rng in enumerate(rngs):
+                start = k * self.num_walks
                 draws[start:start + self.num_walks] = rng.random(
                     (self.num_walks, self.length)
                 )
@@ -327,10 +352,14 @@ class WalkIndex:
                 movable = movable[live]
                 if movable.size == 0:
                     continue
-                steps[step + 1, movable] = tables.step(
-                    nodes_here[live], draws[movable, step]
-                )
-            return steps.T.reshape(count, self.num_walks, self.length + 1)
+                nodes_here = nodes_here[live]
+                slots = tables.step(nodes_here, draws[movable, step])
+                steps[step + 1, movable] = tables.targets[slots]
+                offsets[step, movable] = slots - tables.indptr[nodes_here]
+            return (
+                steps.T.reshape(count, self.num_walks, self.length + 1),
+                offsets.T.reshape(count, self.num_walks, self.length),
+            )
 
     # ------------------------------------------------------------------
     # Queries
@@ -405,20 +434,6 @@ class WalkIndex:
         first[first == 0] = -1
         return first.astype(np.int64, copy=False)
 
-    def q_step_probability(self, current: int, chosen: int) -> float:
-        """Return ``Q[current -> chosen]`` for one step of one walk."""
-        neighbours = self.index.in_lists[current]
-        if neighbours.size == 0:
-            return 0.0
-        if self.policy is WalkPolicy.UNIFORM:
-            return 1.0 / neighbours.size
-        weights = self.index.in_weights[current]
-        total = float(weights.sum())
-        matches = neighbours == chosen
-        if not matches.any():
-            return 0.0
-        return float(weights[matches][0]) / total
-
     # ------------------------------------------------------------------
     # Accounting (preprocessing experiment)
     # ------------------------------------------------------------------
@@ -451,6 +466,7 @@ def save_walk_index(index: WalkIndex, path: str | Path) -> None:
     save_walks_npz(
         path,
         index.walks,
+        index.offsets,
         num_walks=index.num_walks,
         length=index.length,
         policy=index.policy.value,
@@ -464,14 +480,14 @@ def load_walk_index(graph: HIN, path: str | Path) -> WalkIndex:
     Thin shim over :func:`repro.store.walk_io.load_walks_npz` plus the
     graph-compatibility check: the graph must contain the same nodes in
     the same order as when the index was built (edge changes are tolerated
-    for loading but make the stored walks stale — rebuild or use
-    :class:`~repro.core.dynamic.DynamicWalkIndex` in that case).  Corrupt,
-    truncated or wrong-version files raise
+    for loading but make the stored walks and step offsets stale — rebuild
+    or use :class:`~repro.core.dynamic.DynamicWalkIndex` in that case).
+    Corrupt, truncated or wrong-version files raise
     :class:`~repro.errors.GraphError` with a message naming the problem.
     """
     from repro.store.walk_io import load_walks_npz
 
-    walks, metadata = load_walks_npz(path)
+    walks, offsets, metadata = load_walks_npz(path)
     current_nodes = [str(node) for node in graph.nodes()]
     if current_nodes != metadata["nodes"]:
         raise GraphError(
@@ -487,6 +503,7 @@ def load_walk_index(graph: HIN, path: str | Path) -> WalkIndex:
     return WalkIndex.from_arrays(
         graph,
         walks,
+        offsets=offsets,
         num_walks=int(metadata["num_walks"]),
         length=int(metadata["length"]),
         policy=policy,

@@ -4,9 +4,10 @@ A *snapshot* captures everything a query needs that is expensive to
 recompute — exactly the preprocess-once half of the paper's Fig. 4 split:
 
 ``method="mc"``
-    the walk tensor, the CSR proposal tables of ``Q``, the materialised
-    semantic matrix, the dense ``SO = W·sem·Wᵀ`` table and the per-step
-    ``W``/``Q`` gather tables of the batch path;
+    the walk tensor and the in-edge offset of every walk step, the CSR
+    proposal tables (with the per-edge ``W`` and ``Q`` every step reads
+    through its offset), the materialised semantic matrix and the dense
+    ``SO = W·sem·Wᵀ`` table;
 ``method="iterative"``
     the converged all-pairs score table (plus the semantic matrix when one
     was materialised).
@@ -39,13 +40,14 @@ from repro.store.fingerprint import (
     manifest_key,
 )
 
-#: Array names of the CSR proposal tables, in ``_TransitionTables`` order.
+#: Array names of the CSR proposal tables, by ``_TransitionTables`` slot.
 PROPOSAL_ARRAYS = (
     ("proposal_indptr", "indptr"),
     ("proposal_targets", "targets"),
     ("proposal_cumprob", "aug_cumprob"),
     ("proposal_degrees", "degrees"),
-    ("proposal_weight_sums", "weight_sums"),
+    ("proposal_weights", "weights"),
+    ("proposal_q", "q"),
 )
 
 
@@ -134,6 +136,7 @@ def snapshot_engine(engine, identity: dict) -> tuple[dict, dict, dict]:
     if engine.method == "mc":
         walk_index = engine.walk_index
         arrays["walks"] = walk_index.walks
+        arrays["offsets"] = walk_index.offsets
         tables = walk_index.tables
         for array_name, attribute in PROPOSAL_ARRAYS:
             arrays[array_name] = getattr(tables, attribute)
@@ -141,10 +144,7 @@ def snapshot_engine(engine, identity: dict) -> tuple[dict, dict, dict]:
         if engine.measure is not None:
             arrays["sem_matrix"] = engine.measure.matrix
             estimator._ensure_so_matrix()
-            estimator._ensure_step_tables()
             arrays["so_matrix"] = estimator._so_matrix
-            arrays["step_weights"] = estimator._step_weights
-            arrays["step_q"] = estimator._step_q
     else:
         result = engine._table.result
         arrays["scores"] = result.matrix

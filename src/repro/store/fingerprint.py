@@ -25,7 +25,9 @@ import numpy as np
 from repro.hin.graph import HIN
 
 #: Bump whenever the on-disk artifact layout changes incompatibly.
-FORMAT_VERSION = 1
+#: Version 2 stores each walk step's in-edge offset and the per-edge
+#: ``W``/``Q`` arrays in place of version 1's per-step tables.
+FORMAT_VERSION = 2
 
 _HASH_NAME = "sha256"
 

@@ -61,11 +61,15 @@ class NumpyBackend(ComputeBackend):
         nu = walk_u[:, 1 : max_k + 1]
         nv = walk_v[:, 1 : max_k + 1]
 
+        # Each step's in-edge slot, indptr[current] + offset (garbage past
+        # the meeting, like the walk steps).  W and Q are read there.
+        edge_u = request.indptr[cu] + request.offsets[src_u, rows_walk][:, :max_k]
+        edge_v = request.indptr[cv] + request.offsets[src_v, rows_walk][:, :max_k]
+
         # P numerator, replaying the scalar operation order exactly:
-        # (sem(nu, nv) * W(nu -> cu)) * W(nv -> cv).  W and Q come from the
-        # precomputed per-step tables (identical floats, no lookups).
-        w_u = request.step_weights[src_u, rows_walk][:, :max_k]
-        w_v = request.step_weights[src_v, rows_walk][:, :max_k]
+        # (sem(nu, nv) * W(nu -> cu)) * W(nv -> cv).
+        w_u = request.weights[edge_u]
+        w_v = request.weights[edge_v]
         numerator = request.sem_matrix[nu, nv] * w_u * w_v
 
         # SO denominators.  Without a pair_index every value comes straight
@@ -83,8 +87,8 @@ class NumpyBackend(ComputeBackend):
                 cu, cv, active, request.sem_matrix.shape[0], request.so_lookup
             )
 
-        q_u = request.step_q[src_u, rows_walk][:, :max_k]
-        q_v = request.step_q[src_v, rows_walk][:, :max_k]
+        q_u = request.q[edge_u]
+        q_v = request.q[edge_v]
         q_step = q_u * q_v
 
         # Per-step factor (p_step * c) / q_step, 1 on inactive steps and 0

@@ -76,14 +76,23 @@ class TestLazyTables:
         for built in (engine, mutated, opened):
             assert built.estimator._so_matrix.flags.c_contiguous
 
-    def test_weight_lookup_waits_for_the_per_walk_loop(self, model):
+    def test_walk_tensors_are_c_contiguous_cold_parallel_mutated_and_opened(
+        self, model, tmp_path
+    ):
+        """The kernel's flat row gathers over the walks and the step
+        offsets copy a whole tensor per call unless it is in C order."""
         from repro.api import QueryEngine
 
         graph, measure = model
         engine = QueryEngine(graph, measure, num_walks=20, length=6, seed=4)
-        nodes = list(graph.nodes())
-        engine.score_batch(nodes[0], nodes)
-        assert engine.estimator._weight_to is None  # the batch path never reads it
-        for v in nodes:
-            engine.score(nodes[0], v)
-        assert engine.estimator._weight_to is not None
+        parallel = QueryEngine(
+            graph, measure, num_walks=20, length=6, seed=4, workers=3
+        )
+        source, target, weight, _label = next(iter(graph.edges()))
+        mutated = engine.with_mutations(
+            [("set_weight", source, target, weight + 1.0)]
+        )
+        opened = QueryEngine.open(engine.save(tmp_path / "idx"))
+        for built in (engine, parallel, mutated, opened):
+            assert built.walk_index.walks.flags.c_contiguous
+            assert built.walk_index.offsets.flags.c_contiguous

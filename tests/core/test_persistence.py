@@ -1,6 +1,8 @@
 """Tests for walk-index persistence and the sparse iterative engine."""
 
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ class TestWalkIndexPersistence:
         save_walk_index(original, path)
         restored = load_walk_index(graph, path)
         assert np.array_equal(restored.walks, original.walks)
+        assert np.array_equal(restored.offsets, original.offsets)
         assert restored.num_walks == original.num_walks
         assert restored.length == original.length
         assert restored.policy is original.policy
@@ -88,6 +91,26 @@ class TestHardenedWalkIndexLoad:
         with pytest.raises(GraphError, match="corrupt or truncated"):
             load_walk_index(graph, path)
 
+    def test_truncated_file_leaves_no_open_handle(self, saved):
+        graph, _, path = saved
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+
+        def refused() -> bool:
+            # no excinfo is kept: its traceback would pin a leaked handle
+            try:
+                load_walk_index(graph, path)
+            except GraphError:
+                return True
+            return False
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert refused()
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
+
     def test_garbage_file_rejected(self, saved):
         graph, _, path = saved
         path.write_bytes(b"this is not a zip archive at all")
@@ -113,11 +136,27 @@ class TestHardenedWalkIndexLoad:
         with pytest.raises(GraphError, match="missing its 'metadata' entry"):
             load_walk_index(graph, path)
 
+    def test_missing_offsets_entry_rejected(self, saved):
+        """A version-2 file (walks without step offsets) fails closed."""
+        graph, index, path = saved
+        np.savez_compressed(
+            path,
+            walks=index.walks,
+            metadata=_metadata_array({
+                "format": "repro-walk-index", "version": 2,
+                "num_walks": 5, "length": 4, "policy": "uniform",
+                "nodes": [str(node) for node in graph.nodes()],
+            }),
+        )
+        with pytest.raises(GraphError, match="missing its 'offsets' entry"):
+            load_walk_index(graph, path)
+
     def test_unreadable_metadata_rejected(self, saved):
         graph, index, path = saved
         np.savez_compressed(
             path,
             walks=index.walks,
+            offsets=index.offsets,
             metadata=np.frombuffer(b"{not json", dtype=np.uint8),
         )
         with pytest.raises(GraphError, match="unreadable metadata"):
@@ -135,11 +174,17 @@ class TestHardenedWalkIndexLoad:
         with pytest.raises(GraphError, match="unsupported format version"):
             load_walk_index(graph, path)
 
-    def test_legacy_unversioned_payload_accepted(self, saved):
+    def test_legacy_unversioned_payload_rejected(self, saved):
+        """Files older than the step offsets fail closed; a walk file is
+        a seeded sample, drawn again rather than migrated."""
         graph, index, path = saved
+        for version in (None, 1, 2):
+            self._rewrite(path, index, graph, version=version)
+            with pytest.raises(GraphError, match="unsupported format version"):
+                load_walk_index(graph, path)
         self._rewrite(path, index, graph, format=None, version=None)
-        restored = load_walk_index(graph, path)
-        assert np.array_equal(restored.walks, index.walks)
+        with pytest.raises(GraphError, match="declares format None"):
+            load_walk_index(graph, path)
 
     def test_missing_metadata_keys_rejected(self, saved):
         graph, index, path = saved
@@ -152,12 +197,16 @@ class TestHardenedWalkIndexLoad:
         self._rewrite(path, index, graph, num_walks=7)
         with pytest.raises(GraphError, match="internally inconsistent"):
             load_walk_index(graph, path)
+        self._rewrite(path, index, graph, offsets=index.offsets[:, :, :-1])
+        with pytest.raises(GraphError, match="inconsistent: offset tensor"):
+            load_walk_index(graph, path)
 
     def test_float_walk_tensor_rejected(self, saved):
         graph, index, path = saved
         self._rewrite(path, index, graph, walks=index.walks.astype(np.float64))
         with pytest.raises(GraphError, match="invalid walk tensor"):
             load_walk_index(graph, path)
+
 
     def test_unknown_policy_rejected(self, saved):
         graph, index, path = saved
@@ -166,10 +215,10 @@ class TestHardenedWalkIndexLoad:
             load_walk_index(graph, path)
 
     @staticmethod
-    def _rewrite(path, index, graph, walks=None, drop=(), **overrides):
+    def _rewrite(path, index, graph, walks=None, offsets=None, drop=(), **overrides):
         metadata = {
             "format": "repro-walk-index",
-            "version": 2,
+            "version": 3,
             "num_walks": index.num_walks,
             "length": index.length,
             "policy": index.policy.value,
@@ -183,6 +232,7 @@ class TestHardenedWalkIndexLoad:
         np.savez_compressed(
             path,
             walks=index.walks if walks is None else walks,
+            offsets=index.offsets if offsets is None else offsets,
             metadata=_metadata_array(metadata),
         )
 

@@ -74,22 +74,61 @@ class TestPolicies:
         first_steps = index.walks_from("c")[:, 1]
         assert float(np.mean(first_steps == hub)) == pytest.approx(0.5, abs=0.08)
 
+    @staticmethod
+    def _edge_q(index, current, chosen):
+        """Per-edge ``Q`` of the in-edge ``chosen -> current``."""
+        tables = index.tables
+        row = slice(tables.indptr[current], tables.indptr[current + 1])
+        (slot,) = np.flatnonzero(tables.targets[row] == chosen)
+        return tables.q[row][slot]
+
     def test_q_step_probability_uniform(self, star):
         index = WalkIndex(star, num_walks=2, length=2, seed=0)
         c = index.node_position("c")
         hub = index.node_position("hub")
-        assert index.q_step_probability(c, hub) == pytest.approx(0.5)
+        assert self._edge_q(index, c, hub) == 0.5
 
     def test_q_step_probability_weighted(self, star):
         index = WalkIndex(star, num_walks=2, length=2, policy=WalkPolicy.WEIGHTED, seed=0)
         c = index.node_position("c")
         hub = index.node_position("hub")
-        assert index.q_step_probability(c, hub) == pytest.approx(5 / 6)
+        assert self._edge_q(index, c, hub) == pytest.approx(5 / 6)
+        assert self._edge_q(index, c, index.node_position("x")) == pytest.approx(1 / 6)
 
     def test_q_step_probability_dead_end(self, star):
+        """A node without in-edges has no ``Q`` row, and every walk step
+        from it records the -1 offset."""
         index = WalkIndex(star, num_walks=2, length=2, seed=0)
         hub = index.node_position("hub")
-        assert index.q_step_probability(hub, 0) == 0.0
+        assert index.tables.indptr[hub] == index.tables.indptr[hub + 1]
+        assert np.all(index.offsets[hub] == -1)
+
+
+class TestStepOffsets:
+    """Each stored step records the in-edge it took (``offsets``)."""
+
+    @pytest.mark.parametrize("policy", list(WalkPolicy))
+    def test_offsets_name_the_in_edge_of_each_step(self, policy):
+        from tests.conftest import build_taxonomy_graph
+
+        graph, _ = build_taxonomy_graph()
+        graph.add_edge("source", "x1", weight=3.0)  # a dead end behind x1
+        index = WalkIndex(graph, num_walks=30, length=6, policy=policy, seed=3)
+        tables, walks, offsets = index.tables, index.walks, index.offsets
+        assert offsets.dtype == np.int32
+        assert offsets.shape == walks.shape[:2] + (index.length,)
+        current, nxt = walks[..., :-1], walks[..., 1:]
+        alive = nxt >= 0
+        slots = tables.indptr[current[alive]] + offsets[alive]
+        assert np.array_equal(tables.targets[slots], nxt[alive])
+        assert np.all(offsets[alive] < tables.degrees[current[alive]])
+        assert np.all(offsets[~alive] == -1)
+        assert alive.any() and (~alive).any()
+        parallel = WalkIndex(
+            graph, num_walks=30, length=6, policy=policy, seed=3, workers=4
+        )
+        assert np.array_equal(parallel.walks, walks)
+        assert np.array_equal(parallel.offsets, offsets)
 
 
 class TestFirstMeetings:

@@ -12,10 +12,11 @@ walks whose transition rows changed.
 Hypothesis drives randomized mutation schedules (edge insert, delete,
 re-weight, node add) across both walk policies; estimator-level identity
 is checked on top — an estimator over the repaired index returns the
-very same floats as one over the cold rebuild.  A SemSim engine carries
-its step tables and ``SO`` matrix across generation swaps instead of
-rebuilding them; those carried tables, too, must equal a cold engine's
-element for element.
+very same floats as one over the cold rebuild.  Every walk step's
+in-edge offset, and the per-edge ``W``/``Q`` arrays the offsets index,
+must equal a cold build's too.  A SemSim engine carries its ``SO``
+matrix across generation swaps instead of rebuilding it; the carried
+table, too, must equal a cold engine's element for element.
 """
 
 import numpy as np
@@ -121,6 +122,7 @@ def test_mutated_tensor_bit_identical_to_cold_rebuild(
     )
     assert dynamic.walks.shape == fresh.walks.shape
     assert np.array_equal(dynamic.walks, fresh.walks), applied
+    assert np.array_equal(dynamic.offsets, fresh.offsets), applied
     assert dynamic.epoch == len(applied)
     # the incrementally re-derived graph snapshot equals a fresh one
     index, cold = dynamic.index, fresh.index
@@ -185,6 +187,7 @@ def test_delete_then_reinsert_matches_cold_rebuild(
         dynamic.graph, num_walks=15, length=5, policy=policy, seed=walk_seed,
     )
     assert np.array_equal(dynamic.walks, fresh.walks)
+    assert np.array_equal(dynamic.offsets, fresh.offsets)
 
 
 @COMMON
@@ -208,12 +211,14 @@ def test_dangling_node_walks_stay_put(graph_seed, walk_seed, policy):
         dynamic.graph, num_walks=10, length=4, policy=policy, seed=walk_seed,
     )
     assert np.array_equal(dynamic.walks, fresh.walks)
+    assert np.array_equal(dynamic.offsets, fresh.offsets)
     # wiring the island in revives its walks, still bit-identically
     dynamic.add_edge("n0", "island")
     fresh2 = WalkIndex(
         dynamic.graph, num_walks=10, length=4, policy=policy, seed=walk_seed,
     )
     assert np.array_equal(dynamic.walks, fresh2.walks)
+    assert np.array_equal(dynamic.offsets, fresh2.offsets)
 
 
 @COMMON
@@ -231,11 +236,13 @@ def test_generation_chain_bit_identical(graph_seed, schedule_seed, split):
     promoted = DynamicWalkIndex.from_walk_index(chained)
     fresh = WalkIndex(promoted.graph, num_walks=15, length=5, seed=graph_seed)
     assert np.array_equal(promoted.walks, fresh.walks)
+    assert np.array_equal(promoted.offsets, fresh.offsets)
     assert promoted.epoch == chained.epoch
     # and mutating the promoted generation keeps the invariant
     promoted.add_edge("n0", "n1", weight=2.0)
     fresh2 = WalkIndex(promoted.graph, num_walks=15, length=5, seed=graph_seed)
     assert np.array_equal(promoted.walks, fresh2.walks)
+    assert np.array_equal(promoted.offsets, fresh2.offsets)
 
 
 def dense_measure(graph: HIN, seed: int) -> MatrixMeasure:
@@ -310,17 +317,18 @@ def test_carried_estimator_tables_bit_identical_to_cold_engine(
                 engine.apply_mutation(kind, *args)
         else:
             engine = engine.with_mutations(batch)
-        # the swap carried both tables; nothing is left for a first batch
-        assert carried.value - before == (len(batch) if in_place else 1) * 2
-        assert engine.estimator._step_weights is not None
+        # the swap carried SO, the one table left; a first batch builds none
+        assert carried.value - before == (len(batch) if in_place else 1)
         assert engine.estimator._so_matrix is not None
     cold = QueryEngine(replica, measure, **kwargs)
     cold.score_batch(nodes[0], nodes)
     assert np.array_equal(engine.walk_index.walks, cold.walk_index.walks)
-    assert np.array_equal(
-        engine.estimator._step_weights, cold.estimator._step_weights
-    )
-    assert np.array_equal(engine.estimator._step_q, cold.estimator._step_q)
+    assert np.array_equal(engine.walk_index.offsets, cold.walk_index.offsets)
+    for per_edge in ("weights", "q"):
+        assert np.array_equal(
+            getattr(engine.walk_index.tables, per_edge),
+            getattr(cold.walk_index.tables, per_edge),
+        )
     assert np.array_equal(
         engine.estimator._so_matrix, cold.estimator._so_matrix
     )
@@ -387,8 +395,9 @@ def test_uniform_reweight_restamps_tables_without_restepping():
     weight = graph.edge_weight(source, target) + 5.0
     swapped = engine.with_mutations([("set_weight", source, target, weight)])
     assert swapped.walk_index.walks_resampled == 0
+    assert np.array_equal(swapped.walk_index.offsets, engine.walk_index.offsets)
     assert not np.array_equal(
-        swapped.estimator._step_weights, engine.estimator._step_weights
+        swapped.walk_index.tables.weights, engine.walk_index.tables.weights
     )
     position = swapped.walk_index.node_position(target)
     assert not np.array_equal(
@@ -399,8 +408,9 @@ def test_uniform_reweight_restamps_tables_without_restepping():
     replica.add_edge(source, target, weight=weight)
     cold = QueryEngine(replica, measure, **kwargs)
     cold.score_batch(nodes[0], nodes)
+    assert np.array_equal(swapped.walk_index.offsets, cold.walk_index.offsets)
     assert np.array_equal(
-        swapped.estimator._step_weights, cold.estimator._step_weights
+        swapped.walk_index.tables.weights, cold.walk_index.tables.weights
     )
     assert np.array_equal(
         swapped.estimator._so_matrix, cold.estimator._so_matrix

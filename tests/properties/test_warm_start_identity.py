@@ -49,6 +49,10 @@ def test_mc_warm_scores_bit_identical(
     )
     cold = QueryEngine(graph, measure, **kwargs)
     warm = QueryEngine(graph, measure, **kwargs)
+    for name in ("walks", "offsets"):
+        assert np.array_equal(
+            getattr(cold.walk_index, name), getattr(warm.walk_index, name)
+        )
     nodes = list(graph.nodes())[:6]
     assert _all_pair_scores(cold, nodes) == _all_pair_scores(warm, nodes)
     batch = nodes
@@ -89,6 +93,12 @@ def test_save_open_round_trip_bit_identical(tmp_path_factory, seed):
     path = tmp_path_factory.mktemp("artifacts") / "engine"
     engine.save(path)
     reopened = QueryEngine.open(path)
+    assert np.array_equal(reopened.walk_index.offsets, engine.walk_index.offsets)
+    for per_edge in ("weights", "q"):
+        assert np.array_equal(
+            getattr(reopened.walk_index.tables, per_edge),
+            getattr(engine.walk_index.tables, per_edge),
+        )
     nodes = list(graph.nodes())[:6]
     assert _all_pair_scores(engine, nodes) == _all_pair_scores(reopened, nodes)
     assert reopened.num_walks == engine.num_walks
