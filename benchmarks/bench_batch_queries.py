@@ -18,7 +18,9 @@ seed spawning makes the walk tensor partition-invariant).
 
 The backend-kernel bench compares the library kernel ``blocked``
 against the stacked-array oracle on the same shared walk index and
-asserts the scores are bit-identical.  The oracle lives with the tests
+asserts the scores are bit-identical, on two request shapes: one source
+against 500 candidates, and pair-hot's batches of 32 pairs with one
+source per pair.  The oracle lives with the tests
 (``tests/backends/numpy_ref.py``) and is passed to its engine as an
 instance.
 """
@@ -42,6 +44,8 @@ NUM_WALKS = 150
 LENGTH = 15
 NUM_CANDIDATES = 500
 SPEEDUP_FLOOR = 5.0
+PAIR_BATCH = 32
+PAIR_BATCHES = 50
 
 
 @pytest.fixture(scope="module")
@@ -120,8 +124,35 @@ def test_batch_single_source_speedup(bundle, show):
     assert speedup_legacy >= SPEEDUP_FLOOR
 
 
-def test_backend_kernel_speedup(bundle, show, bench_backend):
-    """The library kernel vs the stacked-array oracle on one walk index."""
+def _pair_batches(bundle, engine):
+    """pair-hot's request shape: batches of 32 pairs, one source per pair.
+
+    Each source is a uniform entity and its candidate a uniform pick among
+    that source's 40 highest-``sem`` entities (ties broken at random).
+    """
+    rng = np.random.default_rng(2701)
+    entities = engine.node_positions(bundle.entity_nodes)
+    sem = engine.measure.matrix
+    batches = []
+    for _ in range(PAIR_BATCHES):
+        sources = rng.choice(entities, size=PAIR_BATCH)
+        targets = []
+        for u in sources:
+            order = np.lexsort((rng.random(entities.size), -sem[u, entities]))
+            partners = entities[order[:41]]
+            targets.append(rng.choice(partners[partners != u][:40]))
+        batches.append((sources, np.array(targets, dtype=np.int64)))
+    return batches
+
+
+@pytest.mark.parametrize("shape", ["shared-source", "pair-batches"])
+def test_backend_kernel_speedup(bundle, show, bench_backend, shape):
+    """The library kernel vs the stacked-array oracle on one walk index.
+
+    Two request shapes: one source against 500 candidates (a top-k scan's
+    block), and pair-hot's micro-batches of 32 pairs with one source per
+    pair, timed over a fixed list of batches.
+    """
     compare = bench_backend
     reference = QueryEngine(
         bundle.graph, bundle.measure, method="mc", decay=DECAY,
@@ -132,13 +163,28 @@ def test_backend_kernel_speedup(bundle, show, bench_backend):
         bundle.graph, bundle.measure, method="mc", decay=DECAY,
         num_walks=NUM_WALKS, length=LENGTH, theta=THETA, seed=7,
     )
-    nodes = list(bundle.graph.nodes())
-    query = bundle.entity_nodes[0]
-    candidates = [n for n in nodes if n != query][:NUM_CANDIDATES]
+    if shape == "shared-source":
+        nodes = list(bundle.graph.nodes())
+        query = reference.node_positions([bundle.entity_nodes[0]])[0]
+        candidates = reference.node_positions(
+            [n for n in nodes if n != bundle.entity_nodes[0]][:NUM_CANDIDATES]
+        )
+        requests = [(query, candidates)]
+        described = f"{NUM_CANDIDATES} candidates of one source"
+    else:
+        requests = _pair_batches(bundle, candidate)
+        described = (
+            f"{PAIR_BATCHES} batches of {PAIR_BATCH} pairs, "
+            "one source per pair"
+        )
+    pairs = sum(positions.size for _, positions in requests)
 
-    # warm-up builds the derived tables and any per-thread scratch
-    reference.score_batch(query, candidates[:2])
-    candidate.score_batch(query, candidates[:2])
+    def run(engine):
+        return [engine.score_positions(u, v) for u, v in requests]
+
+    # warm-up builds the derived tables
+    run(reference)
+    run(candidate)
 
     # interleaved best-of-N: alternating the two paths inside one loop
     # cancels drift (frequency scaling, allocator state) that a
@@ -146,13 +192,13 @@ def test_backend_kernel_speedup(bundle, show, bench_backend):
     best_ref = best_cand = float("inf")
     for _ in range(7):
         start = time.perf_counter()
-        expected = reference.score_batch(query, candidates)
+        expected = run(reference)
         best_ref = min(best_ref, time.perf_counter() - start)
         start = time.perf_counter()
-        got = candidate.score_batch(query, candidates)
+        got = run(candidate)
         best_cand = min(best_cand, time.perf_counter() - start)
 
-    np.testing.assert_array_equal(expected, got)
+    np.testing.assert_array_equal(np.concatenate(expected), np.concatenate(got))
     agreement = "bit-identical"
 
     speedup = best_ref / best_cand
@@ -160,17 +206,18 @@ def test_backend_kernel_speedup(bundle, show, bench_backend):
         f"Compute-backend kernels — '{compare}' vs the 'numpy' oracle",
         f"graph: aminer-like, {bundle.graph.num_nodes} nodes "
         f"(n_w={NUM_WALKS}, t={LENGTH}, c={DECAY}, theta={THETA}, "
-        f"{NUM_CANDIDATES} candidates, best of 7)",
+        f"{described}, best of 7)",
         "",
         f"{'backend':<12} {'seconds':>10} {'per pair (us)':>14}",
         f"{'numpy':<12} {best_ref:>10.4f} "
-        f"{1e6 * best_ref / NUM_CANDIDATES:>14.1f}",
+        f"{1e6 * best_ref / pairs:>14.1f}",
         f"{compare:<12} {best_cand:>10.4f} "
-        f"{1e6 * best_cand / NUM_CANDIDATES:>14.1f}",
+        f"{1e6 * best_cand / pairs:>14.1f}",
         "",
         f"speedup: {speedup:.2f}x   scores: {agreement}",
     ]
-    show("batch_queries_backend", lines)
+    name = "batch_queries_backend"
+    show(name if shape == "shared-source" else f"{name}_pairs", lines)
     # the library kernel must beat the stacked form it replaced
     assert speedup > 1.0
 

@@ -39,6 +39,7 @@ from repro.datasets import aminer_like
 from repro.sched import ServingRuntime, ShardedRuntime
 from repro.sched.metrics import QUEUE_WAIT, SHARD_REQUESTS
 from repro.serve import IndexManager
+from repro.store import ShardPlan
 
 DECAY = 0.6
 THETA = 0.05
@@ -69,17 +70,34 @@ def _manager(bundle) -> IndexManager:
     )
 
 
-def _requests(engine, entities):
-    """Hot sources querying their own neighbourhoods, deterministically."""
+def _requests(engine, entities, ranges=None):
+    """Hot sources querying their own neighbourhoods, deterministically.
+
+    Each source's related targets are its top-k similars; with *ranges*
+    (node-position ranges), its top few inside every range instead, so a
+    node-range shard set sees traffic on every shard.
+    """
     sources = entities[:HOT_SOURCES]
-    related = {
-        u: [v for v, _ in engine.top_k(u, RELATED_PER_SOURCE)] for u in sources
-    }
+    if ranges is None:
+        related = {
+            u: [v for v, _ in engine.top_k(u, RELATED_PER_SOURCE)]
+            for u in sources
+        }
+    else:
+        per_range = -(-RELATED_PER_SOURCE // len(ranges))
+        related = {
+            u: [
+                v
+                for lo, hi in ranges
+                for v, _ in engine.top_k(u, per_range, engine.nodes[lo:hi])
+            ]
+            for u in sources
+        }
     return [
         (
             sources[i % HOT_SOURCES],
             related[sources[i % HOT_SOURCES]][
-                (i * 13 + 5) % RELATED_PER_SOURCE
+                (i * 13 + 5) % len(related[sources[i % HOT_SOURCES]])
             ],
         )
         for i in range(NUM_REQUESTS)
@@ -199,15 +217,23 @@ def test_sharded_scatter_gather_throughput(
 ):
     """The --shards axis: multi-process scatter-gather, closed loop.
 
-    Same related-pair workload, served by ``ShardedRuntime`` over 1/2/4/8
-    node-range shard worker processes.  Per-shard ok-request rates at the
+    The related-pair workload, with each hot source's targets drawn from
+    every node range of the largest shard count (its top few per range),
+    served by ``ShardedRuntime`` over 1/2/4/8 node-range shard worker
+    processes; every shard at the largest count must answer some.  Per-shard ok-request rates at the
     largest count come from the ``shard_requests_total{shard,outcome="ok"}``
     counter deltas over the timed region (they land in metrics.json via
     the bench conftest capture as well).
     """
     manager = _manager(bundle)
     engine = manager.acquire().engine
-    requests = _requests(engine, bundle.entity_nodes)
+    largest = SHARD_SWEEP[-1]
+    # targets in every node range of the largest shard count, so its
+    # scatter reaches every shard
+    requests = _requests(
+        engine, bundle.entity_nodes,
+        ShardPlan.even(len(engine.nodes), largest).boundaries,
+    )
 
     root = tmp_path_factory.mktemp("shard-bench")
     parent = root / "parent"
@@ -215,7 +241,6 @@ def test_sharded_scatter_gather_throughput(
 
     rows: dict[int, tuple[float, float]] = {}
     per_shard_qps: dict[int, float] = {}
-    largest = SHARD_SWEEP[-1]
     for shards in SHARD_SWEEP:
         runtime = ShardedRuntime(
             manager, parent, shards,
@@ -269,3 +294,4 @@ def test_sharded_scatter_gather_throughput(
     show("serve_sharded", lines)
 
     assert not manager.degraded
+    assert all(rate > 0 for rate in per_shard_qps.values()), per_shard_qps

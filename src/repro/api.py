@@ -34,6 +34,7 @@ measurement windows.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import time
 import warnings
 from pathlib import Path
@@ -465,9 +466,16 @@ class QueryEngine:
 
         Every array comes straight from the mapped files — the same bytes
         a cold build produced — so restored engines answer bit-identically
-        to fresh ones.  The compute backend is per-engine, not part of the
-        artifact.
+        to fresh ones.  The engine holds each as a plain ``ndarray`` view
+        of its mapping (zero-copy, read-only): on a ``np.memmap`` every
+        ``take`` or ufunc result is itself a memmap and pays Python-level
+        ``__array_finalize__``/``__array_wrap__`` on every call of the
+        walk-score kernel.  The compute backend is per-engine, not part
+        of the artifact.
         """
+        artifact = dataclasses.replace(artifact, arrays={
+            name: np.asarray(array) for name, array in artifact.arrays.items()
+        })
         self.measure = measure_from_artifact(artifact, self.graph)
         if self.method == "mc":
             walks = artifact.arrays.get("walks")
@@ -564,7 +572,9 @@ class QueryEngine:
         dominated by reading the manifest and the embedded graph, the OS
         page cache shares the array bytes across every process serving the
         same artifact, and scores are bit-identical to the engine that was
-        saved.  Any structural problem — truncated file, version drift,
+        saved.  The engine holds them as plain read-only ``ndarray`` views
+        of the mapping — still no copy — so kernel results are plain
+        arrays too.  Any structural problem — truncated file, version drift,
         manifest mismatch — raises :class:`~repro.store.StoreError`.
 
         *backend* is the kernel instance, as in the constructor.

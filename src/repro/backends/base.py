@@ -35,11 +35,10 @@ class BackendConfig:
     """Tuning knobs of the walk-score kernel.
 
     block_rows:
-        Rows (met coupled walks) the walk-score kernel gathers and scores
-        per block.  It also bounds the kernel's per-thread scratch, which
-        never holds more than one block.  Smaller blocks keep the working
-        set cache-resident; the value trades numpy call overhead against
-        memory traffic.
+        Rows (met coupled walks) the walk-score kernel scores per block.
+        Every temporary the kernel holds is sized by one block, so the
+        value bounds what a thread holds whatever the size of a request;
+        it trades numpy call overhead against memory traffic.
     """
 
     block_rows: int = 4096

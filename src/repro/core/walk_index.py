@@ -478,12 +478,14 @@ def load_walk_index(graph: HIN, path: str | Path) -> WalkIndex:
     """Load an index written by :func:`save_walk_index` for *graph*.
 
     Thin shim over :func:`repro.store.walk_io.load_walks_npz` plus the
-    graph-compatibility check: the graph must contain the same nodes in
-    the same order as when the index was built (edge changes are tolerated
-    for loading but make the stored walks and step offsets stale — rebuild
-    or use :class:`~repro.core.dynamic.DynamicWalkIndex` in that case).
-    Corrupt, truncated or wrong-version files raise
-    :class:`~repro.errors.GraphError` with a message naming the problem.
+    graph-compatibility checks: the graph must contain the same nodes in
+    the same order as when the index was built, and every stored step
+    must still follow one of its in-edges (:func:`_check_walk_steps`).  A
+    graph whose edges changed since therefore fails to load — rebuild,
+    or use :class:`~repro.core.dynamic.DynamicWalkIndex`, which re-steps
+    the walks a mutation touches.  Corrupt, truncated, wrong-version or
+    stale files raise :class:`~repro.errors.GraphError` with a message
+    naming the problem.
     """
     from repro.store.walk_io import load_walks_npz
 
@@ -500,7 +502,7 @@ def load_walk_index(graph: HIN, path: str | Path) -> WalkIndex:
             f"stored walk index uses unknown proposal policy "
             f"{metadata['policy']!r}"
         ) from None
-    return WalkIndex.from_arrays(
+    index = WalkIndex.from_arrays(
         graph,
         walks,
         offsets=offsets,
@@ -508,3 +510,39 @@ def load_walk_index(graph: HIN, path: str | Path) -> WalkIndex:
         length=int(metadata["length"]),
         policy=policy,
     )
+    _check_walk_steps(index.walks, index.offsets, index.tables)
+    return index
+
+
+def _check_walk_steps(
+    walks: np.ndarray, offsets: np.ndarray, tables: _TransitionTables
+) -> None:
+    """Raise :class:`~repro.errors.GraphError` unless every step follows an edge.
+
+    Wherever a walk's next step is live, the step must stand on a node,
+    its offset must address that node's in-list (``0 <= offset <
+    degrees[current]``) and the in-edge there must lead to the next node
+    (``targets[indptr[current] + offset] == next``); everywhere else the
+    offset must be ``-1``.  The kernel and the scalar loop read ``W`` and
+    ``Q`` at those slots unchecked, so a walk file of an older graph
+    would otherwise score silently wrong.  One vectorised pass.
+    """
+    nxt = walks[..., 1:]
+    live = nxt >= 0
+    if np.any(offsets[~live] != -1):
+        raise GraphError(
+            "stored walk index records an offset for a step past a dead end"
+        )
+    cur = walks[..., :-1][live].astype(np.int64)
+    off = offsets[live].astype(np.int64)
+    nxt = nxt[live]
+    ok = (cur >= 0) & (cur < tables.degrees.size) & (off >= 0)
+    ok[ok] = off[ok] < tables.degrees[cur[ok]]
+    ok[ok] = tables.targets[tables.indptr[cur[ok]] + off[ok]] == nxt[ok]
+    stale = int(ok.size - np.count_nonzero(ok))
+    if stale:
+        raise GraphError(
+            f"stored walk index does not follow this graph's edges: {stale} "
+            f"of {ok.size} stored steps take no in-edge of the graph "
+            f"(rebuild the index for the current graph)"
+        )

@@ -156,10 +156,12 @@ class TestExactEquivalence:
 class TestBoundedScratch:
     @pytest.mark.parametrize("sling", [False, True])
     def test_block_rows_bound_the_kernel_scratch(
-        self, model, index, matrix_measure, sling
+        self, model, index, matrix_measure, sling, monkeypatch
     ):
         """A request of many blocks equals the oracle, totals and counters
-        alike, while the thread's scratch never holds more than one block."""
+        alike, while the thread never works on more than one block: every
+        temporary of the step loop and the dense round is sized by the
+        rows of the block it scores."""
         graph, measure = model
         pair_index = SlingIndex(graph, measure, theta=0.05) if sling else None
         reference = MonteCarloSemSim(
@@ -167,6 +169,14 @@ class TestBoundedScratch:
             backend=NumpyBackend(),
         )
         backend = BlockedBackend(BackendConfig(block_rows=7))
+        held = []
+        score_block = backend._score_block
+
+        def spy(request, flat, met_at, out):
+            held.append(met_at.size)
+            return score_block(request, flat, met_at, out)
+
+        monkeypatch.setattr(backend, "_score_block", spy)
         candidate = MonteCarloSemSim(
             index, matrix_measure, theta=0.05, pair_index=pair_index,
             backend=backend,
@@ -176,7 +186,8 @@ class TestBoundedScratch:
         )
         assert reference.stats.as_dict() == candidate.stats.as_dict()
         assert candidate.stats.walks_met > 10 * 7  # many blocks, not one
-        assert max(plane.shape[0] for plane in backend._scratch.planes) <= 7
+        assert sum(held) == candidate.stats.walks_met
+        assert max(held) <= 7
 
 
 class TestStepMemoCap:

@@ -79,6 +79,37 @@ class TestHardenedWalkIndexLoad:
         save_walk_index(index, path)
         return graph, index, path
 
+    def test_walks_of_changed_edges_rejected(self, tmp_path):
+        """Walks saved before an edge change fail closed: their step
+        offsets would read W and Q of whatever edge now sits there."""
+        graph, _ = build_taxonomy_graph()
+        path = tmp_path / "index.npz"
+        save_walk_index(WalkIndex(graph, num_walks=200, length=12, seed=5), path)
+        graph.remove_edge("x2", "x1")
+        graph.remove_edge("mid1", "x1")
+        with pytest.raises(GraphError, match="does not follow this graph's edges"):
+            load_walk_index(graph, path)
+
+    @pytest.mark.parametrize("tamper", ["offset-range", "offset-target", "dead-offset"])
+    def test_steps_off_the_graph_rejected(self, saved, tamper):
+        graph, index, path = saved
+        walks, offsets = index.walks.copy(), index.offsets.copy()
+        degrees = index.tables.degrees
+        if tamper == "offset-range":
+            offsets[0, 0, 0] = degrees[walks[0, 0, 0]]
+        elif tamper == "offset-target":
+            # another in-edge of the same node: in range, wrong next node
+            offsets[0, 0, 0] = (offsets[0, 0, 0] + 1) % degrees[walks[0, 0, 0]]
+        else:
+            walks[0, 0, -1] = -1
+        tampered = WalkIndex.from_arrays(
+            graph, walks, offsets=offsets, num_walks=index.num_walks,
+            length=index.length,
+        )
+        save_walk_index(tampered, path)
+        with pytest.raises(GraphError, match="stored walk index"):
+            load_walk_index(graph, path)
+
     def test_missing_file_raises_file_not_found(self, tmp_path):
         graph, _ = build_taxonomy_graph()
         with pytest.raises(FileNotFoundError):

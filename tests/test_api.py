@@ -4,6 +4,7 @@ Includes the tier-1 guard that every public name in ``repro.api.__all__``
 actually imports, so the facade can't silently lose surface area.
 """
 
+import numpy as np
 import pytest
 
 import repro
@@ -76,6 +77,23 @@ class TestConstruction:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(repro.StoreError, match="'lowrank'"):
             QueryEngine.open(path)
+
+    def test_open_hands_out_plain_views_of_the_mapping(
+        self, mc_engine, tmp_path
+    ):
+        """Opened arrays are plain read-only ndarrays over the mapped
+        files: no copy, and no memmap subclass for every kernel result
+        to inherit."""
+        opened = QueryEngine.open(mc_engine.save(tmp_path / "mc.idx"))
+        estimator = opened.estimator
+        for array in (
+            opened.walk_index.walks, opened.walk_index.offsets,
+            opened.walk_index.tables.q, estimator._sem_matrix,
+            estimator._so_matrix,
+        ):
+            assert type(array) is np.ndarray
+            assert not array.flags.writeable
+            assert isinstance(array.base, np.memmap)
 
     def test_auto_materializes_measure(self, mc_engine):
         assert isinstance(mc_engine.measure, MatrixMeasure)
