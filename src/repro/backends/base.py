@@ -138,7 +138,7 @@ class ComputeBackend(abc.ABC):
 def resolve_so_plane(
     cu: np.ndarray,
     cv: np.ndarray,
-    active: np.ndarray | None,
+    active: np.ndarray,
     num_nodes: int,
     so_lookup: Callable[[int, int], float],
 ) -> np.ndarray:
@@ -147,19 +147,13 @@ def resolve_so_plane(
     Deduplicates identical ``(cu, cv)`` step pairs before consulting
     *so_lookup* (which owns caching and evaluation counting), exactly as
     the pre-seam batch path did.  *active* marks the cells that need real
-    values (inactive cells stay 1.0 and are masked downstream); ``None``
-    means the plane is dense and every cell is live.
+    values; inactive cells stay 1.0 and are masked downstream.
     """
     pair_keys = cu.astype(np.int64) * np.int64(num_nodes) + cv
-    if active is None:
-        unique_keys, inverse = np.unique(pair_keys.ravel(), return_inverse=True)
-    else:
-        unique_keys, inverse = np.unique(pair_keys[active], return_inverse=True)
+    unique_keys, inverse = np.unique(pair_keys[active], return_inverse=True)
     unique_so = np.empty(unique_keys.size, dtype=np.float64)
     for j, key in enumerate(unique_keys):
         unique_so[j] = so_lookup(int(key) // num_nodes, int(key) % num_nodes)
-    if active is None:
-        return unique_so[inverse].reshape(cu.shape)
     so = np.ones(cu.shape, dtype=np.float64)
     so[active] = unique_so[inverse]
     return so

@@ -49,7 +49,12 @@ import json
 
 import numpy as np
 
-from repro.core.walk_index import WalkIndex, WalkPolicy, _TransitionTables
+from repro.core.walk_index import (
+    WalkIndex,
+    WalkPolicy,
+    _TransitionTables,
+    walk_dtype,
+)
 from repro.errors import ConfigurationError, EdgeNotFoundError, GraphError
 from repro.hin.graph import (
     DEFAULT_EDGE_LABEL,
@@ -321,7 +326,7 @@ class DynamicWalkIndex:
         self._inner.index = index
         new_tables = _TransitionTables(index, self.policy)
         self._inner._tables = new_tables
-        self._grow_for(new_nodes, old_count)
+        self._grow_for(new_nodes, old_count, walk_dtype(new_tables.degrees))
         self._changed_in_rows[
             [index.position[target], *range(old_count, index.num_nodes)]
         ] = True
@@ -332,22 +337,29 @@ class DynamicWalkIndex:
         self.mutation_log.append(record)
         return resampled
 
-    def _grow_for(self, new_nodes, old_count: int) -> None:
+    def _grow_for(self, new_nodes, old_count: int, dtype: np.dtype) -> None:
         """Extend the tensors with start-only rows for appended nodes.
 
         Their remaining steps are filled by :meth:`_repair` — a brand-new
         row is always a bitwise-changed row, so the generic re-step pass
-        picks its walks up at offset 0.
+        picks its walks up at offset 0.  The grown tensors take the wider
+        of their own dtype and *dtype*, the mutated graph's
+        :func:`~repro.core.walk_index.walk_dtype`, so a node appended past
+        int16's range widens them as a cold build would.  Only an appended
+        node can: the graph has no self-loops or parallel edges, so no
+        in-degree reaches the node count.
         """
         if not new_nodes:
             return
         inner = self._inner
         count = old_count + len(new_nodes)
         walks = np.full(
-            (count, self.num_walks, self.length + 1), -1, dtype=inner.walks.dtype
+            (count, self.num_walks, self.length + 1), -1,
+            dtype=np.promote_types(inner.walks.dtype, dtype),
         )
         offsets = np.full(
-            (count, self.num_walks, self.length), -1, dtype=inner.offsets.dtype
+            (count, self.num_walks, self.length), -1,
+            dtype=np.promote_types(inner.offsets.dtype, dtype),
         )
         walks[:old_count] = inner.walks
         offsets[:old_count] = inner.offsets

@@ -8,12 +8,16 @@ this index — that is the whole point of Section 4.3: the proposal
 distribution ``Q`` is sampled per *node*, keeping storage at
 ``O(n * n_w * t)`` instead of the naive per-pair ``O(n² * n_w * t)``.
 
-Walks are stored as one dense int32 array with ``-1`` padding after a dead
-end, so coupling two walks is pure array arithmetic.  Beside it an int32
+Walks are stored as one dense integer array with ``-1`` padding after a
+dead end, so coupling two walks is pure array arithmetic.  Beside it an
 ``offsets`` array records the in-edge each step took, as its position in
 the current node's in-list: Algorithm 1 reads the step's edge weight ``W``
 and proposal probability ``Q`` from the per-edge arrays of the transition
-tables at ``indptr[current] + offset``.
+tables at ``indptr[current] + offset``.  Both tensors take the narrowest
+signed dtype that holds their values (:func:`walk_dtype`: int16 up to
+32,767 nodes, int32 beyond), so first-meeting searches, generation swaps
+and mapped artifacts move half the bytes on small graphs; every reader
+widens to int64 before it forms a key or a slot.
 
 Sampling is organised for scale:
 
@@ -62,6 +66,17 @@ _WALKS_PER_SECOND = get_registry().gauge(
 
 #: A step value no stored walk holds (steps are node ids or -1 padding).
 _NEVER_STEP = -2
+
+
+def walk_dtype(degrees: np.ndarray) -> np.dtype:
+    """The dtype of the walk and offset tensors of a graph with in-*degrees*.
+
+    Walks hold node ids below ``degrees.size`` and offsets hold in-list
+    positions below ``degrees.max()``, both padded with -1: int16 when
+    both counts fit in int16, int32 otherwise.
+    """
+    largest = max(degrees.size, int(degrees.max(initial=0)))
+    return np.dtype(np.int16 if largest <= np.iinfo(np.int16).max else np.int32)
 
 
 class WalkPolicy(enum.Enum):
@@ -159,13 +174,16 @@ class WalkIndex:
     Attributes
     ----------
     walks:
-        int32 array of shape ``(n, num_walks, length + 1)``; ``walks[v, i,
-        0] == v`` and ``-1`` marks steps past a dead end.
+        Integer array of shape ``(n, num_walks, length + 1)``; ``walks[v, i,
+        0] == v`` and ``-1`` marks steps past a dead end.  Sampled walks
+        are int16 or int32 (:func:`walk_dtype`); an index opened from an
+        older file keeps the dtype it was stored with.
     offsets:
-        int32 array of shape ``(n, num_walks, length)``: step *s* of a walk
-        took the in-edge at ``offsets[..., s]`` in the in-list of the node
-        ``walks[..., s]``, so ``tables.targets[tables.indptr[walks[..., s]]
-        + offsets[..., s]] == walks[..., s + 1]``; ``-1`` past a dead end.
+        Array of shape ``(n, num_walks, length)`` and the walks' dtype:
+        step *s* of a walk took the in-edge at ``offsets[..., s]`` in the
+        in-list of the node ``walks[..., s]``, so
+        ``tables.targets[tables.indptr[walks[..., s]] + offsets[..., s]] ==
+        walks[..., s + 1]``; ``-1`` past a dead end.
     epoch:
         Mutation counter; always ``0`` for this immutable index.
         :class:`~repro.core.dynamic.DynamicWalkIndex` increments it on every
@@ -272,10 +290,11 @@ class WalkIndex:
         shard_size: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         n = self.index.num_nodes
+        dtype = walk_dtype(self.tables.degrees)
         if n == 0:
             return (
-                np.empty((0, self.num_walks, self.length + 1), dtype=np.int32),
-                np.empty((0, self.num_walks, self.length), dtype=np.int32),
+                np.empty((0, self.num_walks, self.length + 1), dtype=dtype),
+                np.empty((0, self.num_walks, self.length), dtype=dtype),
             )
         # One child generator per node: the draw stream consumed for node v
         # depends only on (seed, v), never on sharding or worker count.
@@ -295,14 +314,16 @@ class WalkIndex:
         ) as build_span:
             if effective_workers == 1 or len(shards) == 1:
                 parts = [
-                    self._sample_shard(lo, hi, rngs[lo:hi]) for lo, hi in shards
+                    self._sample_shard(lo, hi, rngs[lo:hi], dtype)
+                    for lo, hi in shards
                 ]
             else:
                 with ThreadPoolExecutor(max_workers=effective_workers) as pool:
                     parts = list(
                         pool.map(
                             lambda bounds: self._sample_shard(
-                                bounds[0], bounds[1], rngs[bounds[0]:bounds[1]]
+                                bounds[0], bounds[1],
+                                rngs[bounds[0]:bounds[1]], dtype,
                             ),
                             shards,
                         )
@@ -317,13 +338,18 @@ class WalkIndex:
         return walks, offsets
 
     def _sample_shard(
-        self, lo: int, hi: int, rngs: Sequence[np.random.Generator]
+        self,
+        lo: int,
+        hi: int,
+        rngs: Sequence[np.random.Generator],
+        dtype: np.dtype,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Sample the walks and offsets of nodes ``[lo, hi)`` — one shard.
 
         All randomness is pre-drawn per node in a fixed ``(num_walks,
         length)`` shape (dead walkers simply waste their draws), so the
         stepping below is deterministic given the draws and the graph.
+        Both tensors are of *dtype*, the graph's :func:`walk_dtype`.
         """
         count = hi - lo
         # Worker-pool threads open their own span stacks (depth 0); the
@@ -331,11 +357,9 @@ class WalkIndex:
         with span("walk_index.sample_shard", lo=lo, hi=hi, nodes=count):
             tables = self.tables
             total_walkers = count * self.num_walks
-            steps = np.full((self.length + 1, total_walkers), -1, dtype=np.int32)
-            offsets = np.full((self.length, total_walkers), -1, dtype=np.int32)
-            steps[0] = np.repeat(
-                np.arange(lo, hi, dtype=np.int32), self.num_walks
-            )
+            steps = np.full((self.length + 1, total_walkers), -1, dtype=dtype)
+            offsets = np.full((self.length, total_walkers), -1, dtype=dtype)
+            steps[0] = np.repeat(np.arange(lo, hi, dtype=dtype), self.num_walks)
             draws = np.empty((total_walkers, self.length), dtype=np.float64)
             for k, rng in enumerate(rngs):
                 start = k * self.num_walks
@@ -420,19 +444,25 @@ class WalkIndex:
         *pos_u* is one source position shared by every pair, or one per
         pair; *pos_v* holds the candidate positions.  Returns an int64
         ``(len(pos_v), num_walks)`` array whose row *i* equals
-        ``first_meetings`` of pair *i*, computed in one stacked comparison
-        over the walk tensor.
+        ``first_meetings`` of pair *i*, read off the hits of one stacked
+        comparison over the walk tensor.
         """
+        width = self.length + 1
         walks_u = self.walks[pos_u]         # (n_w, t + 1) or (m, n_w, t + 1)
         # The source side's dead steps (-1) and start column become a value
         # no stored step holds, so one equality finds exactly the live
-        # meetings at offsets >= 1.  argmax then returns the first one, and
-        # 0 (a column that can never match) means "never met".
+        # meetings at offsets >= 1.
         marked = np.where(walks_u >= 0, walks_u, _NEVER_STEP)
         marked[..., 0] = _NEVER_STEP
-        first = (self.walks[pos_v] == marked).argmax(axis=2)
-        first[first == 0] = -1
-        return first.astype(np.int64, copy=False)
+        # Hit cells ascend, so each coupled walk's hits are contiguous and
+        # in step order: its first meeting is its first hit.
+        hits = np.flatnonzero(self.walks[pos_v] == marked)
+        walk_ids, steps = np.divmod(hits, width)
+        first = np.ones(hits.size, dtype=bool)
+        np.not_equal(walk_ids[1:], walk_ids[:-1], out=first[1:])
+        meetings = np.full(len(pos_v) * self.num_walks, -1, dtype=np.int64)
+        meetings[walk_ids[first]] = steps[first]
+        return meetings.reshape(len(pos_v), self.num_walks)
 
     # ------------------------------------------------------------------
     # Accounting (preprocessing experiment)

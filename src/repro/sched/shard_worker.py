@@ -3,8 +3,8 @@
 A shard worker serves one contiguous node range ``[lo, hi)`` of the
 index (see :mod:`repro.store.sharding`) and answers three operations over
 a duplex pipe: ``batch`` (scores for candidate positions it owns, from
-one source or one source per candidate), ``topk`` (its range's exact
-local top-k) and ``stats`` (a mergeable snapshot of the worker process's
+one source or one source per candidate), ``topk`` (the top-k of its
+range's scan) and ``stats`` (a mergeable snapshot of the worker process's
 metrics registry — see :mod:`repro.obs.aggregate` — which the router
 folds under a ``shard`` label so ``/metrics`` shows the whole process
 tree).  A forked worker
@@ -99,14 +99,15 @@ class ShardEngine:
     def top_k_positions(
         self, pos_u: int, k: int, positions=None
     ) -> list[tuple[int, float]]:
-        """Exact local top-k as ``(global_position, score)`` pairs.
+        """The top-k of this range's scan as ``(global_position, score)`` pairs.
 
         :meth:`QueryEngine.top_k_positions
         <repro.api.QueryEngine.top_k_positions>` over this range (or the
         given *positions*): the same bound and the same
-        ``(value, str(node))`` comparator as the unsharded scan — the
-        merge in :class:`~repro.sched.sharded.ShardedRuntime` relies on
-        the local lists being exact under that total order.
+        ``(value, str(node))`` comparator as the unsharded scan, which
+        the merge in :class:`~repro.sched.sharded.ShardedRuntime`
+        re-selects under (see its module docstring for when the merge
+        equals the unsharded scan).
         """
         if positions is None:
             positions = np.arange(self.lo, self.hi, dtype=np.int64)

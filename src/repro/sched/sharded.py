@@ -14,11 +14,18 @@ overrides only where the numbers come from, routing through one worker
 * ``BATCH`` scatters candidates by owning range and gathers the pieces
   back into submission order — bit-identical to the unsharded call
   because per-candidate scores never depend on their batch-mates;
-* ``TOPK`` asks every shard for its exact local top-k (same
+* ``TOPK`` asks every shard for the top-k of its own range's scan (same
   ``(value, str(node))`` comparator as :func:`~repro.core.topk.top_k_similar`)
   and re-selects the global k from the union under that same total
-  order — provably identical to the unsharded scan, property-tested in
-  ``tests/properties/test_shard_identity.py``.
+  order.  Where every score is at most its Prop. 2.5 bound ``sem(u,
+  v)``, each scan stops only past candidates that cannot enter its
+  top-k, so the merge equals the unsharded scan.  Prop. 2.5 bounds the
+  exact measure, not an MC estimate, which can exceed ``sem(u, v)``; a
+  scan may then stop before a candidate that beats its k-th score.  So
+  for MC the equality is observed, not proven: on perfbench's graph it
+  held for all 1,430 entity sources on contiguous 2- and 3-shard plans
+  and failed for 7 under an interleaved split (docs/serving.md).
+  ``tests/properties/test_shard_identity.py`` checks it on its graphs.
 
 Fault isolation is per shard: every shard gets its own
 :class:`~repro.serve.CircuitBreaker`; a worker that errors, misses the
@@ -881,10 +888,10 @@ class ShardedRuntime(ServingRuntime):
             shard: {"pos_u": pos_u, "k": k, "positions": candidates}
             for shard, candidates in chosen.items()
         }, deadline)
-        # (value, str(node), position) — the exact total order the
-        # unsharded heap selects under; re-selecting the global k from
-        # exact local top-k lists is therefore bit-identical to the
-        # unsharded scan.
+        # (value, str(node), position) — the total order the unsharded
+        # scan selects under.  The re-selected k equals the unsharded
+        # scan's wherever the local scans' early stops were sound (see
+        # the module docstring).
         nodes = acquisition.engine.nodes
         entries = [
             (float(value), str(nodes[int(p)]), int(p))

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import WalkIndex, WalkPolicy
+from repro.core import DynamicWalkIndex, WalkIndex, WalkPolicy
+from repro.core.walk_index import walk_dtype
 from repro.errors import ConfigurationError, NodeNotFoundError
 from repro.hin import HIN
+
+#: The largest count int16 holds: node counts and in-degrees up to it
+#: give int16 walk and offset tensors.
+INT16_LIMIT = 32_767
 
 
 @pytest.fixture
@@ -115,7 +120,8 @@ class TestStepOffsets:
         graph.add_edge("source", "x1", weight=3.0)  # a dead end behind x1
         index = WalkIndex(graph, num_walks=30, length=6, policy=policy, seed=3)
         tables, walks, offsets = index.tables, index.walks, index.offsets
-        assert offsets.dtype == np.int32
+        assert walks.dtype == offsets.dtype == walk_dtype(tables.degrees)
+        assert offsets.dtype == np.int16
         assert offsets.shape == walks.shape[:2] + (index.length,)
         current, nxt = walks[..., :-1], walks[..., 1:]
         alive = nxt >= 0
@@ -129,6 +135,59 @@ class TestStepOffsets:
         )
         assert np.array_equal(parallel.walks, walks)
         assert np.array_equal(parallel.offsets, offsets)
+
+
+class TestWalkDtype:
+    """The walk and offset tensors take the narrowest dtype holding them."""
+
+    @pytest.mark.parametrize(
+        "count, dtype", [(INT16_LIMIT, np.int16), (INT16_LIMIT + 1, np.int32)]
+    )
+    def test_node_count_bound(self, count, dtype):
+        assert walk_dtype(np.zeros(count, dtype=np.int64)) == dtype
+
+    @pytest.mark.parametrize(
+        "degree, dtype", [(INT16_LIMIT, np.int16), (INT16_LIMIT + 1, np.int32)]
+    )
+    def test_in_degree_bound(self, degree, dtype):
+        degrees = np.zeros(10, dtype=np.int64)
+        degrees[3] = degree
+        assert walk_dtype(degrees) == dtype
+
+    def test_empty_graph(self):
+        index = WalkIndex(HIN(), num_walks=3, length=2, seed=0)
+        assert index.walks.shape == (0, 3, 3)
+        assert index.walks.dtype == index.offsets.dtype == np.int16
+
+    @pytest.fixture(scope="class")
+    def graph_at_bound(self) -> HIN:
+        """INT16_LIMIT nodes, a short chain of them linked."""
+        g = HIN()
+        for i in range(INT16_LIMIT):
+            g.add_node(f"n{i}")
+        for i in range(40):
+            g.add_edge(f"n{i}", f"n{i + 1}")
+        return g
+
+    @pytest.mark.parametrize("mutation", ["add_node", "add_edge"])
+    def test_mutation_past_the_bound_widens_like_a_cold_build(
+        self, graph_at_bound, mutation
+    ):
+        dynamic = DynamicWalkIndex(
+            graph_at_bound, num_walks=1, length=1, seed=5
+        )
+        assert dynamic.walks.dtype == dynamic.offsets.dtype == np.int16
+        if mutation == "add_node":
+            dynamic.add_node("fresh")
+        else:
+            dynamic.add_edge("fresh", "n1")  # a new source node
+        cold = WalkIndex(dynamic.graph, num_walks=1, length=1, seed=5)
+        assert cold.walks.dtype == cold.offsets.dtype == np.int32
+        for grown, built in (
+            (dynamic.walks, cold.walks), (dynamic.offsets, cold.offsets)
+        ):
+            assert grown.dtype == built.dtype
+            assert np.array_equal(grown, built)
 
 
 class TestFirstMeetings:

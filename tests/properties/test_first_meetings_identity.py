@@ -1,12 +1,15 @@
-"""Property tests: stacked first-meeting detection equals the per-pair one.
+"""Property tests: first-meeting detection equals a per-walk oracle.
 
 :meth:`~repro.core.WalkIndex.first_meetings_pairs` finds the first
-meetings of many pairs with one comparison over the walk tensor and feeds
-every batched score; the scalar :meth:`~repro.core.WalkIndex.first_meetings`
-feeds the per-walk oracle.  Row *i* of the stacked array must equal
-``first_meetings`` of pair *i*, element for element: with one shared
-source and with one source per pair, on graphs with dangling nodes (whose
-walks are padded with -1), for identity pairs, and on a
+meetings of many pairs from the hits of one comparison over the walk
+tensor; it feeds every batched score, and its row 0 is the scalar
+:meth:`~repro.core.WalkIndex.first_meetings`.  Both are held here to
+:func:`oracle_first_meetings`, a loop over each coupled walk that takes
+the smallest step ``k >= 1`` where both walks are alive and stand on the
+same node: with one shared source and with one source per pair, on graphs
+with dangling nodes (whose walks are padded with -1), for identity pairs,
+on the sampled int16 tensors and on int32 copies of them (the dtype of
+artifacts written before the tensors were narrowed), and on a
 :class:`~repro.core.DynamicWalkIndex` after mutations.
 """
 
@@ -38,15 +41,47 @@ def draw_pairs(seed: int, num_nodes: int, num_pairs: int, shared: bool):
     return pos_u, pos_v
 
 
-def assert_rows_match_scalar(index, pos_u, pos_v) -> None:
-    stacked = index.first_meetings_pairs(pos_u, pos_v)
-    assert stacked.dtype == np.int64
-    assert stacked.shape == (pos_v.size, index.num_walks)
+def oracle_first_meetings(walks: np.ndarray, pos_u, pos_v) -> np.ndarray:
+    """First meeting of each coupled walk of each pair, one walk at a time."""
+    sources = np.broadcast_to(pos_u, pos_v.shape).tolist()
+    num_walks, width = walks.shape[1], walks.shape[2]
+    out = np.full((len(sources), num_walks), -1, dtype=np.int64)
+    for row, (a, b) in enumerate(zip(sources, pos_v.tolist())):
+        for walk in range(num_walks):
+            for k in range(1, width):
+                step = int(walks[a, walk, k])
+                if step >= 0 and step == int(walks[b, walk, k]):
+                    out[row, walk] = k
+                    break
+    return out
+
+
+def int32_copy(index) -> WalkIndex:
+    """*index* over int32 copies of its tensors."""
+    return WalkIndex.from_arrays(
+        index.graph,
+        index.walks.astype(np.int32),
+        offsets=index.offsets.astype(np.int32),
+        num_walks=index.num_walks,
+        length=index.length,
+        policy=index.policy,
+        tables=index.tables,
+        graph_index=index.index,
+    )
+
+
+def assert_rows_match_oracle(index, pos_u, pos_v) -> None:
+    assert index.walks.dtype == np.int16
+    expected = oracle_first_meetings(index.walks, pos_u, pos_v)
     nodes = index.index.nodes
-    sources = np.broadcast_to(pos_u, pos_v.shape)
-    for row, a, b in zip(stacked, sources.tolist(), pos_v.tolist()):
+    first_u = int(np.broadcast_to(pos_u, pos_v.shape)[0])
+    for tensors in (index, int32_copy(index)):
+        stacked = tensors.first_meetings_pairs(pos_u, pos_v)
+        assert stacked.dtype == np.int64
+        np.testing.assert_array_equal(stacked, expected)
         np.testing.assert_array_equal(
-            row, index.first_meetings(nodes[a], nodes[b])
+            tensors.first_meetings(nodes[first_u], nodes[int(pos_v[0])]),
+            expected[0],
         )
 
 
@@ -70,7 +105,7 @@ def test_stacked_rows_equal_scalar_first_meetings(
         num_walks=12, length=6, policy=policy, seed=walk_seed,
     )
     pos_u, pos_v = draw_pairs(pair_seed, num_nodes, num_pairs, shared)
-    assert_rows_match_scalar(index, pos_u, pos_v)
+    assert_rows_match_oracle(index, pos_u, pos_v)
 
 
 @COMMON
@@ -97,4 +132,4 @@ def test_rows_equal_scalar_after_mutations(
     pos_u, pos_v = draw_pairs(
         pair_seed, dynamic.index.num_nodes, num_pairs, shared
     )
-    assert_rows_match_scalar(dynamic, pos_u, pos_v)
+    assert_rows_match_oracle(dynamic, pos_u, pos_v)

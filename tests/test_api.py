@@ -95,6 +95,37 @@ class TestConstruction:
             assert not array.flags.writeable
             assert isinstance(array.base, np.memmap)
 
+    def test_open_serves_int32_walk_artifacts(self, taxonomy_graph, tmp_path):
+        """Artifacts store their walk and offset arrays at whatever integer
+        dtype they were written with: one holding int32 tensors opens as
+        int32 and serves the floats of the int16 engine it copies."""
+        graph, measure = taxonomy_graph
+        engine = QueryEngine(graph, measure, method="mc", decay=0.6,
+                             num_walks=60, length=8, seed=7)
+        narrow = engine.walk_index
+        assert narrow.walks.dtype == narrow.offsets.dtype == np.int16
+        wide = QueryEngine(graph, measure, method="mc", decay=0.6,
+                           num_walks=60, length=8, seed=7)
+        wide.walk_index.walks = narrow.walks.astype(np.int32)
+        wide.walk_index.offsets = narrow.offsets.astype(np.int32)
+        opened = QueryEngine.open(wide.save(tmp_path / "int32.idx"))
+        walk_index = opened.walk_index
+        assert walk_index.walks.dtype == walk_index.offsets.dtype == np.int32
+        np.testing.assert_array_equal(walk_index.walks, narrow.walks)
+        source = int(engine.node_positions(["x1"])[0])
+        candidates = np.arange(graph.num_nodes, dtype=np.int64)
+        sources = candidates[::-1].copy()
+        assert opened.score("x1", "x2") == engine.score("x1", "x2")
+        assert np.array_equal(
+            opened.score_positions(source, candidates),
+            engine.score_positions(source, candidates),
+        )
+        assert np.array_equal(
+            opened.score_positions(sources, candidates),
+            engine.score_positions(sources, candidates),
+        )
+        assert opened.top_k("x1", k=5) == engine.top_k("x1", k=5)
+
     def test_auto_materializes_measure(self, mc_engine):
         assert isinstance(mc_engine.measure, MatrixMeasure)
 
