@@ -32,7 +32,7 @@ def test_preprocessing_walk_index(benchmark, show, amazon_small):
         f"=== Preprocessing — walk index on {bundle.name} "
         f"(|V|={bundle.graph.num_nodes}) ===",
         f"entries (n * n_w * (t+1)): {index.storage_entries}",
-        f"storage: {index.storage_bytes / 1024:.1f} KiB",
+        f"storage (walks + step offsets): {index.storage_bytes / 1024:.1f} KiB",
     ]
     show("preprocessing_walk_index", lines)
 

@@ -27,7 +27,7 @@ def main() -> None:
     walk_index = WalkIndex(graph, num_walks=150, length=15, seed=0)
     sling = SlingIndex(graph, measure, theta=0.1)
     print(f"  built in {time.perf_counter() - start:.2f}s "
-          f"({walk_index.storage_bytes / 1024:.0f} KiB walks, "
+          f"({walk_index.storage_bytes / 1024:.0f} KiB of walks and step offsets, "
           f"{sling.num_entries} indexed pairs)")
     print()
 

@@ -170,8 +170,12 @@ class QueryEngine:
     materialize_semantics:
         ``"auto"`` (default), ``True`` or ``False`` — whether to densify
         *measure* into a :class:`~repro.semantics.cache.MatrixMeasure` in
-        index node order, which is what unlocks the fully vectorised batch
-        path.  ``"auto"`` densifies up to ``AUTO_MATERIALIZE_LIMIT`` nodes.
+        index node order.  The MC kernel reads a materialised ``sem`` and
+        its ``SO = W sem Wᵀ`` table as dense cell sources; otherwise each
+        scoring call computes the ``sem`` and ``SO`` cells its walks reach,
+        once per distinct cell — the same floats, with no n×n memory but
+        far more time per pair.  ``"auto"`` densifies up to
+        ``AUTO_MATERIALIZE_LIMIT`` nodes.
     max_iterations, tolerance:
         Fixed-point controls for ``method="iterative"`` (defaults follow
         :class:`~repro.core.semsim.SemSim`).
@@ -966,9 +970,7 @@ class QueryEngine:
     ) -> np.ndarray:
         """Iterative-table scores of ``(pos_u[i], positions[i])``."""
         m = positions.size
-        self.stats.add(
-            queries=m, batch_queries=1, batch_pairs=m, vectorized_pairs=m,
-        )
+        self.stats.add(queries=m, batch_queries=1, batch_pairs=m)
         return self._table.result.matrix[pos_u, positions].astype(np.float64)
 
     def single_source(

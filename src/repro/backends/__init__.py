@@ -12,10 +12,10 @@ instance: ``QueryEngine(backend=NumpyBackend())``.
 from repro.backends.base import (
     BackendConfig,
     ComputeBackend,
+    ComputedCells,
     WalkScoreRequest,
     WalkScoreResult,
     kernel_timer,
-    resolve_so_plane,
 )
 from repro.backends.blocked import BlockedBackend
 
@@ -33,9 +33,9 @@ __all__ = [
     "BackendConfig",
     "BlockedBackend",
     "ComputeBackend",
+    "ComputedCells",
     "WalkScoreRequest",
     "WalkScoreResult",
     "kernel_timer",
     "resolve_backend",
-    "resolve_so_plane",
 ]

@@ -3,13 +3,18 @@
 The Monte-Carlo hot paths — the batched likelihood-ratio walk scores of
 Algorithm 1 and the classical ``c^tau`` SimRank reduction — are pure
 array kernels: every input they need is prepared by the estimator (walk
-tensors and their step offsets, per-edge ``W``/``Q`` arrays, the dense
-semantic matrix, meeting times) and every output is a plain array plus a
-handful of work counters.
+tensors and their step offsets, per-edge ``W``/``Q`` arrays, the ``sem``
+and ``SO`` cell sources, meeting times) and every output is a plain
+array plus a handful of work counters.
 :class:`ComputeBackend` pins that contract down.  The library ships one
 implementation, :class:`~repro.backends.blocked.BlockedBackend`
 (``"blocked"``); the stacked-array reference it is held to bit for bit
 lives with the tests as an oracle (``tests/backends/numpy_ref.py``).
+
+A *cell source* is anything with ``take(keys)`` over flat node-pair keys
+``u * n + v``.  A dense ``(n, n)`` matrix's flat view is one;
+:class:`ComputedCells` is the other, a memo that computes each distinct
+cell once on first ``take``.
 
 There is no registry: an estimator runs the kernel instance it is given
 (``QueryEngine(backend=...)``, the estimators' ``backend=``), or a fresh
@@ -23,7 +28,7 @@ import abc
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
@@ -50,6 +55,56 @@ class BackendConfig:
             )
 
 
+class CellSource(Protocol):
+    """Cells of an ``(n, n)`` node-pair table by flat key ``u * n + v``."""
+
+    def take(self, keys: np.ndarray) -> np.ndarray:  # pragma: no cover
+        """The float64 cells at the 1-D int64 *keys*, in their order."""
+
+
+class ComputedCells:
+    """A cell source that computes each distinct cell once, on first ``take``.
+
+    *compute(u, v)* returns the cell of node pair ``(u, v)``.  A
+    *lookup(u, v)* that returns a float (the SLING ``pair_index``) is
+    asked first; a cell it answers is not computed.  :attr:`computed`
+    counts the cells computed so far.  One instance serves one scoring
+    call, so the memo never outlives the graph it was computed from.
+    """
+
+    def __init__(
+        self,
+        num_nodes: int,
+        compute: Callable[[int, int], float],
+        lookup: Callable[[int, int], float | None] | None = None,
+    ) -> None:
+        self._n = num_nodes
+        self._compute = compute
+        self._lookup = lookup
+        self._cells: dict[int, float] = {}
+        self.computed = 0
+
+    def take(self, keys: np.ndarray) -> np.ndarray:
+        """The cells at the 1-D int64 *keys*, computing the new ones."""
+        cells = self._cells
+        values = []
+        for key in keys.tolist():
+            value = cells.get(key)
+            if value is None:
+                value = cells[key] = self._cell(key)
+            values.append(value)
+        return np.array(values, dtype=np.float64)
+
+    def _cell(self, key: int) -> float:
+        u, v = divmod(key, self._n)
+        if self._lookup is not None:
+            value = self._lookup(u, v)
+            if value is not None:
+                return value
+        self.computed += 1
+        return self._compute(u, v)
+
+
 @dataclass
 class WalkScoreRequest:
     """Inputs of the batched Algorithm-1 walk-score kernel.
@@ -62,9 +117,10 @@ class WalkScoreRequest:
     ``np.nonzero(meetings >= 1)`` (C order), and each row reads only its
     own pair's walks.  A step from node ``c`` with offset ``o`` took the
     in-edge at slot ``indptr[c] + o`` of the per-edge *weights* (``W``)
-    and *q* (``Q``).  *so_lookup*, when given, replaces the dense
-    *so_matrix* with a per-pair callable (the SLING ``pair_index`` path)
-    and owns its own evaluation counting.
+    and *q* (``Q``).  *sem* and *so* are cell sources over the ``n =
+    len(indptr) - 1`` nodes; a computed source (one that is not an
+    ``ndarray``) is read only at the cells a live walk reaches, and owns
+    its own evaluation counting.
     """
 
     walks: np.ndarray                 # (n, n_w, L + 1) node positions, -1 padded
@@ -75,24 +131,25 @@ class WalkScoreRequest:
     pos_u: np.ndarray                 # (m,) source node position per pair
     positions: np.ndarray             # (m,) candidate node position per pair
     meetings: np.ndarray              # (m, n_w) first-meeting steps, -1 = never
-    sem_matrix: np.ndarray            # (n, n) dense semantic matrix
+    sem: CellSource                   # sem(a, b) at key a * n + b
+    so: CellSource                    # SO(a, b) at key a * n + b
     decay: float
     theta: float | None
-    so_matrix: np.ndarray | None = None
-    so_lookup: Callable[[int, int], float] | None = None
 
 
 @dataclass
 class WalkScoreResult:
     """Outputs of the batched walk-score kernel.
 
-    *totals* holds, per pair, the sum of per-walk likelihood-ratio
-    scores (the scalar path's ``sum_w _walk_score(...)``); the counters are
-    the stat deltas the estimator folds into its
-    :class:`~repro.core.montecarlo.EstimatorStats`.
+    *values* holds each met walk's Def. 4.5 score, one per kernel row
+    (``np.nonzero(meetings >= 1)`` order), and *totals* their sum per
+    pair, added in row order; the counters are the stat deltas the
+    estimator folds into its :class:`~repro.core.montecarlo.EstimatorStats`.
+    A dense ``so`` counts one evaluation per step before each meeting.
     """
 
     totals: np.ndarray                # (m,) float64
+    values: np.ndarray                # (rows,) float64
     walks_met: int = 0
     so_evaluations: int = 0
     walks_pruned: int = 0
@@ -129,34 +186,6 @@ class ComputeBackend(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-# ---------------------------------------------------------------------------
-# SO-plane helper for the pair_index path (the kernel and its oracle).
-# ---------------------------------------------------------------------------
-
-def resolve_so_plane(
-    cu: np.ndarray,
-    cv: np.ndarray,
-    active: np.ndarray,
-    num_nodes: int,
-    so_lookup: Callable[[int, int], float],
-) -> np.ndarray:
-    """Fill a ``(rows, steps)`` SO plane through a per-pair lookup.
-
-    Deduplicates identical ``(cu, cv)`` step pairs before consulting
-    *so_lookup* (which owns caching and evaluation counting), exactly as
-    the pre-seam batch path did.  *active* marks the cells that need real
-    values; inactive cells stay 1.0 and are masked downstream.
-    """
-    pair_keys = cu.astype(np.int64) * np.int64(num_nodes) + cv
-    unique_keys, inverse = np.unique(pair_keys[active], return_inverse=True)
-    unique_so = np.empty(unique_keys.size, dtype=np.float64)
-    for j, key in enumerate(unique_keys):
-        unique_so[j] = so_lookup(int(key) // num_nodes, int(key) % num_nodes)
-    so = np.ones(cu.shape, dtype=np.float64)
-    so[active] = unique_so[inverse]
-    return so
 
 
 # ---------------------------------------------------------------------------

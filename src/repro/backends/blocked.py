@@ -1,10 +1,11 @@
 """The walk-score kernel: a step loop over live walks, then one dense round.
 
-This is the library's one implementation of the Monte-Carlo hot paths.
-It replays the arithmetic of the scalar Algorithm-1 loop (the stacked
-reference the identity suites keep as their oracle), and like that loop
-it stops each met walk where Def. 4.5 stops it: at its first meeting,
-at its θ cut, or at an ``SO``/``Q`` ≤ 0 bail-out.  Most met walks stop
+This is the library's one implementation of the Monte-Carlo hot paths:
+every Monte-Carlo score, a single pair's included, runs it.  It replays
+the arithmetic of the scalar Algorithm-1 loop (which the identity suites
+keep as an oracle, beside the stacked reference), and like that loop it
+stops each met walk where Def. 4.5 stops it: at its first meeting, at
+its θ cut, or at an ``SO``/``Q`` ≤ 0 bail-out.  Most met walks stop
 early (on perfbench's graph at θ = 0.05, a met walk of a top-k request
 stops after 1.94 steps on average, 56% of them after step 0), so a
 kernel that computes every step before each meeting and masks the rest
@@ -26,13 +27,15 @@ throws most of its work away.  The kernel has two bodies:
 
 The met walks enter ``config.block_rows`` rows at a time in their
 original order, so every temporary a thread holds is bounded by one
-block.  On the SLING ``pair_index`` path a block's ``SO`` cells are
-resolved once, before its step loop, for every step before each
-meeting: exactly the cells the stacked reference resolves.
+block.  ``sem`` and ``SO`` are read through their cell sources' ``take``.
+The dense round reads cells past each row's stop, so it runs only when
+both sources are dense matrices (``ndarray`` flat views); with a
+computed source the step loop runs every walk to its stop, and the
+source computes exactly the cells the live walks reach.
 
 Bit-identity argument: ``take`` fetches exactly the floats fancy
-indexing fetches; the node-pair keys and in-edge slots are integer
-arithmetic in int64 (exact); each step multiplies a row's running
+indexing (or the cell's own computation) gives; the node-pair keys and
+in-edge slots are integer arithmetic in int64 (exact); each step multiplies a row's running
 product by ``((sem * w_u) * w_v / so) * c / (q_u * q_v)`` in the scalar
 operation order, whichever body runs it (``run * f`` and ``f * run`` are
 the same IEEE product); a bail-out multiplies by 0 as the reference's
@@ -46,12 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.base import (
-    ComputeBackend,
-    WalkScoreRequest,
-    WalkScoreResult,
-    resolve_so_plane,
-)
+from repro.backends.base import ComputeBackend, WalkScoreRequest, WalkScoreResult
 
 #: Live rows at or below which a block leaves the step loop and finishes
 #: its walks in one dense round.
@@ -78,7 +76,8 @@ class BlockedBackend(ComputeBackend):
         n_rows = cells.size
         if n_rows == 0:
             return WalkScoreResult(
-                totals=np.zeros(m, dtype=np.float64), walks_met=0
+                totals=np.zeros(m, dtype=np.float64),
+                values=np.empty(0, dtype=np.float64),
             )
         rows_pair = cells // n_w
         met_at = meetings.reshape(-1).take(cells)                       # (R,)
@@ -106,10 +105,11 @@ class BlockedBackend(ComputeBackend):
         ).astype(np.float64)
         return WalkScoreResult(
             totals=totals,
+            values=values,
             walks_met=n_rows,
             # dense SO: one evaluation per step before each meeting
             so_evaluations=(
-                int(met_at.sum()) if request.so_lookup is None else 0
+                int(met_at.sum()) if isinstance(request.so, np.ndarray) else 0
             ),
             walks_pruned=walks_pruned,
         )
@@ -129,12 +129,16 @@ class BlockedBackend(ComputeBackend):
         width = request.offsets.shape[2]                                # L
         walk_cells = request.walks.reshape(-1)
         offset_cells = request.offsets.reshape(-1)
-        sem_cells = request.sem_matrix.reshape(-1)
+        indptr, weights, q = request.indptr, request.weights, request.q
+        sem_cells, so_cells = request.sem, request.so
         # an int64 scalar keeps the node-pair keys int64: walk * n
         # overflows int32 past ~46k nodes
-        n = np.int64(request.sem_matrix.shape[0])
-        indptr, weights, q = request.indptr, request.weights, request.q
+        n = np.int64(indptr.size - 1)
         decay, theta = request.decay, request.theta
+        # The dense round reads cells past each walk's stop, so a computed
+        # source keeps every walk in the step loop.
+        dense = isinstance(sem_cells, np.ndarray) and isinstance(so_cells, np.ndarray)
+        tail = _DENSE_TAIL_ROWS if dense else 0
         # The live walks' state, one int64 row per field (_ROW .. _OFF),
         # so one take compacts it and one add advances both cursors:
         # a walk's block row, its meeting, the nodes it stands on, and
@@ -147,14 +151,10 @@ class BlockedBackend(ComputeBackend):
         state[_CUR] = walk_cells.take(state[_NXT])
         state[_NXT] += 1
         np.multiply(flat, width, out=state[_OFF])
-        if request.so_lookup is None:
-            so_cells, so_plane = request.so_matrix.reshape(-1), None
-        else:
-            so_cells, so_plane = None, _so_plane(request, state, walk_cells)
         run = np.ones(rows, dtype=np.float64)
         pruned = 0
         step = 0
-        while state.shape[1] > _DENSE_TAIL_ROWS:
+        while state.shape[1] > tail:
             cur = state[_CUR]
             nxt = walk_cells.take(state[_NXT])
             edges = indptr.take(cur)
@@ -164,10 +164,7 @@ class BlockedBackend(ComputeBackend):
             factor = sem_cells.take(nxt[0] * n + nxt[1])
             factor *= w[0]
             factor *= w[1]
-            if so_plane is None:
-                so = so_cells.take(cur[0] * n + cur[1])
-            else:
-                so = so_plane[:, step].take(state[_ROW])
+            so = so_cells.take(cur[0] * n + cur[1])
             factor /= so
             factor *= decay
             q_step = q_pair[0] * q_pair[1]
@@ -194,7 +191,7 @@ class BlockedBackend(ComputeBackend):
                 state = state.take(keep, axis=1)
                 run = run.take(keep)
         if state.shape[1]:
-            pruned += _dense_round(request, so_cells, so_plane, state, run, step, out)
+            pruned += _dense_round(request, state, run, step, out)
         return pruned
 
     def simrank_scores(
@@ -208,26 +205,8 @@ class BlockedBackend(ComputeBackend):
         return contrib.sum(axis=1) / num_walks
 
 
-def _so_plane(
-    request: WalkScoreRequest, state: np.ndarray, walk_cells: np.ndarray
-) -> np.ndarray:
-    """A block's ``(rows, steps)`` SO plane through the pair lookup.
-
-    Resolves every step before each walk's meeting, as the stacked
-    reference does, so the lookup sees the same distinct cells.
-    """
-    steps = np.arange(int(state[_MET].max()))
-    nodes = walk_cells.take((state[_NXT] - 1)[..., None] + steps)
-    return resolve_so_plane(
-        nodes[0], nodes[1], np.greater.outer(state[_MET], steps),
-        request.sem_matrix.shape[0], request.so_lookup,
-    )
-
-
 def _dense_round(
     request: WalkScoreRequest,
-    so_cells: np.ndarray,
-    so_plane: np.ndarray | None,
     state: np.ndarray,
     run: np.ndarray,
     step: int,
@@ -235,14 +214,14 @@ def _dense_round(
 ) -> int:
     """Finish the live walks from *step* on in one ``(rows, k)`` round.
 
-    Each row's product runs over its steps up to its meeting; cells past
-    it hold garbage (a dead walk's -1 step or offset gives a negative key
-    or slot, which mode="wrap" reads like any other cell) and only ever
-    follow the row's stop, which the first-stop search finds first.
-    Returns how many walks were cut.
+    Both cell sources are dense.  Each row's product runs over its steps
+    up to its meeting; cells past it hold garbage (a dead walk's -1 step
+    or offset gives a negative key or slot, which mode="wrap" reads like
+    any other cell) and only ever follow the row's stop, which the
+    first-stop search finds first.  Returns how many walks were cut.
     """
     length = request.offsets.shape[2]
-    n = np.int64(request.sem_matrix.shape[0])
+    n = np.int64(request.indptr.size - 1)
     rows = state[_ROW]
     last = state[_MET] - (step + 1)                    # each row's final column
     k = int(last.max()) + 1
@@ -260,13 +239,10 @@ def _dense_round(
     ]
     w = request.weights.take(edges, mode="wrap")
     q_pair = request.q.take(edges, mode="wrap")
-    factor = request.sem_matrix.reshape(-1).take(keys[:, 1:], mode="wrap")
+    factor = request.sem.take(keys[:, 1:], mode="wrap")
     factor *= w[0]
     factor *= w[1]
-    if so_plane is None:
-        so = so_cells.take(keys[:, :k], mode="wrap")
-    else:
-        so = so_plane.take(rows, axis=0)[:, step: step + k]
+    so = request.so.take(keys[:, :k], mode="wrap")
     factor /= so
     factor *= request.decay
     q_step = q_pair[0] * q_pair[1]

@@ -22,17 +22,17 @@ Pruning (Section 4.4) applies two cuts, each bounding the error by θ:
   factor is ≤ θ-tested), so once it drops to ≤ θ the walk's final value is
   frozen there (Def. 4.5).
 
-Both estimators expose a **batched query path** keyed by node position
+Both estimators score by node position
 (:meth:`MonteCarloSemSim.score_positions`): the pairs ``(pos_u[i],
 positions[i])`` — one shared source or one source per pair — are
-estimated in one numpy pass: first-meeting detection, likelihood-ratio
-products and the θ walk-cut all run on stacked ``(num_pairs, num_walks,
-length)`` arrays instead of per-pair ``similarity()`` calls.
-``similarity_batch`` is its by-name form for one source.  The batch path
-reproduces the scalar path's arithmetic operation-for-operation, so the
-two agree bit for bit; when it cannot run vectorised (no dense semantic
-matrix is available) it falls back to scalar queries and counts the
-fallback in the stats.
+estimated in one pass of first-meeting detection and one call of the
+walk-score kernel (:mod:`repro.backends`), which runs the
+likelihood-ratio products and the θ walk-cut.  ``similarity`` is one
+pair through the same pass and ``similarity_batch`` its by-name form for
+one source, so every entry point returns the same float for a pair.
+The kernel reads ``sem`` and ``SO`` through cell sources: the dense
+matrices when the measure is materialised in index order, otherwise a
+per-call memo that computes each cell the walks reach once.
 
 A note on the paper's Algorithm 1 listing: it accumulates ``Pw`` and ``Qw``
 cumulatively *and* multiplies ``Pw/Qw`` into ``sim_w`` at every step, which
@@ -44,14 +44,17 @@ estimator unbiased (verified statistically in the tests).
 from __future__ import annotations
 
 import threading
-from typing import Sequence
+from functools import partial
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.backends import (
     ComputeBackend,
+    ComputedCells,
     WalkScoreRequest,
+    WalkScoreResult,
     kernel_timer,
     resolve_backend,
 )
@@ -68,6 +71,9 @@ from repro.obs.registry import get_registry, is_enabled
 from repro.semantics.base import SemanticMeasure
 from repro.semantics.cache import MatrixMeasure
 
+if TYPE_CHECKING:
+    from repro.core.sling import SlingIndex
+
 #: Counter fields of :class:`EstimatorStats`, with the help text of the
 #: mirrored registry families (``estimator_<field>_total``).
 _STAT_HELP: dict[str, str] = {
@@ -75,12 +81,10 @@ _STAT_HELP: dict[str, str] = {
     "walks_examined": "Coupled walks whose meeting status was checked.",
     "walks_met": "Coupled walks that met and paid the IS correction.",
     "walks_pruned": "Met walks frozen early by the theta walk-cut (Def. 4.5).",
-    "so_evaluations": "SO(u, v) denominators computed from scratch.",
+    "so_evaluations": "SO(u, v) denominators read from the dense table or computed.",
     "sem_gate_hits": "Pairs short-circuited to 0 by the Prop. 2.5 semantic gate.",
     "batch_queries": "Calls to a score_positions/similarity_batch entry point.",
     "batch_pairs": "Total pairs submitted through score_positions/similarity_batch.",
-    "vectorized_pairs": "Batch pairs scored on the stacked-array fast path.",
-    "scalar_fallbacks": "Batch pairs that fell back to scalar similarity().",
 }
 
 
@@ -112,7 +116,7 @@ class EstimatorStats:
     Counters
     --------
     queries:
-        Pairs scored, through either the scalar or the batch path
+        Pairs scored, through ``similarity`` or a batch entry point
         (identity pairs included).
     walks_examined:
         Coupled walks whose meeting status was checked.
@@ -121,20 +125,16 @@ class EstimatorStats:
     walks_pruned:
         Met walks frozen early by the θ walk-cut (Def. 4.5).
     so_evaluations:
-        ``SO(u, v)`` denominators computed from scratch.  The batch path
-        deduplicates identical ``(u, v)`` step pairs before evaluating, so
-        this can be far below the scalar path's count for the same work.
+        ``SO(u, v)`` denominators.  With the dense ``SO`` table, one per
+        step before each met walk's meeting.  Otherwise each distinct
+        cell a call's walks reach counts once, when it is computed; a
+        ``pair_index`` hit counts nothing.
     sem_gate_hits:
         Pairs short-circuited to 0 by the Prop. 2.5 semantic gate.
     batch_queries:
         Calls to a ``score_positions`` or ``similarity_batch`` entry point.
     batch_pairs:
         Total pairs submitted through those entry points.
-    vectorized_pairs:
-        Batch pairs scored on the stacked-array fast path.
-    scalar_fallbacks:
-        Batch pairs that fell back to per-pair ``similarity()`` calls
-        (no dense semantic matrix available).
     """
 
     __slots__ = ("_values", "_cells", "_lock")
@@ -292,21 +292,14 @@ class MonteCarloSimRank:
     def similarity(self, u: Node, v: Node) -> float:
         """Return the MC SimRank estimate ``(1/n_w) * sum c^tau``.
 
-        The sum runs over the same masked ``(n_w,)`` row the
-        ``simrank_scores`` kernel reduces, so every :meth:`score_positions`
-        entry equals this float.
+        One pair through :meth:`score_positions`' kernel call, so it
+        equals that pair's entry; it moves no ``batch_*`` counter.
         """
-        self._check_epoch()
-        self.stats.add(queries=1)
-        if u == v:
-            return 1.0
-        meetings = self.walk_index.first_meetings(u, v)
-        met = meetings >= 0
-        self.stats.add(
-            walks_examined=int(meetings.size), walks_met=int(met.sum())
+        index = self.walk_index
+        scores, _ = self._score(
+            index.node_position(u), np.array([index.node_position(v)])
         )
-        contrib = np.where(met, self.decay ** np.maximum(meetings, 0), 0.0)
-        return float(contrib.sum() / self.walk_index.num_walks)
+        return float(scores[0])
 
     def similarity_batch(
         self, u: Node, candidates: Sequence[Node]
@@ -327,29 +320,37 @@ class MonteCarloSimRank:
         each entry equals :meth:`similarity` of its pair.
         """
         pos_u, positions = pair_positions(pos_u, positions)
+        scores, walks_met = self._score(pos_u, positions)
+        m = positions.size
+        self.stats.add(batch_queries=1, batch_pairs=m)
+        self._accuracy.update(self.walk_index.num_walks, walks_met, m)
+        return scores
+
+    def _score(
+        self, pos_u: int | np.ndarray, positions: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """The pairs' scores and their met walk count."""
         self._check_epoch()
         m = positions.size
-        self.stats.add(
-            batch_queries=1, batch_pairs=m, vectorized_pairs=m, queries=m
-        )
+        self.stats.add(queries=m)
         if m == 0:
-            return np.empty(0, dtype=np.float64)
+            return np.empty(0, dtype=np.float64), 0
         index = self.walk_index
         meetings = index.first_meetings_pairs(pos_u, positions)  # (m, n_w)
         identity = positions == pos_u
         met = meetings >= 0
         met[identity] = False
+        walks_met = int(np.count_nonzero(met))
         self.stats.add(
-            walks_examined=int((~identity).sum()) * index.num_walks,
-            walks_met=int(met.sum()),
+            walks_examined=(m - int(np.count_nonzero(identity))) * index.num_walks,
+            walks_met=walks_met,
         )
-        self._accuracy.update(index.num_walks, int(met.sum()), m)
         with kernel_timer(self.backend.name, "simrank_scores"):
             scores = self.backend.simrank_scores(
                 meetings, met, self.decay, index.num_walks
             )
         scores[identity] = 1.0
-        return scores
+        return scores, walks_met
 
 
 class MonteCarloSemSim:
@@ -370,12 +371,12 @@ class MonteCarloSemSim:
         values and leave the Lemma's recommendation to callers.
     pair_index:
         Optional :class:`repro.core.sling.SlingIndex`-compatible cache of
-        the SARW step denominators ``SO(u, v)``; cuts the O(d²) inner loop
-        for indexed pairs (the Fig. 4 "SLING" configuration).
+        the SARW step denominators ``SO(u, v)``, asked before any ``SO``
+        cell is computed; cuts the O(d²) sum for indexed pairs (the Fig. 4
+        "SLING" configuration).
     backend:
         The :class:`~repro.backends.ComputeBackend` instance that runs the
-        batched kernel, or ``None`` for the library kernel.  Either way
-        the batch path is bit-identical to the scalar path.
+        walk-score kernel, or ``None`` for the library kernel.
     """
 
     def __init__(
@@ -384,7 +385,7 @@ class MonteCarloSemSim:
         measure: SemanticMeasure,
         decay: float = 0.6,
         theta: float | None = 0.05,
-        pair_index: "SupportsSoLookup | None" = None,
+        pair_index: "SlingIndex | None" = None,
         backend: ComputeBackend | None = None,
     ) -> None:
         self.walk_index = walk_index
@@ -397,20 +398,16 @@ class MonteCarloSemSim:
         self._accuracy = AccuracyGauges("semsim")
         self._graph_index = walk_index.index
         self._nodes = self._graph_index.nodes
-        # Fast path: a MatrixMeasure whose node order matches the index lets
-        # the O(d²) SO sum collapse to one vectorised bilinear form, and is
-        # what unlocks the fully vectorised batch path below.
+        # A MatrixMeasure whose node order matches the index is read as a
+        # dense sem cell source, and lets the O(d²) SO sum collapse to one
+        # table, W sem Wᵀ, built once.  Any other measure is read through
+        # per-call memos of the cells the walks reach.  A walk step's W and
+        # Q need no table of their own: both read the per-edge arrays of
+        # the walk index's transition tables through the step's offset.
         self._sem_matrix: np.ndarray | None = None
         if isinstance(measure, MatrixMeasure) and measure.nodes == list(self._nodes):
             self._sem_matrix = measure.matrix
-        # SO caches: the dense matrix for the MatrixMeasure fast path (built
-        # once as W sem Wᵀ, read by scalar and batch alike so the two paths
-        # always see bit-identical denominators), the dict for lazy measures.
-        # A walk step's W and Q need no table of their own: both read the
-        # per-edge arrays of the walk index's transition tables through the
-        # step's offset.
         self._so_matrix: np.ndarray | None = None
-        self._so_cache: dict[tuple[int, int], float] = {}
         # Everything above snapshots the graph as of now; a later index
         # mutation invalidates it, detected via the epoch check below.
         self._epoch = int(getattr(walk_index, "epoch", 0))
@@ -474,11 +471,16 @@ class MonteCarloSemSim:
         _count_tables_built("carried")
 
     def similarity(self, u: Node, v: Node) -> float:
-        """Return the Algorithm-1 estimate of ``sim(u, v)``."""
-        exact, sem_uv, total, _ = self._scalar_walks(u, v)
-        if exact is not None:
-            return exact
-        return sem_uv * total / self.walk_index.num_walks
+        """Return the Algorithm-1 estimate of ``sim(u, v)``.
+
+        One pair through :meth:`score_positions`' core, so it equals that
+        pair's batch entry; it moves no ``batch_*`` counter.
+        """
+        index = self.walk_index
+        scores, _ = self._score(
+            index.node_position(u), np.array([index.node_position(v)])
+        )
+        return float(scores[0])
 
     def similarity_batch(
         self, u: Node, candidates: Sequence[Node]
@@ -500,198 +502,132 @@ class MonteCarloSemSim:
 
         The per-coupled-walk contributions are i.i.d. (the walk index pairs
         independent samples), so ``z * std / sqrt(n_w)`` scaled by
-        ``sem(u, v)`` is the usual normal-approximation half-width.  For a
-        distribution-free (much looser) alternative, combine the point
-        estimate with :func:`repro.core.bounds.deviation_probability`.
+        ``sem(u, v)`` is the usual normal-approximation half-width.  The
+        contributions are the kernel's per-walk ``values`` (0 for walks
+        that never meet).  For a distribution-free (much looser)
+        alternative, combine the point estimate with
+        :func:`repro.core.bounds.deviation_probability`.
         """
-        exact, sem_uv, _, contributions = self._scalar_walks(u, v)
-        if exact is not None:
-            return exact, 0.0
+        index = self.walk_index
+        scores, walked = self._score(
+            index.node_position(u), np.array([index.node_position(v)])
+        )
+        if walked is None:
+            return float(scores[0]), 0.0
+        contributions = np.zeros(index.num_walks)
+        contributions[walked.meetings[0] >= 1] = walked.result.values
+        sem_uv = float(walked.sem[0])
         estimate = sem_uv * float(contributions.mean())
         spread = float(contributions.std(ddof=1)) if contributions.size > 1 else 0.0
-        half_width = sem_uv * z * spread / np.sqrt(self.walk_index.num_walks)
+        half_width = sem_uv * z * spread / np.sqrt(index.num_walks)
         return estimate, float(half_width)
 
-    # ------------------------------------------------------------------
-    # Internals — scalar path
-    # ------------------------------------------------------------------
-    def _scalar_walks(self, u: Node, v: Node):
-        """One pair's Algorithm-1 walk loop, shared by the scalar entry points.
-
-        Returns ``(exact, sem_uv, total, contributions)``.  *exact* is the
-        answer of a pair no walk is needed for (1.0 for ``u == v``, 0.0
-        below the θ gate), and ``None`` otherwise; then *contributions*
-        holds each coupled walk's score (0 for walks that never meet) and
-        *total* their running sum in walk order, so the estimate is
-        ``sem_uv * total / num_walks``.
-        """
-        self._check_epoch()
-        self.stats.add(queries=1)
-        if u == v:
-            return 1.0, None, None, None
-        sem_uv = self.measure.similarity(u, v)
-        if self.theta is not None and sem_uv <= self.theta:
-            self.stats.add(sem_gate_hits=1)
-            return 0.0, None, None, None
-        index = self.walk_index
-        pos_u, pos_v = index.node_position(u), index.node_position(v)
-        meetings = index.first_meetings(u, v)
-        contributions = np.zeros(index.num_walks)
-        total = 0.0
-        met = so_evals = pruned = 0
-        for walk_id in np.flatnonzero(meetings >= 0):
-            met += 1
-            score, evals, cut = self._walk_score(
-                pos_u, pos_v, int(walk_id), int(meetings[walk_id])
-            )
-            contributions[walk_id] = score
-            total += score
-            so_evals += evals
-            pruned += cut
-        self.stats.add(
-            walks_examined=int(meetings.size), walks_met=met,
-            so_evaluations=so_evals, walks_pruned=pruned,
-        )
-        return None, sem_uv, total, contributions
-
-    def _walk_score(
-        self, pos_u: int, pos_v: int, walk_id: int, meeting: int
-    ) -> tuple[float, int, int]:
-        """Likelihood-ratio score of one met coupled walk (Def. 4.5).
-
-        Scores walk *walk_id* of the pair ``(pos_u, pos_v)``, which first
-        meets at step *meeting*.  Returns ``(score, so_evaluations,
-        pruned)`` so the per-step loop stays free of stats bookkeeping —
-        callers fold the tallies into :class:`EstimatorStats` once per
-        public query, which is what keeps the registry-mirrored counters
-        off this hot path.
-        """
-        index = self.walk_index
-        tables = index.tables
-
-        def side(pos: int) -> tuple[list, list, list]:
-            # The walk up to the meeting, and W and Q of each step read at
-            # its in-edge's slot ``indptr[current] + offset``.
-            walk = index.walks[pos, walk_id, : meeting + 1]
-            edges = tables.indptr[walk[:-1]] + index.offsets[pos, walk_id, :meeting]
-            return (
-                walk.tolist(), tables.weights[edges].tolist(),
-                tables.q[edges].tolist(),
-            )
-
-        walk_u, w_u, q_u = side(pos_u)
-        walk_v, w_v, q_v = side(pos_v)
-        score = 1.0
-        so_evals = 0
-        for step in range(meeting):
-            numerator = (
-                self.measure.similarity(
-                    self._nodes[walk_u[step + 1]], self._nodes[walk_v[step + 1]]
-                )
-                * w_u[step]
-                * w_v[step]
-            )
-            so, fresh = self._so_value(walk_u[step], walk_v[step])
-            so_evals += fresh
-            if so <= 0:
-                return 0.0, so_evals, 0
-            p_step = numerator / so
-            q_step = q_u[step] * q_v[step]
-            if q_step <= 0:
-                return 0.0, so_evals, 0
-            score *= p_step * self.decay / q_step
-            if self.theta is not None and score <= self.theta:
-                # Def. 4.5: freeze the walk's value at its first ≤ θ bound.
-                return score, so_evals, 1
-        return score, so_evals, 0
-
-    def _so_denominator(self, pos_u: int, pos_v: int) -> float:
-        """``SO(u, v)``, counting fresh evaluations into the stats."""
-        value, fresh = self._so_value(pos_u, pos_v)
-        if fresh:
-            self.stats.add(so_evaluations=fresh)
-        return value
-
-    def _so_value(self, pos_u: int, pos_v: int) -> tuple[float, int]:
-        """``SO(u, v) = sum_{a,b} W(a,u) W(b,v) sem(a,b)`` — the O(d²) core.
-
-        Returns ``(value, fresh)`` where *fresh* is 1 when the denominator
-        was computed from scratch and 0 on a ``pair_index`` hit; callers
-        own the ``so_evaluations`` bookkeeping.
-        """
-        if self.pair_index is not None:
-            cached = self.pair_index.so_lookup(pos_u, pos_v)
-            if cached is not None:
-                return cached, 0
-        if self._sem_matrix is not None:
-            self._ensure_so_matrix()
-            return float(self._so_matrix[pos_u, pos_v]), 1
-        return so_sum(self._graph_index, self.measure, pos_u, pos_v), 1
-
-    # ------------------------------------------------------------------
-    # Internals — vectorised batch path
-    # ------------------------------------------------------------------
     def score_positions(
         self, pos_u: int | np.ndarray, positions: np.ndarray
     ) -> np.ndarray:
         """Scores of the pairs ``(pos_u[i], positions[i])``, by node position.
 
         *pos_u* is one source position shared by every pair, or one per
-        pair.  One vectorised pass over all pairs: each pair's score reads
-        only its own two walk rows, and its arithmetic is replayed in the
-        scalar operation order, so every entry equals :meth:`similarity`
-        of that pair.  Identity pairs score 1, θ-gated pairs (Prop. 2.5)
-        0, and the rest run first-meeting detection plus the backend
-        kernel.  Requires a dense semantic matrix to run vectorised —
-        built automatically when *measure* is a
-        :class:`~repro.semantics.cache.MatrixMeasure` in index node order;
-        otherwise every pair falls back to the scalar path (counted in
-        ``stats.scalar_fallbacks``).
+        pair.  Identity pairs score 1, θ-gated pairs (Prop. 2.5) 0, and
+        the rest run first-meeting detection plus one kernel call, in
+        which each pair reads only its own two walk rows, so every entry
+        equals :meth:`similarity` of that pair.
         """
-        pos_u, pos_v = pair_positions(pos_u, positions)
-        self._check_epoch()
-        m = pos_v.size
-        self.stats.add(batch_queries=1, batch_pairs=m)
-        if m == 0:
-            return np.empty(0, dtype=np.float64)
-        sources = np.broadcast_to(pos_u, pos_v.shape)
-        if self._sem_matrix is None:
-            self.stats.add(scalar_fallbacks=m)
-            nodes = self._nodes
-            return np.array(
-                [
-                    self.similarity(nodes[a], nodes[b])
-                    for a, b in zip(sources.tolist(), pos_v.tolist())
-                ],
-                dtype=np.float64,
+        pos_u, positions = pair_positions(pos_u, positions)
+        scores, walked = self._score(pos_u, positions)
+        self.stats.add(batch_queries=1, batch_pairs=positions.size)
+        if walked is not None:
+            self._accuracy.update(
+                self.walk_index.num_walks, walked.result.walks_met,
+                walked.meetings.shape[0],
             )
-        self.stats.add(vectorized_pairs=m, queries=m)
+        return scores
 
-        index = self.walk_index
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+    def _score(
+        self, pos_u: int | np.ndarray, positions: np.ndarray
+    ) -> "tuple[np.ndarray, _Walked | None]":
+        """The pairs' scores, and what the kernel did for the walked ones.
+
+        The second value is ``None`` when every pair is an identity or
+        θ-gated pair, so no walk was scored.
+        """
+        self._check_epoch()
+        m = positions.size
+        self.stats.add(queries=m)
         scores = np.zeros(m, dtype=np.float64)
-        identity = pos_v == sources
+        sources = np.full(m, pos_u) if np.ndim(pos_u) == 0 else pos_u
+        identity = positions == sources
         scores[identity] = 1.0
-
-        sem = self._sem_matrix[sources, pos_v]
+        active = np.flatnonzero(~identity)
+        sem_cells = self._sem_cells()
+        n = len(self._nodes)
+        # int64 keys u * n + v; a position outside [0, n) raises
+        keys = np.ravel_multi_index((sources[active], positions[active]), (n, n))
+        sem = sem_cells.take(keys)
         if self.theta is not None:
-            gated = (sem <= self.theta) & ~identity
-            self.stats.add(sem_gate_hits=int(gated.sum()))
-        else:
-            gated = np.zeros(m, dtype=bool)
-        active_idx = np.flatnonzero(~identity & ~gated)
-        if active_idx.size == 0:
-            return scores
-        self.stats.add(walks_examined=int(active_idx.size) * index.num_walks)
-
-        live_u = sources[active_idx]
-        live_v = pos_v[active_idx]
+            gated = sem <= self.theta
+            self.stats.add(sem_gate_hits=int(np.count_nonzero(gated)))
+            active, sem = active[~gated], sem[~gated]
+        if active.size == 0:
+            return scores, None
+        index = self.walk_index
+        self.stats.add(walks_examined=int(active.size) * index.num_walks)
+        live_u, live_v = sources[active], positions[active]
         # a shared source is compared by broadcasting, not gathered per pair
         meetings = index.first_meetings_pairs(
             pos_u if np.ndim(pos_u) == 0 else live_u, live_v
         )
-        totals = self._batch_walk_scores(live_u, live_v, meetings)
-        scores[active_idx] = sem[active_idx] * totals / index.num_walks
-        return scores
+        so_cells = self._so_cells()
+        tables = index.tables
+        request = WalkScoreRequest(
+            walks=index.walks, offsets=index.offsets, indptr=tables.indptr,
+            weights=tables.weights, q=tables.q, pos_u=live_u,
+            positions=live_v, meetings=meetings, sem=sem_cells, so=so_cells,
+            decay=self.decay, theta=self.theta,
+        )
+        with kernel_timer(self.backend.name, "batch_walk_scores"):
+            result = self.backend.batch_walk_scores(request)
+        so_evaluations = result.so_evaluations
+        if isinstance(so_cells, ComputedCells):
+            so_evaluations += so_cells.computed
+        self.stats.add(
+            walks_met=result.walks_met,
+            so_evaluations=so_evaluations,
+            walks_pruned=result.walks_pruned,
+        )
+        scores[active] = sem * result.totals / index.num_walks
+        return scores, _Walked(sem, meetings, result)
+
+    def _sem_cells(self) -> "np.ndarray | ComputedCells":
+        """One call's ``sem`` cells: the dense matrix, or a memo over the measure."""
+        if self._sem_matrix is not None:
+            return self._sem_matrix.reshape(-1)
+        nodes, similarity = self._nodes, self.measure.similarity
+        return ComputedCells(
+            len(nodes), lambda a, b: similarity(nodes[a], nodes[b])
+        )
+
+    def _so_cells(self) -> "np.ndarray | ComputedCells":
+        """One call's ``SO`` cells.
+
+        The dense table when the measure is materialised and no
+        ``pair_index`` is given.  Otherwise a memo that asks the
+        ``pair_index`` first, then reads the dense table, or sums
+        :func:`so_sum` for a lazy measure.
+        """
+        if self._sem_matrix is None:
+            compute = partial(so_sum, self._graph_index, self.measure)
+        else:
+            self._ensure_so_matrix()
+            so_matrix = self._so_matrix
+            if self.pair_index is None:
+                return so_matrix.reshape(-1)
+            compute = so_matrix.item
+        lookup = None if self.pair_index is None else self.pair_index.so_lookup
+        return ComputedCells(len(self._nodes), compute, lookup)
 
     def _weight_matrix(self) -> sp.csr_matrix:
         """The sparse in-weight matrix ``W`` (``W[v, a] = W(a, v)``).
@@ -710,7 +646,6 @@ class MonteCarloSemSim:
 
         ``W`` is the sparse in-weight matrix, so the build costs O(nnz · n)
         — negligible next to the n² semantic matrix that gates this path.
-        One shared table keeps the scalar and batch paths bit-identical.
         """
         if self._so_matrix is not None or self._sem_matrix is None:
             return
@@ -745,68 +680,14 @@ class MonteCarloSemSim:
         )
         so_matrix[:, rows] = np.asarray(sub_cols @ left_cols.T).T
 
-    def _cached_so(self, pos_u: int, pos_v: int) -> float:
-        """Memoised ``SO(u, v)`` for the backend's pair_index path.
 
-        Consults the same ``_so_cache``/``pair_index``/stat-counting chain
-        as the pre-seam batch path, so whichever backend asks — and in
-        whatever block order — every (pair → value) is identical and each
-        fresh evaluation is counted exactly once.
-        """
-        pair = (pos_u, pos_v)
-        cached = self._so_cache.get(pair)
-        if cached is None:
-            cached = self._so_denominator(pos_u, pos_v)
-            self._so_cache[pair] = cached
-        return cached
+class _Walked(NamedTuple):
+    """The walked pairs of one scoring call: their ``sem``, first meetings
+    and kernel result."""
 
-    def _batch_walk_scores(
-        self, pos_u: np.ndarray, positions: np.ndarray, meetings: np.ndarray
-    ) -> np.ndarray:
-        """Sum of per-walk likelihood-ratio scores for each pair.
-
-        *meetings* is the ``(m, num_walks)`` first-meeting array for the
-        pairs ``(pos_u[i], positions[i])``; the return value's entry *i*
-        equals the scalar path's ``sum_w _walk_score(...)`` for pair *i*.
-        The arithmetic itself lives in the compute backend — this method
-        prepares the request (step offsets and per-edge tables, SO source)
-        and folds the kernel's work counters back into the stats.
-        """
-        if self.pair_index is None:
-            self._ensure_so_matrix()
-            so_matrix, so_lookup = self._so_matrix, None
-        else:
-            # _cached_so owns caching and so_evaluations counting, so the
-            # pair_index is consulted exactly as in the scalar path.
-            so_matrix, so_lookup = None, self._cached_so
-        index = self.walk_index
-        tables = index.tables
-        request = WalkScoreRequest(
-            walks=index.walks,
-            offsets=index.offsets,
-            indptr=tables.indptr,
-            weights=tables.weights,
-            q=tables.q,
-            pos_u=pos_u,
-            positions=positions,
-            meetings=meetings,
-            sem_matrix=self._sem_matrix,
-            decay=self.decay,
-            theta=self.theta,
-            so_matrix=so_matrix,
-            so_lookup=so_lookup,
-        )
-        with kernel_timer(self.backend.name, "batch_walk_scores"):
-            result = self.backend.batch_walk_scores(request)
-        self.stats.add(
-            walks_met=result.walks_met,
-            so_evaluations=result.so_evaluations,
-            walks_pruned=result.walks_pruned,
-        )
-        self._accuracy.update(
-            self.walk_index.num_walks, result.walks_met, int(positions.size)
-        )
-        return result.totals
+    sem: np.ndarray
+    meetings: np.ndarray
+    result: WalkScoreResult
 
 
 def pair_positions(
@@ -834,9 +715,9 @@ def so_sum(
 ) -> float:
     """``SO(u, v) = sum_{a,b} W(a,u) W(b,v) sem(a,b)`` — the O(d²) double loop.
 
-    The one lazy-measure form of the denominator: the estimator's scalar
-    path and :class:`~repro.core.sling.SlingIndex` both sum it here, in
-    in-list order.
+    The one lazy-measure form of the denominator: the estimator's
+    computed ``SO`` cells and :class:`~repro.core.sling.SlingIndex` both
+    sum it here, in in-list order.
     """
     nodes = graph_index.nodes
     similarity = measure.similarity
@@ -853,11 +734,3 @@ def so_sum(
 def _count_tables_built(mode: str) -> None:
     if is_enabled():
         ESTIMATOR_TABLES_BUILT.labels(mode=mode).inc()
-
-
-class SupportsSoLookup:
-    """Protocol-ish base: anything with ``so_lookup(pos_u, pos_v)``."""
-
-    def so_lookup(self, pos_u: int, pos_v: int) -> float | None:  # pragma: no cover
-        """Return the cached ``SO`` denominator or ``None`` on a miss."""
-        raise NotImplementedError

@@ -407,27 +407,14 @@ class WalkIndex:
         """Return the ``(num_walks, length + 1)`` walk array of *node*."""
         return self.walks[self.node_position(node)]
 
-    def first_meetings(self, u: Node, v: Node) -> np.ndarray:
-        """Return the first-meeting step of each coupled walk (−1 if none).
-
-        Coupling pairs the i-th walk from ``u`` with the i-th from ``v``;
-        the meeting step is the smallest offset ``k >= 1`` where both walks
-        are alive and stand on the same node.  Row 0 of
-        :meth:`first_meetings_pairs`.
-        """
-        return self.first_meetings_pairs(
-            self.node_position(u),
-            np.array([self.node_position(v)], dtype=np.int64),
-        )[0]
-
     def first_meetings_batch(
         self, query: Node, candidates: Sequence[Node] | np.ndarray
     ) -> np.ndarray:
         """First-meeting steps of *query* against many candidates at once.
 
         Returns an int64 array of shape ``(len(candidates), num_walks)``
-        whose row *i* equals ``first_meetings(query, candidates[i])`` — the
-        single-source case of :meth:`first_meetings_pairs`.
+        whose row *i* holds the meetings of ``(query, candidates[i])`` —
+        the single-source case of :meth:`first_meetings_pairs`.
         """
         positions = (
             np.asarray(candidates, dtype=np.int64)
@@ -443,9 +430,12 @@ class WalkIndex:
 
         *pos_u* is one source position shared by every pair, or one per
         pair; *pos_v* holds the candidate positions.  Returns an int64
-        ``(len(pos_v), num_walks)`` array whose row *i* equals
-        ``first_meetings`` of pair *i*, read off the hits of one stacked
-        comparison over the walk tensor.
+        ``(len(pos_v), num_walks)`` array: entry ``[i, w]`` is the first
+        meeting of pair *i*'s coupled walk *w* — the i-th walk from each
+        side — which is the smallest step ``k >= 1`` where both walks are
+        alive and stand on the same node, or -1 if they never do.  The
+        meetings are read off the hits of one stacked comparison over the
+        walk tensor.
         """
         width = self.length + 1
         walks_u = self.walks[pos_u]         # (n_w, t + 1) or (m, n_w, t + 1)
@@ -469,13 +459,17 @@ class WalkIndex:
     # ------------------------------------------------------------------
     @property
     def storage_entries(self) -> int:
-        """Number of stored walk steps — the ``O(n * n_w * t)`` of §4.1."""
+        """Number of stored walk steps — the ``O(n * n_w * t)`` of §4.1.
+
+        It counts the walk tensor's entries only; the step offsets beside
+        them are not walk steps.
+        """
         return int(self.walks.size)
 
     @property
     def storage_bytes(self) -> int:
-        """Actual bytes held by the walk array."""
-        return int(self.walks.nbytes)
+        """Bytes held by the whole index: the walks and their step offsets."""
+        return int(self.walks.nbytes + self.offsets.nbytes)
 
     def __repr__(self) -> str:
         return (
@@ -553,8 +547,8 @@ def _check_walk_steps(
     its offset must address that node's in-list (``0 <= offset <
     degrees[current]``) and the in-edge there must lead to the next node
     (``targets[indptr[current] + offset] == next``); everywhere else the
-    offset must be ``-1``.  The kernel and the scalar loop read ``W`` and
-    ``Q`` at those slots unchecked, so a walk file of an older graph
+    offset must be ``-1``.  The walk-score kernel reads ``W`` and ``Q``
+    at those slots unchecked, so a walk file of an older graph
     would otherwise score silently wrong.  One vectorised pass.
     """
     nxt = walks[..., 1:]

@@ -1,11 +1,13 @@
-"""The ``numpy`` reference backend — the pre-seam kernels, moved verbatim.
+"""The ``numpy`` reference backend — the pre-seam kernels.
 
 This is the arithmetic every other backend is measured against: the
-stacked-array replay of the scalar Algorithm-1 loop that
-``MonteCarloSemSim._batch_walk_scores`` carried before the backend seam
-existed.  Operation order is load-bearing — the batch path reproduces the
-scalar path's arithmetic operation-for-operation, so any change here is a
-behaviour change for the whole library.
+stacked-array replay of the scalar Algorithm-1 loop
+(``tests/backends/scalar_ref.py``) that ``MonteCarloSemSim`` carried
+before the backend seam existed.  Operation order is load-bearing — the
+kernel reproduces the scalar loop's arithmetic operation-for-operation,
+so any change here is a behaviour change for the whole library.  It
+reads ``sem`` and ``SO`` through the request's cell sources, at its
+active cells (every step before each meeting) only.
 """
 
 from __future__ import annotations
@@ -13,12 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backends import BlockedBackend
-from repro.backends.base import (
-    ComputeBackend,
-    WalkScoreRequest,
-    WalkScoreResult,
-    resolve_so_plane,
-)
+from repro.backends.base import ComputeBackend, WalkScoreRequest, WalkScoreResult
 
 
 class NumpyBackend(ComputeBackend):
@@ -37,7 +34,7 @@ class NumpyBackend(ComputeBackend):
         rows_pair, rows_walk = np.nonzero(meetings >= 1)
         n_rows = rows_pair.size
         if n_rows == 0:
-            return WalkScoreResult(totals=totals, walks_met=0)
+            return WalkScoreResult(totals=totals, values=np.empty(0))
         walks = request.walks
         # each met walk's own pair: its source row and its candidate row
         src_u = request.pos_u[rows_pair]
@@ -55,7 +52,8 @@ class NumpyBackend(ComputeBackend):
         # ``factor`` where() is load-bearing.  Active steps sit strictly
         # before the meeting, where both walks still hold real node ids,
         # so the arithmetic replayed there is bit-identical to the masked
-        # form this replaces (and to the scalar path).
+        # form this replaces (and to the scalar path).  The cell sources
+        # are read at the active steps only, 1.0 elsewhere.
         cu = walk_u[:, :max_k]
         cv = walk_v[:, :max_k]
         nu = walk_u[:, 1 : max_k + 1]
@@ -66,26 +64,25 @@ class NumpyBackend(ComputeBackend):
         edge_u = request.indptr[cu] + request.offsets[src_u, rows_walk][:, :max_k]
         edge_v = request.indptr[cv] + request.offsets[src_v, rows_walk][:, :max_k]
 
+        n = request.indptr.size - 1
+
+        def cells(source, a, b):
+            plane = np.ones(a.shape)
+            plane[active] = source.take(a[active].astype(np.int64) * n + b[active])
+            return plane
+
         # P numerator, replaying the scalar operation order exactly:
         # (sem(nu, nv) * W(nu -> cu)) * W(nv -> cv).
         w_u = request.weights[edge_u]
         w_v = request.weights[edge_v]
-        numerator = request.sem_matrix[nu, nv] * w_u * w_v
+        numerator = cells(request.sem, nu, nv) * w_u * w_v
 
-        # SO denominators.  Without a pair_index every value comes straight
-        # from the precomputed SO matrix (one fancy-indexing gather, and the
-        # same table the scalar path reads).  With a pair_index, deduplicate
-        # identical (cu, cv) step pairs and route each through the lookup so
-        # the index is consulted exactly as in the scalar path.
-        so_evaluations = 0
-        if request.so_lookup is None:
-            so_evaluations = int(active.sum())
-            # full-plane gather: garbage on inactive steps, masked below
-            so = request.so_matrix[cu, cv]
-        else:
-            so = resolve_so_plane(
-                cu, cv, active, request.sem_matrix.shape[0], request.so_lookup
-            )
+        # SO denominators.  A dense table counts one evaluation per active
+        # step; a computed source counts its own.
+        so = cells(request.so, cu, cv)
+        so_evaluations = (
+            int(active.sum()) if isinstance(request.so, np.ndarray) else 0
+        )
 
         q_u = request.q[edge_u]
         q_v = request.q[edge_v]
@@ -121,6 +118,7 @@ class NumpyBackend(ComputeBackend):
         )
         return WalkScoreResult(
             totals=totals,
+            values=totals_rows,
             walks_met=n_rows,
             so_evaluations=so_evaluations,
             walks_pruned=walks_pruned,

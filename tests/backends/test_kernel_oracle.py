@@ -1,4 +1,4 @@
-"""The kernel against the oracle on hand-built requests.
+"""The kernel against the oracles on hand-built requests.
 
 No valid graph reaches the kernel's bail-out: weights are > 0 and Lin's
 ``sem`` lies in (0, 1], so every ``SO`` and ``Q`` cell is positive.  These
@@ -7,7 +7,10 @@ negative cells in copies of its ``SO`` matrix and ``Q`` array, so the
 walks hit bail-outs, θ cuts and meetings in every mix.  Each request runs
 through both of the kernel's bodies (the step loop and the dense round)
 at every block size, with the switch between them moved across every
-live count, and must equal the oracle's totals and all three counters.
+live count, and must equal the stacked oracle's totals, per-walk values
+and all three counters, and the scalar Def. 4.5 loop's values.  With a
+computed ``SO`` source the kernel must ask it for exactly the cells the
+scalar loop reaches.
 """
 
 import numpy as np
@@ -19,6 +22,7 @@ from repro.core import MonteCarloSemSim, WalkIndex
 from repro.semantics import MatrixMeasure
 
 from tests.backends.numpy_ref import NumpyBackend
+from tests.backends.scalar_ref import scalar_walk_scores
 from tests.conftest import build_taxonomy_graph
 
 LENGTH = 10
@@ -45,7 +49,19 @@ def parts():
     return index, estimator._sem_matrix, so, q, clean_so
 
 
-def _request(parts, shape, theta, so_lookup=None):
+class RecordingCells:
+    """A computed SO source over the planted table that records its keys."""
+
+    def __init__(self, flat):
+        self.flat = flat
+        self.keys = set()
+
+    def take(self, keys):
+        self.keys.update(np.ravel(keys).tolist())
+        return self.flat.take(keys)
+
+
+def _request(parts, shape, theta, so_cells=None):
     index, sem, so, q, _ = parts
     n = sem.shape[0]
     rng = np.random.default_rng(5)
@@ -68,8 +84,8 @@ def _request(parts, shape, theta, so_lookup=None):
     return WalkScoreRequest(
         walks=index.walks, offsets=index.offsets, indptr=tables.indptr,
         weights=tables.weights, q=q, pos_u=pos_u, positions=positions,
-        meetings=meetings, sem_matrix=sem, decay=0.6, theta=theta,
-        so_matrix=None if so_lookup else so, so_lookup=so_lookup,
+        meetings=meetings, sem=sem.reshape(-1), decay=0.6, theta=theta,
+        so=so.reshape(-1) if so_cells is None else so_cells,
     )
 
 
@@ -79,38 +95,33 @@ def _counters(result):
 
 @pytest.mark.parametrize("theta", [None, 0.0, 0.05, 1.0])
 @pytest.mark.parametrize("shape", ["shared", "per-pair", "one-long"])
-@pytest.mark.parametrize("sling", [False, True])
-def test_kernel_equals_oracle(parts, monkeypatch, theta, shape, sling):
-    so = parts[2]
+@pytest.mark.parametrize("computed", [False, True])
+def test_kernel_equals_oracle(parts, monkeypatch, theta, shape, computed):
+    so = parts[2].reshape(-1)
 
-    def lookup_into(calls):
-        def so_lookup(a, b):
-            calls.append((a, b))
-            return float(so[a, b])
-        return so_lookup if sling else None
+    def cells():
+        return RecordingCells(so) if computed else None
 
-    expected_calls = []
-    expected = NumpyBackend().batch_walk_scores(
-        _request(parts, shape, theta, lookup_into(expected_calls))
-    )
+    expected = NumpyBackend().batch_walk_scores(_request(parts, shape, theta, cells()))
     assert expected.walks_met > 0
     if theta in (0.05, 1.0) and shape != "one-long":
         assert expected.walks_pruned > 0
+    reached = RecordingCells(so)
+    values, pruned = scalar_walk_scores(_request(parts, shape, theta, reached))
+    assert values == expected.values.tolist()
+    assert pruned == expected.walks_pruned
     for tail in TAIL_ROWS:
         monkeypatch.setattr(blocked, "_DENSE_TAIL_ROWS", tail)
         for block_rows in (1, 3, 4096):
-            calls = []
             backend = BlockedBackend(BackendConfig(block_rows=block_rows))
-            got = backend.batch_walk_scores(
-                _request(parts, shape, theta, lookup_into(calls))
-            )
+            request = _request(parts, shape, theta, cells())
+            got = backend.batch_walk_scores(request)
             np.testing.assert_array_equal(got.totals, expected.totals)
+            np.testing.assert_array_equal(got.values, expected.values)
             assert _counters(got) == _counters(expected)
-            if block_rows == 4096:
-                # one block: the lookup sees the oracle's cells, in order
-                assert calls == expected_calls
-            else:
-                assert set(calls) == set(expected_calls)
+            if computed:
+                # the live walks reach exactly the scalar loop's cells
+                assert request.so.keys == reached.keys
 
 
 def test_planted_cells_change_the_scores(parts):
@@ -119,7 +130,7 @@ def test_planted_cells_change_the_scores(parts):
     index, _, _, _, clean_so = parts
     request = _request(parts, "per-pair", None)
     planted = NumpyBackend().batch_walk_scores(request)
-    request.so_matrix = clean_so
+    request.so = clean_so.reshape(-1)
     request.q = index.tables.q
     clean = NumpyBackend().batch_walk_scores(request)
     assert not np.array_equal(planted.totals, clean.totals)

@@ -2,9 +2,13 @@
 
 The ``blocked`` backend's whole reason to exist is "same bits, less
 time", so the assertions here are ``==`` / ``assert_array_equal`` — not
-approx — across the estimator surface: dense ``sem_matrix`` path, the
-SLING ``pair_index`` path, theta pruning on and off, and the stat
-counters the paper's tables are built from.
+approx — across the estimator surface: dense ``sem``/``SO`` sources, the
+SLING ``pair_index`` path (a computed ``SO`` source), theta pruning on
+and off, and the stat counters the paper's tables are built from.  The
+stacked oracle reads a computed source at every step before each
+meeting, the kernel only where a live walk reaches, so there
+``so_evaluations`` is held to the scalar Def. 4.5 loop
+(``tests/backends/scalar_ref.py``), which stops where the kernel does.
 """
 
 import numpy as np
@@ -17,6 +21,7 @@ from repro.core.sarw import SemanticAwareWalker
 from repro.semantics import MatrixMeasure
 
 from tests.backends.numpy_ref import KERNELS, NumpyBackend
+from tests.backends.scalar_ref import scalar_run, scalar_similarity, scalar_simrank
 from tests.conftest import build_taxonomy_graph
 
 EXACT_BACKENDS = ["numpy", "blocked"]
@@ -43,6 +48,26 @@ def _batch(estimator, graph):
     nodes = sorted(graph.nodes(), key=str)
     u = nodes[0]
     return np.asarray(estimator.similarity_batch(u, nodes[1:]))
+
+
+def _batch_counts(estimator, graph):
+    """The scalar loop's counters for the :func:`_batch` call."""
+    nodes = sorted(graph.nodes(), key=str)
+    index = estimator.walk_index
+    positions = index.node_positions(nodes[1:])
+    sources = np.full(positions.size, index.node_position(nodes[0]))
+    counts = scalar_run(estimator, sources, positions)[2]
+    return dict(counts, batch_queries=1, batch_pairs=positions.size)
+
+
+def _assert_same_work(reference, candidate, graph):
+    """Every counter equals the stacked oracle's, except a computed SO
+    source's evaluations, which are the scalar loop's reached cells."""
+    expected, got = reference.stats.as_dict(), candidate.stats.as_dict()
+    assert expected.pop("so_evaluations") >= got.pop("so_evaluations")
+    assert expected == got
+    if not isinstance(candidate.backend, NumpyBackend):
+        assert candidate.stats.as_dict() == _batch_counts(candidate, graph)
 
 
 class TestExactEquivalence:
@@ -80,7 +105,7 @@ class TestExactEquivalence:
         np.testing.assert_array_equal(
             _batch(reference, graph), _batch(candidate, graph)
         )
-        assert reference.stats.as_dict() == candidate.stats.as_dict()
+        _assert_same_work(reference, candidate, graph)
 
     @pytest.mark.parametrize("backend", EXACT_BACKENDS)
     def test_scalar_vs_batch_consistency(
@@ -95,6 +120,7 @@ class TestExactEquivalence:
         batch = estimator.similarity_batch(u, nodes[1:4])
         for v, value in zip(nodes[1:4], batch):
             assert estimator.similarity(u, v) == float(value)
+            assert scalar_similarity(estimator, u, v) == float(value)
 
     @pytest.mark.parametrize("backend", EXACT_BACKENDS)
     @pytest.mark.parametrize("theta", [None, 0.05])
@@ -103,8 +129,9 @@ class TestExactEquivalence:
         self, model, index, matrix_measure, backend, theta, sling
     ):
         """One kernel call over pairs from many sources — identity and
-        θ-gated pairs included — equals the per-walk loop pair by pair,
-        on the dense SO path and the pair_index path alike."""
+        θ-gated pairs included — equals the scalar per-walk loop pair by
+        pair, floats and counters alike, on the dense SO path and the
+        pair_index path."""
         graph, measure = model
         pair_index = SlingIndex(graph, measure, theta=0.05) if sling else None
         estimator = MonteCarloSemSim(
@@ -117,12 +144,14 @@ class TestExactEquivalence:
         vs = [nodes[int(i)] for i in rng.integers(len(nodes), size=40)]
         us, vs = us + nodes[:3], vs + nodes[:3]
         index_of = estimator.walk_index
-        batch = estimator.score_positions(
-            index_of.node_positions(us), index_of.node_positions(vs)
+        pos_u, pos_v = index_of.node_positions(us), index_of.node_positions(vs)
+        batch = estimator.score_positions(pos_u, pos_v)
+        scores, _, counts = scalar_run(estimator, pos_u, pos_v)
+        assert scores == batch.tolist()
+        assert estimator.stats.as_dict() == dict(
+            counts, batch_queries=1, batch_pairs=len(us)
         )
-        assert [estimator.similarity(u, v) for u, v in zip(us, vs)] == (
-            batch.tolist()
-        )
+        assert [estimator.similarity(u, v) for u, v in zip(us, vs)] == scores
 
     @pytest.mark.parametrize("backend", EXACT_BACKENDS)
     def test_simrank_scores_identical(self, model, index, backend):
@@ -133,7 +162,7 @@ class TestExactEquivalence:
         for v in nodes[1:5]:
             assert reference.similarity(nodes[0], v) == candidate.similarity(
                 nodes[0], v
-            )
+            ) == scalar_simrank(candidate, nodes[0], v)
 
     def test_blocked_identical_across_block_sizes(
         self, model, index, matrix_measure
@@ -184,7 +213,7 @@ class TestBoundedScratch:
         np.testing.assert_array_equal(
             _batch(reference, graph), _batch(candidate, graph)
         )
-        assert reference.stats.as_dict() == candidate.stats.as_dict()
+        _assert_same_work(reference, candidate, graph)
         assert candidate.stats.walks_met > 10 * 7  # many blocks, not one
         assert sum(held) == candidate.stats.walks_met
         assert max(held) <= 7

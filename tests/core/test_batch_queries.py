@@ -2,8 +2,9 @@
 
 The property suite (``tests/properties/test_batch_vs_scalar.py``) covers
 randomised agreement; this file pins down the deterministic contracts:
-exact batch-vs-scalar equality on a fixed graph, stats accounting, the
-scalar fallback for non-materialised measures, and order preservation.
+exact equality with the scalar Def. 4.5 loop (``tests/backends/
+scalar_ref.py``) on a fixed graph, stats accounting, the kernel path for
+non-materialised measures, and order preservation.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.core.join import similarity_join
 from repro.core.topk import str_ranks, top_k_scan, top_k_similar
 from repro.errors import ConfigurationError
 from repro.semantics import MatrixMeasure
+from tests.backends.scalar_ref import scalar_similarity, scalar_simrank
 from tests.conftest import build_taxonomy_graph
 
 
@@ -34,6 +36,7 @@ class TestSemSimBatch:
         batch = estimator.similarity_batch(u, nodes)
         for node, value in zip(nodes, batch):
             assert value == estimator.similarity(u, node)
+            assert value == scalar_similarity(estimator, u, node)
 
     def test_batch_identity_pair_is_one(self, setup):
         graph, _, measure, index = setup
@@ -46,7 +49,7 @@ class TestSemSimBatch:
         estimator = MonteCarloSemSim(index, measure, decay=0.6, theta=None)
         nodes = list(graph.nodes())
         batch = estimator.similarity_batch("x2", nodes)
-        scalar = [estimator.similarity("x2", node) for node in nodes]
+        scalar = [scalar_similarity(estimator, "x2", node) for node in nodes]
         np.testing.assert_array_equal(batch, scalar)
 
     def test_empty_candidate_list(self, setup):
@@ -61,20 +64,17 @@ class TestSemSimBatch:
         stats = estimator.stats
         assert stats.batch_queries == 1
         assert stats.batch_pairs == 3
-        assert stats.vectorized_pairs == 3
-        assert stats.scalar_fallbacks == 0
         assert stats.queries == 3
 
-    def test_scalar_fallback_for_lazy_measure(self, setup):
+    def test_lazy_measure_runs_the_kernel(self, setup):
         _, lazy_measure, _, index = setup
         estimator = MonteCarloSemSim(index, lazy_measure, decay=0.6)
         batch = estimator.similarity_batch("x1", ["x2", "x3"])
-        assert estimator.stats.scalar_fallbacks == 2
-        assert estimator.stats.vectorized_pairs == 0
-        expected = [estimator.similarity("x1", v) for v in ("x2", "x3")]
+        assert estimator.stats.batch_pairs == estimator.stats.queries == 2
+        expected = [scalar_similarity(estimator, "x1", v) for v in ("x2", "x3")]
         np.testing.assert_array_equal(batch, expected)
 
-    def test_fallback_agrees_with_vectorized(self, setup):
+    def test_lazy_agrees_with_dense(self, setup):
         graph, lazy_measure, matrix_measure, index = setup
         lazy = MonteCarloSemSim(index, lazy_measure, decay=0.6, theta=0.05)
         fast = MonteCarloSemSim(index, matrix_measure, decay=0.6, theta=0.05)
@@ -101,11 +101,10 @@ class TestSimRankBatch:
         estimator = MonteCarloSimRank(index, decay=0.6)
         nodes = list(graph.nodes())
         batch = estimator.similarity_batch("x1", nodes)
-        scalar = [estimator.similarity("x1", node) for node in nodes]
-        # summation order differs (compressed vs masked sum): 1e-12, not bitwise
-        np.testing.assert_allclose(batch, scalar, rtol=0, atol=1e-12)
+        scalar = [scalar_simrank(estimator, "x1", node) for node in nodes]
+        np.testing.assert_array_equal(batch, scalar)
         assert estimator.stats.batch_queries == 1
-        assert estimator.stats.vectorized_pairs == len(nodes)
+        assert estimator.stats.batch_pairs == len(nodes)
 
 
 class TestSingleSourceAndJoin:
@@ -116,7 +115,7 @@ class TestSingleSourceAndJoin:
         scores = dict(zip(nodes, estimator.similarity_batch("x1", nodes)))
         assert set(scores) == set(graph.nodes())
         for node, value in scores.items():
-            assert value == estimator.similarity("x1", node)
+            assert value == scalar_similarity(estimator, "x1", node)
         assert estimator.stats.batch_queries >= 1
 
     def test_batch_similarity_preserves_pair_order(self, setup):
@@ -129,14 +128,14 @@ class TestSingleSourceAndJoin:
         )
         assert len(values) == len(pairs)
         for (u, v), value in zip(pairs, values):
-            assert value == estimator.similarity(u, v)
+            assert value == scalar_similarity(estimator, u, v)
 
     def test_join_matches_scalar_join(self, setup):
         graph, _, measure, index = setup
         estimator = MonteCarloSemSim(index, measure, decay=0.6)
         joined = similarity_join(estimator, 0.01)
         for u, v, value in joined:
-            assert value == estimator.similarity(u, v)
+            assert value == scalar_similarity(estimator, u, v)
             assert value > 0.01
 
 
@@ -161,7 +160,8 @@ class TestTopKBatch:
         estimator = MonteCarloSemSim(index, measure, decay=0.6)
         nodes = [n for n in graph.nodes() if n != "x1"]
         scalar_results = top_k_similar(
-            "x1", nodes, 3, estimator.similarity, measure=measure
+            "x1", nodes, 3, lambda u, v: scalar_similarity(estimator, u, v),
+            measure=measure,
         )
         batch_results = _array_top_k(estimator, "x1", nodes, 3, bounded=True)
         assert scalar_results == batch_results
@@ -170,7 +170,9 @@ class TestTopKBatch:
         graph, _, measure, index = setup
         estimator = MonteCarloSemSim(index, measure, decay=0.6)
         nodes = [n for n in graph.nodes() if n != "x1"]
-        scalar_results = top_k_similar("x1", nodes, 4, estimator.similarity)
+        scalar_results = top_k_similar(
+            "x1", nodes, 4, lambda u, v: scalar_similarity(estimator, u, v)
+        )
         batch_results = _array_top_k(estimator, "x1", nodes, 4, bounded=False)
         assert scalar_results == batch_results
 

@@ -190,13 +190,20 @@ class TestWalkDtype:
             assert np.array_equal(grown, built)
 
 
+def _meetings(index, u, v):
+    """The first meetings of the one pair (u, v)."""
+    return index.first_meetings_pairs(
+        index.node_position(u), index.node_positions([v])
+    )[0]
+
+
 class TestFirstMeetings:
     def test_shared_parent_meets_at_one(self):
         g = HIN()
         g.add_edge("p", "u")
         g.add_edge("p", "v")
         index = WalkIndex(g, num_walks=10, length=3, seed=0)
-        meetings = index.first_meetings("u", "v")
+        meetings = _meetings(index, "u", "v")
         assert np.all(meetings == 1)
 
     def test_never_meeting_graph(self):
@@ -206,14 +213,14 @@ class TestFirstMeetings:
         g.add_edge("u", "p")
         g.add_edge("v", "q")
         index = WalkIndex(g, num_walks=10, length=5, seed=0)
-        assert np.all(index.first_meetings("u", "v") == -1)
+        assert np.all(_meetings(index, "u", "v") == -1)
 
     def test_start_offset_never_counts(self):
         g = HIN()
         g.add_edge("p", "u")
         g.add_edge("p", "v")
         index = WalkIndex(g, num_walks=4, length=3, seed=0)
-        assert np.all(index.first_meetings("u", "u") != 0)
+        assert np.all(_meetings(index, "u", "u") != 0)
 
 
 class TestAccounting:
@@ -223,3 +230,24 @@ class TestAccounting:
 
     def test_storage_bytes_positive(self, star):
         assert WalkIndex(star, num_walks=2, length=2, seed=0).storage_bytes > 0
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    def test_storage_bytes_count_walks_and_offsets(self, star, dtype):
+        """A cold and a mutated index count both tensors: n * n_w * (t + 1)
+        walk steps and n * n_w * t offsets, at the tensors' width."""
+        num_walks, length = 7, 3
+        sampled = WalkIndex(star, num_walks=num_walks, length=length, seed=0)
+        cold = WalkIndex.from_arrays(
+            star, sampled.walks.astype(dtype),
+            offsets=sampled.offsets.astype(dtype), num_walks=num_walks,
+            length=length, tables=sampled.tables, graph_index=sampled.index,
+        )
+        mutated = DynamicWalkIndex.from_walk_index(cold, seed=0)
+        mutated.add_edge("x", "a")
+        mutated.add_node("fresh")
+        for index, nodes in ((cold, star.num_nodes), (mutated, star.num_nodes + 1)):
+            assert index.walks.dtype == index.offsets.dtype == dtype
+            per_walk = (length + 1) + length
+            expected = nodes * num_walks * per_walk * np.dtype(dtype).itemsize
+            assert index.storage_bytes == expected
+            assert index.storage_entries == nodes * num_walks * (length + 1)

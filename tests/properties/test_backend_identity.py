@@ -8,6 +8,7 @@ stacked-array oracle (``tests/backends/numpy_ref.py``), passed to the
 engines as an instance.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -150,18 +151,33 @@ def test_runtime_serves_reference_scores_on_every_backend(
 
 
 @pytest.mark.concurrency
-@pytest.mark.parametrize("backend", RUNNABLE)
-def test_backend_thread_stress_bit_stable(backend):
+@pytest.mark.parametrize(
+    "backend, materialize",
+    [pytest.param(name, True, id=name) for name in RUNNABLE]
+    + [pytest.param(name, False, id=f"{name}-lazy") for name in RUNNABLE],
+)
+def test_backend_thread_stress_bit_stable(backend, materialize):
     """Hammer one shared engine from many threads: per-thread scratch must
-    keep every concurrent answer equal to the single-threaded one."""
-    graph, measure = random_hin_with_measure(7, num_entities=10, extra_edges=14)
-    engine = QueryEngine(
-        graph, measure, method="mc", num_walks=40, length=8, seed=7,
-        backend=KERNELS[backend](),
-    )
+    keep every concurrent answer equal to the single-threaded one.  A lazy
+    engine shares its measure's memo across the threads, starting cold,
+    while each scoring call computes its ``sem`` and ``SO`` cells in its
+    own memo; the expected answers come from a twin engine."""
+
+    def build():
+        graph, measure = random_hin_with_measure(
+            7, num_entities=10, extra_edges=14
+        )
+        return graph, QueryEngine(
+            graph, measure, method="mc", num_walks=40, length=8, seed=7,
+            backend=KERNELS[backend](), materialize_semantics=materialize,
+        )
+
+    graph, engine = build()
+    assert (engine.estimator._sem_matrix is not None) == materialize
     nodes = sorted(graph.nodes(), key=str)
     sources = nodes[:4]
-    expected = {u: np.asarray(engine.score_batch(u, nodes)) for u in sources}
+    twin = build()[1]
+    expected = {u: np.asarray(twin.score_batch(u, nodes)) for u in sources}
 
     num_threads, rounds = 8, 5
     barrier = threading.Barrier(num_threads)
@@ -180,8 +196,14 @@ def test_backend_thread_stress_bit_stable(backend):
     threads = [
         threading.Thread(target=worker, args=(i,)) for i in range(num_threads)
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
     assert not failures, failures

@@ -2,8 +2,8 @@
 
 :meth:`~repro.core.WalkIndex.first_meetings_pairs` finds the first
 meetings of many pairs from the hits of one comparison over the walk
-tensor; it feeds every batched score, and its row 0 is the scalar
-:meth:`~repro.core.WalkIndex.first_meetings`.  Both are held here to
+tensor; it feeds every score.  Its rows, and a call for pair 0 alone,
+are held here to
 :func:`oracle_first_meetings`, a loop over each coupled walk that takes
 the smallest step ``k >= 1`` where both walks are alive and stand on the
 same node: with one shared source and with one source per pair, on graphs
@@ -73,15 +73,13 @@ def int32_copy(index) -> WalkIndex:
 def assert_rows_match_oracle(index, pos_u, pos_v) -> None:
     assert index.walks.dtype == np.int16
     expected = oracle_first_meetings(index.walks, pos_u, pos_v)
-    nodes = index.index.nodes
     first_u = int(np.broadcast_to(pos_u, pos_v.shape)[0])
     for tensors in (index, int32_copy(index)):
         stacked = tensors.first_meetings_pairs(pos_u, pos_v)
         assert stacked.dtype == np.int64
         np.testing.assert_array_equal(stacked, expected)
         np.testing.assert_array_equal(
-            tensors.first_meetings(nodes[first_u], nodes[int(pos_v[0])]),
-            expected[0],
+            tensors.first_meetings_pairs(first_u, pos_v[:1])[0], expected[0]
         )
 
 

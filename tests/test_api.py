@@ -285,7 +285,7 @@ class TestStats:
         engine.score_batch("x1", ["x2", "x3"])
         assert engine.stats.queries == 3
         assert engine.stats.batch_queries == 1
-        assert engine.stats.vectorized_pairs == 2
+        assert engine.stats.batch_pairs == 2
 
 
 def test_cli_query_and_topk_run_on_facade(tmp_path, capsys):
