@@ -3,14 +3,15 @@
 Two baselines for the same 500-candidate single-source query:
 
 * the **pre-facade loop** — ``MonteCarloSemSim(index, bundle.measure)``
-  queried pair by pair, exactly how every seed-era caller ran it (lazy
-  measure, per-step O(d²) SO sums).  The ISSUE's ≥ 5× claim is against
-  this path; the engine's auto-materialised semantic matrix, precomputed
-  ``SO = W sem Wᵀ`` table and stacked-array scoring all contribute.
-* the **same-engine scalar loop** — ``estimator.similarity`` in a loop on
-  the engine's own estimator.  This isolates the vectorisation itself
-  (both paths share the precomputed tables) and must be *bit-identical*
-  to ``score_batch``.
+  queried pair by pair, as every seed-era caller ran it: a lazy measure,
+  so each call computes the ``sem`` cells and O(d²) ``SO`` sums its walks
+  reach.  The ≥ 5× claim is against this path; the engine's
+  auto-materialised semantic matrix, precomputed ``SO = W sem Wᵀ`` table
+  and batched scoring all contribute.
+* the **same-engine per-pair loop** — ``estimator.similarity`` in a loop
+  on the engine's own estimator: one kernel call per pair against one
+  call for all 500, over the same precomputed tables, so it isolates
+  batching.  It must be *bit-identical* to ``score_batch``.
 
 Also reports parallel walk-index construction: sharded building across a
 thread pool, bit-identical to the serial build for the same seed (per-node
@@ -90,7 +91,7 @@ def test_batch_single_source_speedup(bundle, show):
     lazy = np.array([legacy.similarity(query, v) for v in candidates])
     legacy_seconds = time.perf_counter() - start
 
-    # identical scores: bitwise against the engine's own scalar path, and
+    # identical scores: bitwise against the engine's own per-pair calls, and
     # to float precision against the lazy baseline (whose SO sums
     # accumulate in a different order).
     np.testing.assert_array_equal(batch, scalar)

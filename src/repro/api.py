@@ -4,7 +4,7 @@ Everything the library can answer about node similarity — single pairs,
 whole candidate sets, top-k search, similarity joins — is reachable through
 one :class:`QueryEngine`.  The engine hides the moving parts the paper's
 Section 4 pipeline needs (walk-index construction, proposal policy, the
-semantic matrix that unlocks the vectorised batch path, estimator choice,
+dense semantic matrix the MC kernel reads, estimator choice,
 pruning thresholds) behind a single constructor:
 
 >>> from repro.api import QueryEngine

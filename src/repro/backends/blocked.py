@@ -35,8 +35,9 @@ source computes exactly the cells the live walks reach.
 
 Bit-identity argument: ``take`` fetches exactly the floats fancy
 indexing (or the cell's own computation) gives; the node-pair keys and
-in-edge slots are integer arithmetic in int64 (exact); each step multiplies a row's running
-product by ``((sem * w_u) * w_v / so) * c / (q_u * q_v)`` in the scalar
+in-edge slots are integer arithmetic in int64 (exact); each step
+multiplies a row's running product by
+``((sem * w_u) * w_v / so) * c / (q_u * q_v)`` in the scalar
 operation order, whichever body runs it (``run * f`` and ``f * run`` are
 the same IEEE product); a bail-out multiplies by 0 as the reference's
 zeroed factor does; and a cut is the first step whose product is ≤ θ.

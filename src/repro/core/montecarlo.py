@@ -77,7 +77,7 @@ if TYPE_CHECKING:
 #: Counter fields of :class:`EstimatorStats`, with the help text of the
 #: mirrored registry families (``estimator_<field>_total``).
 _STAT_HELP: dict[str, str] = {
-    "queries": "Pairs scored, through either the scalar or the batch path.",
+    "queries": "Pairs scored, through similarity or a batch entry point.",
     "walks_examined": "Coupled walks whose meeting status was checked.",
     "walks_met": "Coupled walks that met and paid the IS correction.",
     "walks_pruned": "Met walks frozen early by the theta walk-cut (Def. 4.5).",

@@ -15,7 +15,7 @@ from repro.core.join import similarity_join
 from repro.core.topk import str_ranks, top_k_scan, top_k_similar
 from repro.errors import ConfigurationError
 from repro.semantics import MatrixMeasure
-from tests.backends.scalar_ref import scalar_similarity, scalar_simrank
+from tests.backends.scalar_ref import scalar_run, scalar_similarity, scalar_simrank
 from tests.conftest import build_taxonomy_graph
 
 
@@ -67,12 +67,20 @@ class TestSemSimBatch:
         assert stats.queries == 3
 
     def test_lazy_measure_runs_the_kernel(self, setup):
+        """A lazy measure is scored through computed cells: the scalar
+        loop's floats, and its counters for one call over the pairs."""
         _, lazy_measure, _, index = setup
         estimator = MonteCarloSemSim(index, lazy_measure, decay=0.6)
         batch = estimator.similarity_batch("x1", ["x2", "x3"])
-        assert estimator.stats.batch_pairs == estimator.stats.queries == 2
-        expected = [scalar_similarity(estimator, "x1", v) for v in ("x2", "x3")]
-        np.testing.assert_array_equal(batch, expected)
+        scores, _, counts = scalar_run(
+            estimator, [index.node_position("x1")] * 2,
+            index.node_positions(["x2", "x3"]),
+        )
+        np.testing.assert_array_equal(batch, scores)
+        assert counts["walks_met"] > 0
+        assert estimator.stats.as_dict() == dict(
+            counts, batch_queries=1, batch_pairs=2
+        )
 
     def test_lazy_agrees_with_dense(self, setup):
         graph, lazy_measure, matrix_measure, index = setup

@@ -63,7 +63,8 @@ def _plan_from_spec(spec, num_nodes) -> ShardPlan:
     boundaries, lo = [], 0
     for cut in cuts[:-1]:
         hi = int(round(cut))
-        if hi > lo:
+        # a cut that rounds onto the end would leave the last range empty
+        if lo < hi < num_nodes:
             boundaries.append((lo, hi))
             lo = hi
     boundaries.append((lo, num_nodes))
